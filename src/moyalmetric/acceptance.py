@@ -35,9 +35,11 @@ from .doubling import (
 )
 from .fock import (
     FockContext,
+    annihilation,
     coherent_state,
     displace,
     eigenstate,
+    hamiltonian,
     make_context,
     mixed_state,
     superposition_state,
@@ -339,9 +341,18 @@ def _c7_counterexample(st: SuiteSettings) -> tuple[float, str]:
     res = counterexample_L2prime(ctx, 0, 2, 4, 6)
     r1 = abs(res.residual - 2.04412) / tol
 
-    op = build_length(ctx)
+    # Literal Kronecker assembly, kept apart from the sector blocks behind
+    # the closed route so that the two routes stay independent.
     n = ctx.trunc_dim
-    t4 = op.L2.reshape(n, n, n, n)
+    a = annihilation(ctx).mat.real
+    h = hamiltonian(ctx).mat.real
+    eye = np.eye(n)
+    l2 = np.kron(h, eye)
+    l2 += np.kron(eye, h)
+    l2 -= np.kron(a, a.T)
+    l2 -= np.kron(a.T, a)
+    l2 *= 2.0
+    t4 = l2.reshape(n, n, n, n)
 
     def pair(sa, sb) -> float:
         return float(np.einsum("ij,kl,jlik->", sa.rho, sb.rho, t4).real)

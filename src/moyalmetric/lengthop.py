@@ -10,6 +10,17 @@ root evaluates to the quantum length.  Because the ladder matrix is real
 in the number basis, L2 is a real symmetric matrix and all spectral work
 stays in float64.
 
+Every term of L2 conserves the total number s = n1 + n2: the H terms are
+diagonal, a (x) a* moves one quantum from the first copy to the second
+and a* (x) a moves it back.  Truncation only deletes matrix entries of a
+and a*, so it cannot create a term that changes s, and the truncated L2
+is exactly the direct sum of its 2N - 1 sectors s = 0 .. 2N - 2.  In the
+first-copy level n1 each sector block is tridiagonal and of size at most
+N.  The operator is therefore assembled, diagonalized and square-rooted
+block by block, with work growing like N^4 rather than the N^6 of the
+pair-space matrix, and pair traces run sector by sector without forming
+any N^4 tensor.
+
 A subtracted "modified" square length can be computed state-by-state, but
 no single operator reproduces it; `counterexample_L2prime` quantifies the
 obstruction on superpositions of well-separated levels.
@@ -18,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,86 +54,112 @@ __all__ = [
     "modified_length",
 ]
 
-_MAX_TENSOR_SOURCE_DIM = 96
-
-# One length operator per context; the eigendecomposition at trunc_dim = 64
-# costs ~10 s, so results are shared process-wide.  Contexts are frozen
-# dataclasses and hash by value.
-_CACHE: dict[FockContext, "LengthOperator"] = {}
+# Operators of the most recently used contexts stay cached; the bound keeps
+# a run over many truncations from holding every one of them.
+_CACHE_SIZE = 8
 
 
-@dataclass(frozen=True)
+class _Sector(NamedTuple):
+    """Block of the pair space with total number s = n1 + n2."""
+
+    levels: np.ndarray  # first-copy levels n1, ascending; n2 = s - n1
+    l2: np.ndarray  # square length on those levels (tridiagonal)
+    w: np.ndarray  # its eigenvalues, ascending
+    root: np.ndarray  # its operator square root
+
+
+@dataclass(frozen=True, eq=False)
 class LengthOperator:
-    """Square length matrix on the pair space with lazy spectral data.
+    """Square length on the pair space, held as its total-number sectors.
 
-    ``L2`` is eager; the eigendecomposition behind ``spectrum`` and the
-    square root ``L`` runs once on first access and is cached.
+    ``sectors[s]`` is the block with n1 + n2 = s.  ``L2`` and ``L`` are the
+    full N^2 x N^2 matrices in the natural n1*N + n2 basis, as sparse
+    arrays assembled from the blocks on first access.
     """
 
     ctx: FockContext
-    L2: np.ndarray
+    sectors: tuple[_Sector, ...]
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(self.L2)
-        w.setflags(write=False)
-        return w, v
-
-    @property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of the square length."""
-        return self._eig[0]
+        """Ascending eigenvalues of the square length, all N^2 of them."""
+        w = np.sort(np.concatenate([sec.w for sec in self.sectors]))
+        w.setflags(write=False)
+        return w
 
     @cached_property
-    def L(self) -> np.ndarray:
-        """Operator square root, with tiny negative eigenvalues clamped.
+    def L2(self):
+        """Square length as a block-diagonal ``scipy.sparse`` array."""
+        return self._assemble("l2")
 
-        The assembled matrix is an exact compression of a nonnegative
-        operator, so genuine negatives cannot occur; clamping only guards
-        against eigensolver roundoff.
-        """
-        w, v = self._eig
-        if w[0] < -self.ctx.tol:
+    @cached_property
+    def L(self):
+        """Operator square root as a block-diagonal ``scipy.sparse`` array."""
+        return self._assemble("root")
+
+    def _assemble(self, field: str):
+        # Imported here: scipy costs more to import than a whole small
+        # build, and only callers of the full matrices need it.
+        from scipy import sparse
+
+        n = self.ctx.trunc_dim
+        rows, cols, vals = [], [], []
+        for s, sec in enumerate(self.sectors):
+            index = sec.levels * n + (s - sec.levels)
+            block = getattr(sec, field)
+            p, q = np.nonzero(block)
+            rows.append(index[p])
+            cols.append(index[q])
+            vals.append(block[p, q])
+        coords = (np.concatenate(rows), np.concatenate(cols))
+        return sparse.csr_array((np.concatenate(vals), coords), shape=(n * n, n * n))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def build_length(ctx: FockContext) -> LengthOperator:
+    """Assemble and diagonalize the square length of a context by sector.
+
+    Each block gets the same floating-point entries as the literal
+    Kronecker assembly.  Each square root clamps tiny negative eigenvalues:
+    the blocks compress a nonnegative operator, so genuine negatives cannot
+    occur and clamping only guards against eigensolver roundoff.
+    """
+    n = ctx.trunc_dim
+    h = np.diag(hamiltonian(ctx).mat.real)
+    sub = np.diag(annihilation(ctx).mat.real, k=1)  # sub[m] = <m|a|m+1>
+    sectors = []
+    for s in range(2 * n - 1):
+        levels = np.arange(max(0, s - n + 1), min(s, n - 1) + 1)
+        # a* (x) a takes (n1, n2) to (n1 + 1, n2 - 1); a (x) a* takes it back.
+        hop = -2.0 * (sub[levels[:-1]] * sub[s - levels[:-1] - 1])
+        l2 = np.diag(2.0 * (h[levels] + h[s - levels])) + np.diag(hop, 1) + np.diag(hop, -1)
+        w, v = np.linalg.eigh(l2)
+        if w[0] < -ctx.tol:
             raise ArithmeticError(
-                f"square length has eigenvalue {w[0]:.3e} below -tol; "
-                "the assembly is corrupted"
+                f"square length sector n1 + n2 = {s} has eigenvalue {w[0]:.3e} "
+                "below -tol; the assembly is corrupted"
             )
         root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-        root.setflags(write=False)
-        return root
+        for arr in (levels, l2, w, root):
+            arr.setflags(write=False)
+        sectors.append(_Sector(levels, l2, w, root))
+    return LengthOperator(ctx=ctx, sectors=tuple(sectors))
 
 
-def build_length(ctx: FockContext, max_dim: int = _MAX_TENSOR_SOURCE_DIM) -> LengthOperator:
-    """Assemble (or fetch) the square length operator for a context.
+def _pair_trace(s1: QState, s2: QState, op: LengthOperator, field: str) -> float:
+    """trace((rho1 (x) rho2) T) for the block-diagonal T = op.L2 or op.L.
 
-    The tensor matrix has trunc_dim**2 rows; ``max_dim`` caps the source
-    dimension so an accidental huge context cannot exhaust memory.
+    T only couples pairs within one sector, so with B = T's block on sector
+    s the trace is sum_s sum_{p,q} B[p, q] rho1[q, p] rho2[s - q, s - p].
     """
-    cached = _CACHE.get(ctx)
-    if cached is not None:
-        return cached
-    n = ctx.trunc_dim
-    if n > max_dim:
-        raise ValueError(
-            f"trunc_dim={n} exceeds the tensor budget (max {max_dim}); "
-            "the pair-space eigenproblem would need too much memory"
-        )
-    a = annihilation(ctx).mat.real
-    h = hamiltonian(ctx).mat.real
-    eye = np.eye(n)
-    l2 = 2.0 * (np.kron(h, eye) + np.kron(eye, h) - np.kron(a, a.T) - np.kron(a.T, a))
-    l2.setflags(write=False)
-    op = LengthOperator(ctx=ctx, L2=l2)
-    _CACHE[ctx] = op
-    return op
-
-
-def _pair_trace(s1: QState, s2: QState, tensor: np.ndarray) -> float:
-    """trace((rho1 (x) rho2) T) with T given as an n^2 x n^2 real matrix."""
-    n = s1.ctx.trunc_dim
-    t4 = tensor.reshape(n, n, n, n)
-    val = np.einsum("ij,kl,jlik->", s1.rho, s2.rho, t4)
-    return float(val.real)
+    r1, r2 = s1.rho, s2.rho
+    total = 0.0
+    for s, sec in enumerate(op.sectors):
+        lo, hi = int(sec.levels[0]), int(sec.levels[-1]) + 1
+        # c[i, j] = rho2[s - lo - i, s - lo - j], aligned with rho1[lo + i, lo + j].
+        c = r2[s - hi + 1 : s - lo + 1, s - hi + 1 : s - lo + 1][::-1, ::-1]
+        total += np.sum(getattr(sec, field).T * (r1[lo:hi, lo:hi] * c))
+    return float(total.real)
 
 
 def d_L2(s1: QState, s2: QState) -> float:
@@ -144,8 +181,7 @@ def d_L2(s1: QState, s2: QState) -> float:
 def d_L(s1: QState, s2: QState) -> float:
     """Quantum length trace((rho1 (x) rho2) L); at most sqrt(d_L2)."""
     _require_same_ctx(s1.ctx, s2.ctx)
-    op = build_length(s1.ctx)
-    return _pair_trace(s1, s2, op.L)
+    return _pair_trace(s1, s2, build_length(s1.ctx), "root")
 
 
 def _lambda_inverse_sq(s1: QState, s2: QState) -> float:
@@ -168,10 +204,10 @@ class CounterexampleResult(NamedTuple):
     residual: float
 
 
-def _modified_sq_tensor(op: LengthOperator, s1: QState, s2: QState) -> float:
-    """Modified square length evaluated through literal pair-space traces."""
-    diag = math.sqrt(_pair_trace(s1, s1, op.L2) * _pair_trace(s2, s2, op.L2))
-    return abs(_pair_trace(s1, s2, op.L2) - diag)
+def _modified_sq_traced(op: LengthOperator, s1: QState, s2: QState) -> float:
+    """Modified square length evaluated through pair-space traces of L2."""
+    diag = math.sqrt(_pair_trace(s1, s1, op, "l2") * _pair_trace(s2, s2, op, "l2"))
+    return abs(_pair_trace(s1, s2, op, "l2") - diag)
 
 
 def counterexample_L2prime(
@@ -190,8 +226,8 @@ def counterexample_L2prime(
     making every closed form below exact).  Returns (lhs, rhs, lhs - rhs);
     a residual away from zero certifies that no such operator exists.
 
-    Each closed form is cross-checked against the literal tensor-space
-    trace before returning.
+    Each closed form is cross-checked against the pair-space trace of L2
+    before returning.
     """
     idx = (i, j, k, l)
     if any(int(x) != x or x < 0 for x in idx):
@@ -239,10 +275,10 @@ def counterexample_L2prime(
         (single_sq(k), eigenstate(ctx, k)),
     ]
     for want, state in checks:
-        got = _modified_sq_tensor(op, state, target)
+        got = _modified_sq_traced(op, state, target)
         if abs(got - want) > 1e-6:
             raise ArithmeticError(
-                f"closed form {want:.9g} disagrees with the tensor trace "
+                f"closed form {want:.9g} disagrees with the pair-space trace "
                 f"{got:.9g} for state {state.tag!r}"
             )
     return CounterexampleResult(lhs=lhs, rhs=rhs, residual=lhs - rhs)

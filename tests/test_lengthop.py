@@ -1,18 +1,24 @@
-"""Oracle tests for the tensor-space length operator.
+"""Oracle tests for the pair-space length operator.
 
 Expected numbers are recomputed here from first principles (level energies
 E_m = theta*(m + 1/2) and the closed forms they imply), never read back
-from the implementation.
+from the implementation.  The sector-block operator is also checked
+against a literal Kronecker assembly of the full N^2 x N^2 matrix.
 """
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moyalmetric import (
     LeakageError,
+    annihilation,
     displace,
     eigenstate,
+    hamiltonian,
     make_context,
     mixed_state,
     superposition_state,
@@ -28,6 +34,31 @@ from moyalmetric.lengthop import (
 
 def level_energy(m, theta=1.0):
     return theta * (m + 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def kron_length(n):
+    """Literal pair-space L2 = 2(H x 1 + 1 x H - a x a* - a* x a) at theta = 1,
+    its eigenvalues and its square root by a dense eigendecomposition."""
+    ctx = make_context(n, 1.0, 1e-10)
+    a = annihilation(ctx).mat.real
+    h = hamiltonian(ctx).mat.real
+    eye = np.eye(n)
+    l2 = 2.0 * (np.kron(h, eye) + np.kron(eye, h) - np.kron(a, a.T) - np.kron(a.T, a))
+    w, v = np.linalg.eigh(l2)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return l2, w, root
+
+
+def kron_trace(s1, s2, mat):
+    """trace((rho1 x rho2) mat) through the full N^4 tensor."""
+    n = s1.ctx.trunc_dim
+    val = np.einsum("ij,kl,jlik->", s1.rho, s2.rho, mat.reshape(n, n, n, n))
+    assert abs(val.imag) < 1e-10
+    return float(val.real)
+
+
+ORACLE_DIMS = (8, 16, 24)
 
 
 class TestBuildLength:
@@ -60,15 +91,66 @@ class TestBuildLength:
     def test_caching_returns_same_object(self, ctx16):
         assert build_length(ctx16) is build_length(ctx16)
 
-    def test_dimension_guard(self):
+    def test_no_size_cap(self):
         ctx = make_context(128, 1.0, 1e-10)
-        with pytest.raises(ValueError):
-            build_length(ctx)
+        op = build_length(ctx)
+        assert op.spectrum[0] == pytest.approx(2.0, abs=1e-9)
+        w0 = eigenstate(ctx, 0)
+        assert d_L(w0, w0) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_min_eigenvalue_stable_in_n(self, ctx16, ctx32):
         lo = build_length(ctx16).spectrum[0]
         hi = build_length(ctx32).spectrum[0]
         assert lo == pytest.approx(hi, abs=1e-9)
+
+
+@st.composite
+def pair_states(draw, n):
+    """A superposition or a two-term mixture of superpositions below the edge."""
+    ctx = make_context(n, 1.0, 1e-10)
+    coeff = st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0,
+                               allow_nan=False, allow_infinity=False)
+
+    def superposed():
+        idx = draw(st.lists(st.integers(0, ctx.interior_dim - 1),
+                            min_size=1, max_size=4, unique=True))
+        return superposition_state(ctx, idx, draw(st.lists(coeff, min_size=len(idx),
+                                                           max_size=len(idx))))
+
+    if draw(st.booleans()):
+        return superposed()
+    weight = draw(st.floats(min_value=0.05, max_value=0.95))
+    return mixed_state([superposed(), superposed()], [weight, 1.0 - weight])
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+class TestSectorOracle:
+    def test_no_entries_between_sectors(self, n):
+        l2, _, _ = kron_length(n)
+        total = np.add.outer(np.arange(n), np.arange(n)).ravel()
+        between = total[:, None] != total[None, :]
+        assert np.count_nonzero(l2[between]) == 0
+        assert np.count_nonzero(l2[~between]) > 0
+
+    def test_spectrum_matches_kron(self, n):
+        _, w, _ = kron_length(n)
+        got = build_length(make_context(n, 1.0, 1e-10)).spectrum
+        assert got.shape == (n * n,)
+        assert float(np.abs(got - w).max()) <= 1e-12 * float(np.abs(w).max())
+
+    def test_blocks_assemble_to_kron(self, n):
+        l2, _, root = kron_length(n)
+        op = build_length(make_context(n, 1.0, 1e-10))
+        assert op.L2.shape == op.L.shape == (n * n, n * n)
+        assert np.array_equal(op.L2.toarray(), l2)
+        assert float(np.abs(op.L.toarray() - root).max()) <= 1e-12
+
+    @given(data=st.data())
+    def test_length_matches_kron_trace(self, n, data):
+        s1 = data.draw(pair_states(n))
+        s2 = data.draw(pair_states(n))
+        _, _, root = kron_length(n)
+        assert d_L(s1, s2) == pytest.approx(kron_trace(s1, s2, root), abs=1e-12)
 
 
 class TestSquareLength:
@@ -108,8 +190,7 @@ class TestSquareLength:
     def test_matches_tensor_trace(self, ctx16):
         # The moment factorization must agree with the literal tensor-space
         # trace against L2, including on mixed and superposed states.
-        op = build_length(ctx16)
-        l4 = op.L2.reshape(ctx16.trunc_dim, ctx16.trunc_dim, ctx16.trunc_dim, ctx16.trunc_dim)
+        l2, _, _ = kron_length(ctx16.trunc_dim)
         pairs = [
             (eigenstate(ctx16, 0), eigenstate(ctx16, 3)),
             (displace(eigenstate(ctx16, 1), 0.4 - 0.2j), eigenstate(ctx16, 2)),
@@ -119,9 +200,7 @@ class TestSquareLength:
             ),
         ]
         for s1, s2 in pairs:
-            literal = np.einsum("ij,kl,jlik->", s1.rho, s2.rho, l4)
-            assert abs(literal.imag) < 1e-10
-            assert d_L2(s1, s2) == pytest.approx(float(literal.real), abs=1e-10)
+            assert d_L2(s1, s2) == pytest.approx(kron_trace(s1, s2, l2), abs=1e-10)
 
     def test_context_mismatch(self, ctx16, ctx32):
         from moyalmetric import ContextMismatchError
