@@ -30,6 +30,7 @@ import numpy as np
 from . import acceptance
 from .config import ConfigError, RunConfig, format_value, resolve_config
 from .doubling import (
+    _REPORT_COLUMNS,
     identification_sweep,
     make_doubled,
     pythagoras_check,
@@ -58,7 +59,6 @@ EXIT_ANOMALY = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-_COLUMNS = ("label", "d_D", "d_L", "d_L2", "d_L_mod", "rel_gap", "feasibility")
 _FEAS_SLACK = 1e-8
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -99,7 +99,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
-def _write_csv(cfg: RunConfig, name: str, rows, columns=_COLUMNS) -> str:
+def _write_csv(cfg: RunConfig, name: str, rows, columns=_REPORT_COLUMNS) -> str:
     path = _out_path(cfg, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in cfg.header_lines():
@@ -175,7 +175,9 @@ def _svg_plot(cfg: RunConfig, name: str, title: str, xlabel: str, ylabel: str, s
     ymax = max(p[1] for p in pts)
     if xmax - xmin < 1e-300:
         xmin, xmax = xmin - 1.0, xmax + 1.0
-    if ymax - ymin < 1e-300:
+    # A y-range at roundoff level (a degenerate spectrum) is drawn flat
+    # rather than autoscaled to its noise.
+    if ymax - ymin < 1e-9 * max(1.0, abs(ymax)):
         ymin, ymax = ymin - 1.0, ymax + 1.0
 
     def sx(x: float) -> float:

@@ -15,11 +15,18 @@ twisted by the grading.  Because the grading anticommutes with the
 derivative blocks, mixing a unit element with sheet-dependent constants
 leaves the doubled seminorm at one, which is what produces exact
 hypotenuse certificates.
+
+The pair solver runs the shared ascent core of ``spectral`` on stacked
+element pairs, with one Gram eigendecomposition per iteration of the
+2m x 2m chiral block (``_chiral_block``), whose singular values are those
+of the whole commutator; the full 4m x 4m SVD is kept as the independent
+feasibility check.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +46,8 @@ from .spectral import (
     SolverConfig,
     _hermitize,
     _objective,
+    _portfolio_ascent,
+    _top_singular_pair,
     closed_form_for,
     distance_closed_form,
     distance_diagonal_lp,
@@ -140,11 +149,26 @@ def _doubled_commutator(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.
     return out
 
 
-def _pad(dd: DoubledDirac, block: np.ndarray) -> np.ndarray:
-    n = dd.ctx.trunc_dim
+def _chiral_block(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Chiral block K = C[(s1c1, s2c0), (s1c0, s2c1)] of the doubled commutator.
+
+    The grading diag(1, -1, -1, 1) over the blocks (s1c0, s1c1, s2c0, s2c1)
+    anticommutes with every block of C, so C only joins the even blocks
+    (s1c0, s2c1) to the odd ones (s1c1, s2c0): its odd-row, even-column
+    part is K and its even-row, odd-column part is -K* for Hermitian
+    elements, where C is anti-Hermitian.  Hence sigma_max(C) = sigma_max(K),
+    with K of size 2m x 2m.
+    """
+    calc = dd.calc
     mc = dd.ctx.interior_dim
-    out = np.zeros((n, n), dtype=complex)
-    out[:mc, :mc] = block
+    root2 = math.sqrt(2.0)
+    lam = dd.Lambda
+    delta = calc._crop(a2 - a1)
+    out = np.empty((2 * mc, 2 * mc), dtype=complex)
+    out[:mc, :mc] = -1j * root2 * calc._crop(calc._dz(a1))
+    out[:mc, mc:] = -np.conj(lam) * delta
+    out[mc:, :mc] = -lam * delta
+    out[mc:, mc:] = -1j * root2 * calc._crop(calc._dzbar(a2))
     return out
 
 
@@ -153,32 +177,24 @@ def _doubled_adjoint(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of the assembly map: <W, C(X1, X2)> = <g1, X1> + <g2, X2>.
 
-    Block bookkeeping mirrors the assembly; the derivative adjoints are
-    commutators with the ladder matrices, and the crop adjoint pads with
-    zeros.  Used for the seminorm subgradient of the pair solver.
+    Block bookkeeping mirrors the assembly; the adjoints of dz and dzbar
+    are -dzbar and -dz, and the crop adjoint pads with zeros.  Used for the
+    seminorm subgradient of the pair solver.
     """
     calc = dd.calc
-    ctx = dd.ctx
-    mc = ctx.interior_dim
-    a = calc._a
+    mc = dd.ctx.interior_dim
     root2 = math.sqrt(2.0)
     lam = dd.Lambda
     b = [slice(0, mc), slice(mc, 2 * mc), slice(2 * mc, 3 * mc), slice(3 * mc, 4 * mc)]
+    pad = calc._pad
 
-    def dz_star(y: np.ndarray) -> np.ndarray:
-        return -(a @ y - y @ a) / ctx.theta
-
-    def dzbar_star(y: np.ndarray) -> np.ndarray:
-        ad = a.conj().T
-        return (ad @ y - y @ ad) / ctx.theta
-
-    g1 = 1j * root2 * (dzbar_star(_pad(dd, w[b[0], b[1]])) + dz_star(_pad(dd, w[b[1], b[0]])))
-    g2 = 1j * root2 * (dzbar_star(_pad(dd, w[b[2], b[3]])) + dz_star(_pad(dd, w[b[3], b[2]])))
+    g1 = -1j * root2 * (calc._dz(pad(w[b[0], b[1]])) + calc._dzbar(pad(w[b[1], b[0]])))
+    g2 = -1j * root2 * (calc._dz(pad(w[b[2], b[3]])) + calc._dzbar(pad(w[b[3], b[2]])))
     g_delta = (
-        lam * _pad(dd, w[b[0], b[2]])
-        - lam * _pad(dd, w[b[1], b[3]])
-        - np.conj(lam) * _pad(dd, w[b[2], b[0]])
-        + np.conj(lam) * _pad(dd, w[b[3], b[1]])
+        lam * pad(w[b[0], b[2]])
+        - lam * pad(w[b[1], b[3]])
+        - np.conj(lam) * pad(w[b[2], b[0]])
+        + np.conj(lam) * pad(w[b[3], b[1]])
     )
     g1 = g1 - g_delta
     g2 = g2 + g_delta
@@ -192,59 +208,20 @@ def _doubled_seminorm(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> float
     return float(np.linalg.svd(c, compute_uv=False)[0])
 
 
-def _pair_objective(
-    g1: np.ndarray, g2: np.ndarray, a1: np.ndarray, a2: np.ndarray
-) -> float:
-    return _objective(g1, a1) + _objective(g2, a2)
+def _doubled_pair(dd: DoubledDirac, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Doubled seminorm of a stacked Hermitian pair and a subgradient there.
 
-
-def _doubled_ascend(
-    dd: DoubledDirac,
-    g1: np.ndarray,
-    g2: np.ndarray,
-    start1: np.ndarray,
-    start2: np.ndarray,
-    cfg: SolverConfig,
-) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
-    """Projected subgradient ascent over element pairs.
-
-    Each iterate is rescaled to doubled seminorm one, so every recorded
-    value is feasible.  One singular value decomposition per iteration
-    supplies both the normalization and the subgradient.
+    The top pair K v = sigma u of the chiral block is a top singular pair
+    of C once u sits on the odd rows and v on the even columns; u v* placed
+    in those blocks of W goes through the assembly adjoint.
     """
-    a1 = _hermitize(np.asarray(start1, dtype=complex))
-    a2 = _hermitize(np.asarray(start2, dtype=complex))
-    best: tuple[float, tuple[np.ndarray, np.ndarray]] | None = None
-    for k in range(cfg.iterations + 1):
-        c = _doubled_commutator(dd, a1, a2)
-        u, sv, vh = np.linalg.svd(c)
-        s = float(sv[0])
-        if s < _TINY:
-            if abs(_pair_objective(g1, g2, a1, a2)) > 1e-10:
-                raise ArithmeticError(
-                    "doubled seminorm vanished along a direction with nonzero "
-                    "evaluation gap; the ratio is unbounded"
-                )
-            return best
-        a1, a2 = a1 / s, a2 / s
-        val = _pair_objective(g1, g2, a1, a2)
-        if k == 0 and val < 0:
-            a1, a2, val = -a1, -a2, -val
-        if best is None or val > best[0]:
-            best = (val, (a1, a2))
-        if k == cfg.iterations:
-            break
-        w = np.outer(u[:, 0], vh[0])
-        s1g, s2g = _doubled_adjoint(dd, w)
-        d1 = g1 - val * s1g
-        d2 = g2 - val * s2g
-        gnorm = math.sqrt(np.linalg.norm(d1) ** 2 + np.linalg.norm(d2) ** 2)
-        if gnorm < _TINY:
-            break
-        step = cfg.step_scale / (gnorm * math.sqrt(k + 1.0))
-        a1 = a1 + step * d1
-        a2 = a2 + step * d2
-    return best
+    sigma, u, v = _top_singular_pair(_chiral_block(dd, x[0], x[1]))
+    mc = dd.ctx.interior_dim
+    uv = np.outer(u, v.conj())
+    w = np.zeros((4 * mc, 4 * mc), dtype=complex)
+    w[mc : 3 * mc, :mc] = uv[:, :mc]
+    w[mc : 3 * mc, 3 * mc :] = uv[:, mc:]
+    return sigma, np.stack(_doubled_adjoint(dd, w))
 
 
 def _hypotenuse_pair(
@@ -282,38 +259,15 @@ def _doubled_solver(
     extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> _PairBest:
     """Best feasible pair over ascent restarts plus a candidate portfolio."""
-    n = dd.ctx.trunc_dim
     g1 = _hermitize((sheet1 == 1) * s1.rho - (sheet2 == 1) * s2.rho)
     g2 = _hermitize((sheet1 == 2) * s1.rho - (sheet2 == 2) * s2.rho)
-
-    pairs: list[tuple[np.ndarray, np.ndarray]] = list(extra_pairs)
-    for r in range(cfg.restarts):
-        if r == 0:
-            start = (g1, g2)
-        else:
-            rng = np.random.default_rng([cfg.seed, 97, r])
-            raw1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            raw2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            start = (raw1, raw2)
-        out = _doubled_ascend(dd, g1, g2, start[0], start[1], cfg)
-        if out is not None:
-            pairs.append(out[1])
-
-    best_val = 0.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    for p1, p2 in pairs:
-        s = _doubled_seminorm(dd, p1, p2)
-        if s < _TINY:
-            continue
-        val = abs(_pair_objective(g1, g2, p1, p2)) / s
-        if val > best_val:
-            best_val = val
-            best_pair = (p1 / s, p2 / s)
-    if best_pair is None:
+    seeded = [np.stack(p) for p in extra_pairs]
+    best_val, best = _portfolio_ascent(
+        np.stack([g1, g2]), partial(_doubled_pair, dd), cfg, (97,), seeded
+    )
+    if best is None:
         return _PairBest(0.0, 0.0, None)
-    if _pair_objective(g1, g2, *best_pair) < 0:
-        best_pair = (-best_pair[0], -best_pair[1])
-    return _PairBest(best_val, _doubled_seminorm(dd, *best_pair), best_pair)
+    return _PairBest(best_val, _doubled_seminorm(dd, best[0], best[1]), (best[0], best[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ elements whose commutator seminorm is at most one; this module provides
 closed forms where they exist, an exact linear-program reduction for
 diagonal states, and a certified lower-bound solver for everything else.
 
+The solver is one projected-subgradient core, shared with the two-sheet
+geometry, making one exact top-singular-pair solve per iteration (an eigh
+of a small Gram matrix) for both the rescale and the next subgradient;
+SVDs are left to the final-certificate check ``lipschitz_seminorm``.
+
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
 guarded corner by truncation, and cropping removes exactly that corruption
@@ -23,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +82,14 @@ class DiracCalculus:
         m = self.ctx.interior_dim
         return mat[:m, :m]
 
+    def _pad(self, block: np.ndarray) -> np.ndarray:
+        # Adjoint of the crop under the Frobenius pairing; the adjoints of
+        # dz and dzbar are -dzbar and -dz.
+        m = self.ctx.interior_dim
+        out = np.zeros((self.ctx.trunc_dim,) * 2, dtype=complex)
+        out[:m, :m] = block
+        return out
+
     def dz(self, f: Operator) -> Operator:
         _require_same_ctx(self.ctx, f.ctx)
         return Operator(self.ctx, self._dz(f.mat))
@@ -124,13 +137,7 @@ class SolverConfig:
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
-def _seminorm_hermitian_mat(calc: DiracCalculus, mat: np.ndarray) -> float:
-    # For Hermitian input the dzbar block is the adjoint of the dz block,
-    # so one spectral norm suffices.
-    return math.sqrt(2.0) * float(np.linalg.norm(calc._crop(calc._dz(mat)), 2))
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def lipschitz_seminorm(calc: DiracCalculus, f: Operator) -> float:
@@ -138,15 +145,14 @@ def lipschitz_seminorm(calc: DiracCalculus, f: Operator) -> float:
 
     This is the operator norm of the anti-diagonal block commutator of the
     Dirac operator with f; the scale is fixed by the translation element
-    having seminorm exactly one.
+    having seminorm exactly one.  For Hermitian f the dzbar block is the
+    adjoint of the dz block, so one SVD, independent of the solver, suffices.
     """
     _require_same_ctx(calc.ctx, f.ctx)
     scale = max(1.0, float(np.abs(f.mat).max()))
     if float(np.abs(f.mat - f.mat.conj().T).max()) > calc.ctx.tol * scale:
         raise ValueError("seminorm is defined for Hermitian elements only")
-    hol = float(np.linalg.norm(calc._crop(calc._dz(f.mat)), 2))
-    anti = float(np.linalg.norm(calc._crop(calc._dzbar(f.mat)), 2))
-    return math.sqrt(2.0) * max(hol, anti)
+    return math.sqrt(2.0) * float(np.linalg.norm(calc._crop(calc._dz(f.mat)), 2))
 
 
 def optimal_element_translation(calc: DiracCalculus, Xi: float) -> Operator:
@@ -345,63 +351,98 @@ def distance_diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> Distanc
     )
 
 
-def _objective(drho: np.ndarray, mat: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", drho, mat).real)
+def _objective(g: np.ndarray, x: np.ndarray) -> float:
+    """Evaluation pairing Re tr(g x), summed over sheets for stacked input."""
+    return float(np.einsum("...ij,...ji->...", g, x).sum().real)
 
 
-def _seminorm_subgradient(calc: DiracCalculus, mat: np.ndarray) -> np.ndarray:
-    """Hermitian subgradient of the seminorm at a Hermitian point."""
-    ctx = calc.ctx
-    cropped = calc._crop(calc._dz(mat))
-    u, _, vh = np.linalg.svd(cropped)
-    pad = np.zeros((ctx.trunc_dim, ctx.trunc_dim), dtype=complex)
-    pad[: ctx.interior_dim, : ctx.interior_dim] = np.outer(u[:, 0], vh[0])
-    # Adjoint of dz under the Frobenius pairing is -theta^-1 [a, .].
-    grad = -math.sqrt(2.0) * (calc._a @ pad - pad @ calc._a) / ctx.theta
-    return _hermitize(grad)
+def _top_singular_pair(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Largest singular value of x with unit vectors u, v and x v = sigma u.
 
-
-def _ascend(
-    calc: DiracCalculus,
-    drho: np.ndarray,
-    start: np.ndarray,
-    cfg: SolverConfig,
-) -> tuple[float, np.ndarray] | None:
-    """Projected subgradient ascent on the homogeneous evaluation ratio.
-
-    Every iterate is rescaled to seminorm one, so any recorded value is
-    feasible; the method returns the best feasible (value, element) seen.
+    One eigh of the Gram matrix x* x: its top eigenvector is v, sigma =
+    |x v| and u = x v / sigma (the first basis vector when x is zero).
     """
-    a_mat = _hermitize(start)
-    s = _seminorm_hermitian_mat(calc, a_mat)
-    if s < _TINY:
-        return None
-    a_mat = a_mat / s
-    if _objective(drho, a_mat) < 0:
-        a_mat = -a_mat
-    best_val = _objective(drho, a_mat)
-    best_mat = a_mat
-    for k in range(cfg.iterations):
-        val = _objective(drho, a_mat)
-        grad = drho - val * _seminorm_subgradient(calc, a_mat)
+    v = np.linalg.eigh(x.conj().T @ x)[1][:, -1]
+    xv = x @ v
+    sigma = float(np.linalg.norm(xv))
+    if sigma == 0:
+        return 0.0, np.eye(x.shape[0], dtype=xv.dtype)[0], v
+    return sigma, xv / sigma, v
+
+
+def _sheet_pair(calc: DiracCalculus, mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Seminorm sqrt(2) sigma of a Hermitian element, from the top pair X v =
+    sigma u of X = crop(dz(mat)), with the subgradient sqrt(2) Herm(dz*(pad(u v*)))."""
+    sigma, u, v = _top_singular_pair(calc._crop(calc._dz(mat)))
+    grad = -math.sqrt(2.0) * calc._dzbar(calc._pad(np.outer(u, v.conj())))
+    return math.sqrt(2.0) * sigma, _hermitize(grad)
+
+
+def _ascend(g: np.ndarray, pair, start: np.ndarray, cfg: SolverConfig) -> np.ndarray | None:
+    """Projected subgradient ascent of <g, x> on the unit seminorm ball.
+
+    ``pair(x)`` gives the seminorm of x (one Hermitian matrix or a stack)
+    and a subgradient there.  The start is turned to a nonnegative objective
+    before its pair is taken; each of the iterations + 1 iterates is rescaled
+    to seminorm one, and the step is step_scale / (|grad| sqrt(k + 1)).
+    Returns the best feasible iterate, or None if the start has seminorm 0.
+    """
+    x = _hermitize(np.asarray(start, dtype=complex))
+    if _objective(g, x) < 0:
+        x = -x
+    best, best_val = None, 0.0
+    for k in range(cfg.iterations + 1):
+        s, sub = pair(x)
+        if s < _TINY:
+            if abs(_objective(g, x)) > 1e-10:
+                raise ArithmeticError("seminorm vanished along a direction with nonzero "
+                                      "evaluation gap; the ratio is unbounded")
+            break
+        x = x / s
+        val = _objective(g, x)
+        if best is None or val > best_val:
+            best, best_val = x, val
+        if k == cfg.iterations:
+            break
+        grad = g - val * sub
         gnorm = float(np.linalg.norm(grad))
         if gnorm < _TINY:
             break
-        a_mat = a_mat + (cfg.step_scale / (gnorm * math.sqrt(k + 1.0))) * grad
-        s = _seminorm_hermitian_mat(calc, a_mat)
+        x = x + (cfg.step_scale / (gnorm * math.sqrt(k + 1.0))) * grad
+    return best
+
+
+def _portfolio_ascent(
+    g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...], seeded
+) -> tuple[float, np.ndarray | None]:
+    """Best evaluation ratio over ascent restarts plus seeded candidates.
+
+    Restart 0 starts from g, restart r from complex Gaussians (one per sheet)
+    seeded [cfg.seed, *key, r].  Returns the winner as a unit element with a
+    nonnegative objective, or None if every candidate has zero seminorm.
+    """
+    n = g.shape[-1]
+    candidates = []
+    for r in range(cfg.restarts):
+        start = g
+        if r > 0:
+            rng = np.random.default_rng([cfg.seed, *key, r])
+            start = np.reshape([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                                for _ in range(g.size // (n * n))], g.shape)
+        x = _ascend(g, pair, start, cfg)
+        if x is not None:
+            candidates.append(x)
+    best, best_val = None, 0.0
+    for x in candidates + list(seeded):
+        s = pair(x)[0]
         if s < _TINY:
-            if abs(_objective(drho, a_mat)) > 1e-10:
-                raise ArithmeticError(
-                    "seminorm vanished along a direction with nonzero "
-                    "evaluation gap; the ratio is unbounded"
-                )
-            break
-        a_mat = a_mat / s
-        val = _objective(drho, a_mat)
+            continue
+        val = abs(_objective(g, x)) / s
         if val > best_val:
-            best_val = val
-            best_mat = a_mat
-    return best_val, best_mat
+            best, best_val = x / s, val
+    if best is not None and _objective(g, best) < 0:
+        best = -best
+    return best_val, best
 
 
 def distance_solver(
@@ -420,79 +461,37 @@ def distance_solver(
     _require_same_ctx(s1.ctx, s2.ctx)
     if cfg is None:
         cfg = SolverConfig()
-    ctx = calc.ctx
     note = "lower bound; certificate optimal up to regularization at infinity"
     drho = _hermitize(s1.rho - s2.rho)
     ref = closed_form_for(calc, s1, s2)
+    zero = DistanceReport(0.0, "convex-solver", None, 0.0,
+                          gap=None if ref is None else ref.value, note=note)
     if float(np.abs(drho).max()) < _TINY:
-        return DistanceReport(
-            value=0.0,
-            method="convex-solver",
-            certificate=None,
-            feasibility=0.0,
-            gap=None if ref is None else ref.value,
-            note=note,
-        )
+        return zero
 
-    candidates: list[np.ndarray] = []
-    for r in range(cfg.restarts):
-        if r == 0:
-            start = drho
-        else:
-            rng = np.random.default_rng([cfg.seed, r])
-            raw = rng.standard_normal((ctx.trunc_dim, ctx.trunc_dim))
-            raw = raw + 1j * rng.standard_normal((ctx.trunc_dim, ctx.trunc_dim))
-            start = raw
-        out = _ascend(calc, drho, start, cfg)
-        if out is not None:
-            candidates.append(out[1])
+    seeded: list[np.ndarray] = []
     mean_gap = s2.mean_ladder - s1.mean_ladder
     if abs(mean_gap) > 1e-12:
         xi = math.atan2(mean_gap.imag, mean_gap.real)
-        candidates.append(optimal_element_translation(calc, xi).mat)
+        seeded.append(optimal_element_translation(calc, xi).mat)
     try:
         lp = distance_diagonal_lp(calc, s1, s2)
-        if lp.value > 0:
-            candidates.append(lp.certificate.mat)
     except ValueError:
-        pass
+        lp = None
+    if lp is not None and lp.value > 0:
+        seeded.append(lp.certificate.mat)
 
-    best_val = 0.0
-    best_mat = None
-    for mat in candidates:
-        s = _seminorm_hermitian_mat(calc, mat)
-        if s < _TINY:
-            continue
-        val = abs(_objective(drho, mat)) / s
-        if val > best_val:
-            best_val = val
-            best_mat = mat / s
+    best_val, best_mat = _portfolio_ascent(drho, partial(_sheet_pair, calc), cfg, (), seeded)
     if best_mat is None:
-        return DistanceReport(
-            value=0.0,
-            method="convex-solver",
-            certificate=None,
-            feasibility=0.0,
-            gap=None if ref is None else ref.value,
-            note=note,
-        )
-    if _objective(drho, best_mat) < 0:
-        best_mat = -best_mat
-    cert = Operator(ctx, _hermitize(best_mat), hermitian=True)
-    gap = None
-    if ref is not None:
-        gap = abs(best_val - ref.value)
-    else:
-        try:
-            gap = abs(best_val - distance_diagonal_lp(calc, s1, s2).value)
-        except ValueError:
-            gap = None
+        return zero
+    cert = Operator(calc.ctx, _hermitize(best_mat), hermitian=True)
+    exact = ref if ref is not None else lp
     return DistanceReport(
         value=best_val,
         method="convex-solver",
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
-        gap=gap,
+        gap=None if exact is None else abs(best_val - exact.value),
         note=note,
     )
 

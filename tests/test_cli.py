@@ -277,6 +277,18 @@ class TestOutputContract:
         capsys.readouterr()
         assert path.read_bytes() == first
 
+    def test_roundoff_spread_plots_flat(self, tmp_path):
+        # A degenerate spectrum differs from a constant only by roundoff;
+        # its axis must not autoscale to that noise.
+        cfg = RunConfig(trunc_dim=16, output_dir=str(tmp_path))
+        drawn = []
+        for name, ys in (("flat.svg", [2.0, 2.0]), ("noisy.svg", [2.0, 2.0 + 4e-15])):
+            path = cli._svg_plot(cfg, name, "t", "x", "y", [("s", [0, 1], ys)])
+            with open(path, encoding="utf-8") as fh:
+                drawn.append(fh.read())
+        assert drawn[0] == drawn[1]
+        assert ">3<" in drawn[0] and ">1<" in drawn[0]
+
     def test_header_check_detects_foreign_config(self, tmp_path, capsys):
         rc = run_cli(
             "spectrum", "--trunc-dim", "16", "--output-dir", str(tmp_path),

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moyalmetric import (
     DiracCalculus,
@@ -16,6 +18,7 @@ from moyalmetric import (
     d_L2,
     displace,
     eigenstate,
+    make_context,
     mixed_state,
     superposition_state,
 )
@@ -29,7 +32,13 @@ from moyalmetric.doubling import (
     pythagoras_check,
     reference_lambda,
 )
-from moyalmetric.doubling import _doubled_adjoint, _doubled_commutator
+from moyalmetric.doubling import (
+    _chiral_block,
+    _doubled_adjoint,
+    _doubled_commutator,
+    _doubled_pair,
+)
+from moyalmetric.spectral import _objective, _top_singular_pair
 
 LIGHT = SolverConfig(iterations=120, restarts=2)
 
@@ -112,6 +121,50 @@ class TestDoubledCommutator:
             a2 = c * el - s * d_i * np.eye(n)
             cm = _doubled_commutator(dd32, a1, a2)
             assert np.linalg.norm(cm, 2) == pytest.approx(1.0, abs=1e-10)
+
+
+def hermitian(rng, n):
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (raw + raw.conj().T)
+
+
+@pytest.mark.parametrize("n", (8, 16, 24))
+class TestChiralBlock:
+    @given(seed=st.integers(0, 2**32 - 1),
+           lam=st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
+                                  allow_nan=False, allow_infinity=False))
+    def test_block_carries_the_doubled_norm(self, n, seed, lam):
+        calc = DiracCalculus(make_context(n, 1.0, 1e-10))
+        dd = make_doubled(calc, lam)
+        rng = np.random.default_rng(seed)
+        a1, a2 = hermitian(rng, n), hermitian(rng, n)
+        c = _doubled_commutator(dd, a1, a2)
+        mc = calc.ctx.interior_dim
+        even = np.r_[0:mc, 3 * mc:4 * mc]   # (s1c0, s2c1)
+        odd = np.r_[mc:3 * mc]              # (s1c1, s2c0)
+        k = _chiral_block(dd, a1, a2)
+        assert np.array_equal(k, c[np.ix_(odd, even)])
+        assert np.count_nonzero(c[np.ix_(even, even)]) == 0
+        assert np.count_nonzero(c[np.ix_(odd, odd)]) == 0
+        scale = float(np.abs(k).max())
+        assert float(np.abs(c[np.ix_(even, odd)] + k.conj().T).max()) <= 1e-12 * scale
+        sigma = _top_singular_pair(k)[0]
+        want = float(np.linalg.svd(c, compute_uv=False)[0])
+        assert abs(sigma - want) <= 1e-12 * want
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_pair_gives_a_subgradient(self, n, seed):
+        # Euler's identity <S, x> = p(x) and p(y) >= <S, y> against the
+        # full-SVD norm of the doubled commutator.
+        calc = DiracCalculus(make_context(n, 1.0, 1e-10))
+        dd = make_doubled(calc, reference_lambda(calc, 0))
+        rng = np.random.default_rng(seed)
+        x = np.stack([hermitian(rng, n), hermitian(rng, n)])
+        y = np.stack([hermitian(rng, n), hermitian(rng, n)])
+        p, sub = _doubled_pair(dd, x)
+        assert p == pytest.approx(np.linalg.norm(_doubled_commutator(dd, *x), 2), rel=1e-12)
+        assert _objective(sub, x) == pytest.approx(p, rel=1e-10)
+        assert _objective(sub, y) <= np.linalg.norm(_doubled_commutator(dd, *y), 2) * (1 + 1e-10)
 
 
 class TestDoubledDistance:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moyalmetric import (
     Operator,
@@ -16,6 +18,7 @@ from moyalmetric import (
     eigenstate,
     evaluate,
     identity,
+    make_context,
     mixed_state,
     quadratures,
     superposition_state,
@@ -33,7 +36,12 @@ from moyalmetric.spectral import (
     optimal_element_eigenstates,
     optimal_element_translation,
     scaled_distance,
+    _ascend,
+    _objective,
+    _sheet_pair,
+    _top_singular_pair,
 )
+from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
 
 
 def eigen_distance(m, n, theta=1.0):
@@ -317,6 +325,125 @@ class TestSolver:
             calc, eigenstate(ctx32, 0), eigenstate(ctx32, 2), QUICK_SOLVER
         )
         assert "regularization" in rep.note
+
+
+ORACLE_DIMS = (8, 16, 24)
+
+
+@st.composite
+def top_pair_cases(draw, m):
+    """Complex m x m matrices: generic, with a repeated top singular value,
+    or zero, over twelve decades of scale."""
+    kind = draw(st.sampled_from(["generic", "repeated", "zero"]))
+    if kind == "zero":
+        return np.zeros((m, m), dtype=complex)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    if kind == "repeated":
+        u, _ = np.linalg.qr(x)
+        v, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        sv = np.sort(rng.uniform(0.1, 1.0, m))[::-1]
+        sv[1] = sv[0]
+        x = (u * sv) @ v.conj().T
+    return scale * x
+
+
+def random_hermitian(rng, n):
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (raw + raw.conj().T)
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+class TestTopSingularPair:
+    @given(data=st.data())
+    def test_matches_svd(self, n, data):
+        x = data.draw(top_pair_cases(make_context(n, 1.0, 1e-10).interior_dim))
+        sigma, u, v = _top_singular_pair(x)
+        want = float(np.linalg.svd(x, compute_uv=False)[0])
+        assert abs(sigma - want) <= 1e-12 * want
+        assert float(np.linalg.norm(x @ v - sigma * u)) <= 1e-10 * sigma
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sheet_pair_is_seminorm_and_subgradient(self, n, seed):
+        # The seminorm matches the SVD oracle; the subgradient obeys Euler's
+        # identity <S, x> = p(x) and the subgradient inequality p(y) >= <S, y>.
+        calc = DiracCalculus(make_context(n, 1.0, 1e-10))
+        rng = np.random.default_rng(seed)
+        x = random_hermitian(rng, n)
+        y = random_hermitian(rng, n)
+        p, sub = _sheet_pair(calc, x)
+        want = lipschitz_seminorm(calc, Operator(calc.ctx, x, hermitian=True))
+        assert abs(p - want) <= 1e-12 * want
+        assert np.array_equal(sub, sub.conj().T)
+        assert _objective(sub, x) == pytest.approx(p, rel=1e-10)
+        p_y = lipschitz_seminorm(calc, Operator(calc.ctx, y, hermitian=True))
+        assert _objective(sub, y) <= p_y * (1 + 1e-10)
+
+
+def sheet_problems(ctx):
+    """(gradient, top-pair callback) for one sheet and for two sheets."""
+    calc = DiracCalculus(ctx)
+    rho1 = eigenstate(ctx, 0).rho
+    rho2 = superposition_state(ctx, [1, 3], [1.0, 1.0j]).rho
+    dd = make_doubled(calc, reference_lambda(calc, 0))
+    return {
+        "one-sheet": (rho1 - rho2, lambda x: _sheet_pair(calc, x)),
+        "two-sheet": (np.stack([rho1, -rho2]), lambda x: _doubled_pair(dd, x)),
+    }
+
+
+def recorder(pair):
+    """Wrap a top-pair callback to keep every point it is asked about."""
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return pair(x)
+
+    return seen, recording
+
+
+@pytest.mark.parametrize("sheets", ["one-sheet", "two-sheet"])
+class TestAscentCore:
+    def test_first_step_uses_pair_after_sign_change(self, ctx16, sheets):
+        # Start with a negative objective, so the core must flip the start.
+        # With x1 the first unit iterate and S the subgradient its step
+        # uses, Euler's identity <S, x1> = p(x1) = 1 is equivalent to the
+        # step direction g - <g, x1> S being orthogonal to x1; a pair taken
+        # before the flip gives <S, x1> = -1 instead.
+        g, pair = sheet_problems(ctx16)[sheets]
+        seen, recording = recorder(pair)
+        _ascend(g, recording, -g, SolverConfig(iterations=1, restarts=1))
+        x1 = seen[0] / pair(seen[0])[0]
+        if _objective(g, x1) < 0:
+            x1 = -x1
+        val = _objective(g, x1)
+        assert val > 0
+        step = seen[1] - x1
+        assert float(np.linalg.norm(step)) == pytest.approx(1.0, rel=1e-12)
+        assert abs(_objective(step, x1)) <= 1e-9 * float(np.linalg.norm(x1))
+
+    def test_iterates_are_feasible_and_best_is_kept(self, ctx16, sheets):
+        g, pair = sheet_problems(ctx16)[sheets]
+        seen, recording = recorder(pair)
+        best = _ascend(g, recording, -g, SolverConfig(iterations=20, restarts=1))
+        assert len(seen) == 21
+        values = [abs(_objective(g, x)) / pair(x)[0] for x in seen]
+        assert pair(best)[0] == pytest.approx(1.0, abs=1e-12)
+        assert _objective(g, best) == pytest.approx(max(values), rel=1e-12)
+
+    def test_vanishing_seminorm_with_gap_raises(self, ctx16, sheets):
+        g, pair = sheet_problems(ctx16)[sheets]
+
+        def flat(x):
+            return 0.0, np.zeros_like(x)
+
+        with pytest.raises(ArithmeticError):
+            _ascend(g, flat, g, SolverConfig(iterations=5, restarts=1))
+        assert _ascend(np.zeros_like(g), flat, g, SolverConfig(iterations=5, restarts=1)) is None
 
 
 class TestOptimalElements:
