@@ -68,17 +68,13 @@ from .spectral import (
     lipschitz_seminorm,
     optimal_element_eigenstates,
     optimal_element_translation,
-    scaled_distance,
 )
 from .starprod import (
     SampledSymbol,
     star_fourier,
-    star_integral,
     star_integral_report,
     star_matrix,
-    twisted_convolution,
     vacuum_symbol,
-    window_profile,
 )
 from .config import ConfigError, RunConfig, load_config_file, resolve_config
 from .stateexpr import (

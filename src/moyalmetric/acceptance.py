@@ -49,6 +49,7 @@ from .lengthop import build_length, counterexample_L2prime, d_L, d_L2, modified_
 from .spectral import (
     DiracCalculus,
     SolverConfig,
+    _objective,
     distance_diagonal_lp,
     distance_solver,
     length_vs_optimal_discrepancy,
@@ -116,10 +117,6 @@ def settings_from(cfg: RunConfig | None = None, quick: bool = False) -> SuiteSet
 
 def _ctx(st: SuiteSettings, dim: int) -> FockContext:
     return make_context(dim, st.theta)
-
-
-def _objective(drho: np.ndarray, mat: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", drho, mat).real)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,18 @@ from .doubling import (
     reference_lambda,
 )
 from .fock import LeakageError, displace, eigenstate, vacuum_projector
-from .lengthop import build_length, counterexample_L2prime, d_L, d_L2, modified_length
+from .lengthop import (
+    _family_square_length,
+    build_length,
+    counterexample_L2prime,
+    d_L,
+    d_L2,
+    modified_length,
+)
 from .spectral import (
     DiracCalculus,
     DistanceReport,
+    _ladder_defect,
     closed_form_for,
     distance_diagonal_lp,
     distance_solver,
@@ -399,16 +407,6 @@ def cmd_distance(cfg: RunConfig, args) -> int:
 # quantum length
 
 
-def _family_closed_sq(s1, s2) -> float | None:
-    f1, f2 = s1.family, s2.family
-    if f1 is None or f2 is None:
-        return None
-    theta = s1.ctx.theta
-    e1 = theta * (f1[0] + 0.5)
-    e2 = theta * (f2[0] + 0.5)
-    return 2.0 * e1 + 2.0 * e2 + abs(f1[1] - f2[1]) ** 2
-
-
 def cmd_qlength(cfg: RunConfig, args) -> int:
     ctx = cfg.context()
     tag1 = parse_state_expr(args.state1)
@@ -429,8 +427,9 @@ def cmd_qlength(cfg: RunConfig, args) -> int:
     ]
 
     anomaly = False
-    closed_sq = _family_closed_sq(s1, s2)
-    if closed_sq is not None:
+    f1, f2 = s1.family, s2.family
+    if f1 is not None and f2 is not None:
+        closed_sq = _family_square_length(ctx.theta, f1[0], f2[0], abs(f1[1] - f2[1]))
         resid = abs(closed_sq - sq) / max(1.0, abs(closed_sq))
         print(f"family closed form d_L2 = {_fmt(closed_sq)} (relative residual {_fmt(resid)})")
         rows.append(("family closed form", None, None, closed_sq, None, resid, None))
@@ -518,8 +517,10 @@ def cmd_suite(cfg: RunConfig, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    ctx = cfg.context()
     count = args.count
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+    ctx = cfg.context()
     rows: list[tuple] = []
     spectra: dict[int, np.ndarray] = {}
     dims = [ctx.trunc_dim]
@@ -761,12 +762,7 @@ def cmd_optimal_element(cfg: RunConfig, args) -> int:
 
     chain = optimal_element_eigenstates(calc, upto=args.upto)
     s_chain = lipschitz_seminorm(calc, chain)
-    d = calc.dz(chain).mat
-    defect = np.eye(ctx.trunc_dim) - 2.0 * (d @ d.conj().T)
-    mint = ctx.interior_dim
-    want = np.zeros((mint, mint))
-    want[0, 0] = 1.0
-    defect_resid = float(np.abs(defect[:mint, :mint] - want).max())
+    defect_resid = _ladder_defect(calc, chain.mat)
     print(f"ladder element:      seminorm = {_fmt(s_chain)} (target 1)")
     print(f"interior defect vs ground projector: residual = {_fmt(defect_resid)}")
     if abs(s_chain - 1.0) > 1e-10 or defect_resid > 1e-12:

@@ -15,6 +15,7 @@ value`` per line, ``#`` starts a comment, blank lines are ignored.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -57,12 +58,14 @@ class RunConfig:
             raise ConfigError(f"trunc_dim must be an integer >= 8, got {self.trunc_dim}")
         if not self.theta > 0:
             raise ConfigError(f"theta must be positive, got {self.theta}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.solver_iterations < 1 or self.solver_restarts < 1:
             raise ConfigError("solver_iterations and solver_restarts must be >= 1")
-        if not self.leakage_bound > 0:
-            raise ConfigError(f"leakage_bound must be positive, got {self.leakage_bound}")
+        if not (self.leakage_bound > 0 and math.isfinite(self.leakage_bound)):
+            raise ConfigError(
+                f"leakage_bound must be positive and finite, got {self.leakage_bound}"
+            )
         if not str(self.output_dir):
             raise ConfigError("output_dir must be a non-empty path")
 

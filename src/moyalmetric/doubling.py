@@ -8,19 +8,21 @@ quadrature.  The interest of the construction is calibration: fixing
 |Lambda|^-2 to the self square length of a reference family makes the
 squared doubled distance reproduce the square length on that family.
 
-The doubled commutator is assembled as a 4m x 4m block matrix over the
-interior: two anti-diagonal derivative blocks (one per sheet) on the
-diagonal, and sheet-coupling blocks proportional to the element difference
-twisted by the grading.  Because the grading anticommutes with the
-derivative blocks, mixing a unit element with sheet-dependent constants
-leaves the doubled seminorm at one, which is what produces exact
-hypotenuse certificates.
+The doubled commutator has one interior block row and column per (sheet,
+component): an anti-diagonal derivative pair for each sheet, and
+sheet-coupling blocks proportional to the element difference twisted by
+the grading.  Because the grading anticommutes with the derivative
+blocks, mixing a unit element with sheet-dependent constants leaves the
+doubled seminorm at one, which is what produces exact hypotenuse
+certificates.
 
-The pair solver runs the shared ascent core of ``spectral`` on stacked
-element pairs, with one Gram eigendecomposition per iteration of the
-2m x 2m chiral block (``_chiral_block``), whose singular values are those
-of the whole commutator; the full 4m x 4m SVD is kept as the independent
-feasibility check.
+The grading also means the commutator only joins the odd blocks to the
+even ones, so its chiral block (``_chiral_block``) carries all of its
+singular values.  The pair solver runs the shared ascent core of
+``spectral`` on stacked element pairs, with one Gram eigendecomposition of
+the chiral block per iteration and the subgradient from its adjoint
+(``_chiral_adjoint``); the SVD of the whole commutator
+(``_doubled_seminorm``) is kept as the independent feasibility check.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .fock import (
     displace,
     eigenstate,
 )
-from .lengthop import d_L2, modified_length
+from .lengthop import _family_square_length, d_L2, modified_length
 from .spectral import (
     _TINY,
     DiracCalculus,
@@ -122,7 +124,7 @@ def reference_lambda(calc: DiracCalculus, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# doubled commutator, its adjoint, and the pair solver
+# doubled commutator, its chiral block and adjoint, and the pair solver
 
 
 def _doubled_commutator(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -172,34 +174,22 @@ def _chiral_block(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarra
     return out
 
 
-def _doubled_adjoint(
-    dd: DoubledDirac, w: np.ndarray, hermitize: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of the assembly map: <W, C(X1, X2)> = <g1, X1> + <g2, X2>.
+def _chiral_adjoint(dd: DoubledDirac, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of the chiral block: <W, K(X1, X2)> = <g1, X1> + <g2, X2>.
 
-    Block bookkeeping mirrors the assembly; the adjoints of dz and dzbar
-    are -dzbar and -dz, and the crop adjoint pads with zeros.  Used for the
+    W is 2m x 2m in the block layout of K; the adjoints of dz and dzbar are
+    -dzbar and -dz, and the crop adjoint pads with zeros.  Used for the
     seminorm subgradient of the pair solver.
     """
     calc = dd.calc
     mc = dd.ctx.interior_dim
     root2 = math.sqrt(2.0)
     lam = dd.Lambda
-    b = [slice(0, mc), slice(mc, 2 * mc), slice(2 * mc, 3 * mc), slice(3 * mc, 4 * mc)]
-    pad = calc._pad
-
-    g1 = -1j * root2 * (calc._dz(pad(w[b[0], b[1]])) + calc._dzbar(pad(w[b[1], b[0]])))
-    g2 = -1j * root2 * (calc._dz(pad(w[b[2], b[3]])) + calc._dzbar(pad(w[b[3], b[2]])))
-    g_delta = (
-        lam * pad(w[b[0], b[2]])
-        - lam * pad(w[b[1], b[3]])
-        - np.conj(lam) * pad(w[b[2], b[0]])
-        + np.conj(lam) * pad(w[b[3], b[1]])
-    )
-    g1 = g1 - g_delta
-    g2 = g2 + g_delta
-    if hermitize:
-        return _hermitize(g1), _hermitize(g2)
+    g1 = -1j * root2 * calc._dzbar(calc._pad(w[:mc, :mc]))
+    g2 = -1j * root2 * calc._dz(calc._pad(w[mc:, mc:]))
+    g_delta = -lam * w[:mc, mc:] - np.conj(lam) * w[mc:, :mc]
+    g1[:mc, :mc] -= g_delta
+    g2[:mc, :mc] += g_delta
     return g1, g2
 
 
@@ -212,16 +202,11 @@ def _doubled_pair(dd: DoubledDirac, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Doubled seminorm of a stacked Hermitian pair and a subgradient there.
 
     The top pair K v = sigma u of the chiral block is a top singular pair
-    of C once u sits on the odd rows and v on the even columns; u v* placed
-    in those blocks of W goes through the assembly adjoint.
+    of the whole commutator, so u v* through the chiral adjoint is a
+    subgradient.
     """
     sigma, u, v = _top_singular_pair(_chiral_block(dd, x[0], x[1]))
-    mc = dd.ctx.interior_dim
-    uv = np.outer(u, v.conj())
-    w = np.zeros((4 * mc, 4 * mc), dtype=complex)
-    w[mc : 3 * mc, :mc] = uv[:, :mc]
-    w[mc : 3 * mc, 3 * mc :] = uv[:, mc:]
-    return sigma, np.stack(_doubled_adjoint(dd, w))
+    return sigma, _hermitize(np.stack(_chiral_adjoint(dd, np.outer(u, v.conj()))))
 
 
 def _hypotenuse_pair(
@@ -451,10 +436,6 @@ class SweepTable:
     lambda_abs: float
 
 
-def _translated_level_energy(ctx, level: int, delta: float) -> float:
-    return ctx.theta * (level + 0.5) + 0.5 * delta**2
-
-
 def _closed_modified(ctx, m: int, n: int, delta: float) -> float:
     """Family closed form of the modified length for shifted level pairs."""
     em = ctx.theta * (m + 0.5)
@@ -521,7 +502,7 @@ def identification_sweep(
             sq = d_L2(s1, s2)
             tag = ""
         except LeakageError:
-            sq = 4.0 * ctx.theta * (family + 0.5) + delta**2
+            sq = _family_square_length(ctx.theta, family, family, delta)
             tag = " (closed)"
         rel = abs(sq - dprime**2) / sq
         rows.append(

@@ -7,8 +7,8 @@ a|n> = lambda_p*sqrt(n)|n-1> with lambda_p = sqrt(theta), which gives
 [a, a*] = theta on the interior block.
 
 Truncation corrupts the top rows/columns of commutators, so every context
-carries an ``edge_guard``: the number of top levels excluded from interior
-accuracy statements.  States are required to keep their weight on the
+has an ``edge_guard`` of max(2, trunc_dim // 8): the number of top levels
+excluded from interior accuracy statements.  States are required to keep their weight on the
 guarded levels below ``leakage_bound``; the ``leakage`` functional makes
 that error auditable.
 """
@@ -64,28 +64,28 @@ class FockContext:
     trunc_dim: int
     theta: float = 1.0
     tol: float = 1e-10
-    edge_guard: int | None = None
     leakage_bound: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.edge_guard is None:
-            object.__setattr__(self, "edge_guard", max(2, self.trunc_dim // 8))
         if int(self.trunc_dim) != self.trunc_dim or self.trunc_dim < 8:
             raise ValueError(f"trunc_dim must be an integer >= 8, got {self.trunc_dim}")
         if not self.theta > 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.edge_guard < 2 or self.edge_guard >= self.trunc_dim / 2:
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (self.leakage_bound > 0 and math.isfinite(self.leakage_bound)):
             raise ValueError(
-                f"edge_guard must satisfy 2 <= g < trunc_dim/2, got {self.edge_guard}"
+                f"leakage_bound must be positive and finite, got {self.leakage_bound}"
             )
-        if not self.leakage_bound > 0:
-            raise ValueError(f"leakage_bound must be positive, got {self.leakage_bound}")
 
     @property
     def lambda_p(self) -> float:
         return math.sqrt(self.theta)
+
+    @property
+    def edge_guard(self) -> int:
+        """Number of guarded top levels; below trunc_dim / 2 for every trunc_dim >= 8."""
+        return max(2, self.trunc_dim // 8)
 
     @property
     def interior_dim(self) -> int:
@@ -94,7 +94,7 @@ class FockContext:
 
 
 def make_context(trunc_dim: int, theta: float, tol: float = 1e-10) -> FockContext:
-    """Validated context; edge_guard defaults to max(2, trunc_dim // 8)."""
+    """Validated context with the default leakage bound."""
     return FockContext(trunc_dim=trunc_dim, theta=theta, tol=tol)
 
 

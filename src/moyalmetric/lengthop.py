@@ -178,6 +178,14 @@ def d_L2(s1: QState, s2: QState) -> float:
     return 2.0 * (s1.mean_energy + s2.mean_energy - 2.0 * cross)
 
 
+def _family_square_length(theta: float, m: int, n: int, delta: float) -> float:
+    """Closed form 2 E_m + 2 E_n + delta^2 of d_L2 between translates of the
+    level-m and level-n states whose shifts differ by delta; E_k = theta (k + 1/2)."""
+    e_m = theta * (m + 0.5)
+    e_n = theta * (n + 0.5)
+    return 2.0 * e_m + 2.0 * e_n + delta**2
+
+
 def d_L(s1: QState, s2: QState) -> float:
     """Quantum length trace((rho1 (x) rho2) L); at most sqrt(d_L2)."""
     _require_same_ctx(s1.ctx, s2.ctx)

@@ -13,9 +13,10 @@ closed forms where they exist, an exact linear-program reduction for
 diagonal states, and a certified lower-bound solver for everything else.
 
 The solver is one projected-subgradient core, shared with the two-sheet
-geometry, making one exact top-singular-pair solve per iteration (an eigh
-of a small Gram matrix) for both the rescale and the next subgradient;
-SVDs are left to the final-certificate check ``lipschitz_seminorm``.
+geometry, with the fixed step 1 / (|grad| sqrt(k + 1)) at iteration k.  It
+makes one exact top-singular-pair solve per iteration (an eigh of a small
+Gram matrix) for both the rescale and the next subgradient; SVDs are left
+to the final-certificate check ``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -54,7 +55,6 @@ __all__ = [
     "lipschitz_seminorm",
     "optimal_element_eigenstates",
     "optimal_element_translation",
-    "scaled_distance",
 ]
 
 _TINY = 1e-14
@@ -127,13 +127,10 @@ class SolverConfig:
     iterations: int = 2000
     restarts: int = 8
     seed: int = 0
-    step_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be positive")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -178,6 +175,18 @@ def optimal_element_translation(calc: DiracCalculus, Xi: float) -> Operator:
     return Operator(ctx, mat, hermitian=True)
 
 
+def _ladder_defect(calc: DiracCalculus, mat: np.ndarray) -> float:
+    """Interior residual of the defect identity 1 - 2 d d* = |0><0|, d = dz(mat),
+    which holds exactly for the ladder element."""
+    ctx = calc.ctx
+    d = calc._dz(mat)
+    m = ctx.interior_dim
+    defect = np.eye(ctx.trunc_dim) - 2.0 * (d @ d.conj().T)
+    want = np.zeros((m, m))
+    want[0, 0] = 1.0
+    return float(np.abs(defect[:m, :m] - want).max())
+
+
 def optimal_element_eigenstates(calc: DiracCalculus, upto: int) -> Operator:
     """Diagonal ladder element with increments lambda_p / sqrt(2k).
 
@@ -195,23 +204,17 @@ def optimal_element_eigenstates(calc: DiracCalculus, upto: int) -> Operator:
         raise ValueError(
             f"upto must satisfy 0 <= upto < {ctx.interior_dim}, got {upto}"
         )
-    n = ctx.trunc_dim
-    ks = np.arange(1, n)
+    ks = np.arange(1, ctx.trunc_dim)
     alpha = np.concatenate(([0.0], np.cumsum(ctx.lambda_p / np.sqrt(2.0 * ks))))
     mat = np.diag(alpha)
-    d = calc._dz(mat)
-    m = ctx.interior_dim
-    # Defect identity: 1 - 2 d d* is the ground projector, exactly.
-    defect = np.eye(n) - 2.0 * (d @ d.conj().T)
-    want = np.zeros((m, m))
-    want[0, 0] = 1.0
-    resid = float(np.abs(defect[:m, :m] - want).max())
+    resid = _ladder_defect(calc, mat)
     if resid > 1e-12:
         raise ArithmeticError(
             f"ladder element defect check failed (residual {resid:.3e})"
         )
     # Transport identity: (d a)(d a)* equals half the number operator.
-    t = d @ calc._a
+    m = ctx.interior_dim
+    t = calc._dz(mat) @ calc._a
     lhs = (t @ t.conj().T)[:m, :m]
     rhs = 0.5 * (calc._a.conj().T @ calc._a)[:m, :m]
     resid = float(np.abs(lhs - rhs).max())
@@ -384,7 +387,7 @@ def _ascend(g: np.ndarray, pair, start: np.ndarray, cfg: SolverConfig) -> np.nda
     ``pair(x)`` gives the seminorm of x (one Hermitian matrix or a stack)
     and a subgradient there.  The start is turned to a nonnegative objective
     before its pair is taken; each of the iterations + 1 iterates is rescaled
-    to seminorm one, and the step is step_scale / (|grad| sqrt(k + 1)).
+    to seminorm one, and the step is 1 / (|grad| sqrt(k + 1)).
     Returns the best feasible iterate, or None if the start has seminorm 0.
     """
     x = _hermitize(np.asarray(start, dtype=complex))
@@ -408,7 +411,7 @@ def _ascend(g: np.ndarray, pair, start: np.ndarray, cfg: SolverConfig) -> np.nda
         gnorm = float(np.linalg.norm(grad))
         if gnorm < _TINY:
             break
-        x = x + (cfg.step_scale / (gnorm * math.sqrt(k + 1.0))) * grad
+        x = x + (1.0 / (gnorm * math.sqrt(k + 1.0))) * grad
     return best
 
 
@@ -531,16 +534,3 @@ def length_vs_optimal_discrepancy(calc: DiracCalculus, m: int, n: int) -> Discre
             f"length {d_mod:.12g}"
         )
     return DiscrepancyResult(d_D=d_d, d_L_mod=d_mod, rel_gap=1.0 - d_d / d_mod)
-
-
-def scaled_distance(report: DistanceReport, Omega: float) -> DistanceReport:
-    """Rescale a distance report by 1/sqrt(1 + Omega^2)."""
-    if Omega < 0:
-        raise ValueError(f"scale parameter must be nonnegative, got {Omega}")
-    factor = 1.0 / math.sqrt(1.0 + Omega * Omega)
-    return dataclasses.replace(
-        report,
-        value=report.value * factor,
-        method="scaled",
-        gap=None if report.gap is None else report.gap * factor,
-    )

@@ -4,21 +4,20 @@ The production route is the matrix one: multiplication of coefficient
 matrices in the number basis. The other routes exist to validate it and
 each other on Schwartz-class symbols sampled over a finite grid:
 
-* ``star_integral``: the double-integral kernel form, with phase
-  exp(2i (u1 v2 - u2 v1) / theta).  The orientation is pinned by two
-  facts checked in the test suite: the ground Gaussian 2 exp(-|x|^2/theta)
-  is idempotent, and the holomorphic coordinate (x1 + i x2)/sqrt(2)
-  multiplies it to zero from the left, matching the annihilator acting on
-  the ground projector.
-* ``twisted_convolution``: the momentum-space pairing with phase
-  exp(-i theta (x'_1 x_2 - x'_2 x_1) / 2).
+* ``star_integral_report``: the double-integral kernel form, with phase
+  exp(2i (u1 v2 - u2 v1) / theta), and a certified error bound.  The
+  orientation is pinned by two facts checked in the test suite: the
+  ground Gaussian 2 exp(-|x|^2/theta) is idempotent, and the holomorphic
+  coordinate (x1 + i x2)/sqrt(2) multiplies it to zero from the left,
+  matching the annihilator acting on the ground projector.
 * ``star_fourier``: transform both factors, twisted-convolve, transform
   back; the overall normalization is (2 pi)^-4 with unnormalized forward
   transforms.
 
 Quadratures are tensor-product trapezoid sums over [-R, R]^2; validity is
-certified by the boundary decay of both symbols, and reported error
-bounds combine a two-grid difference with the certified boundary terms.
+certified by the boundary decay of both symbols (every boundary sample
+below 1e-8), and reported error bounds combine a two-grid difference with
+the certified boundary terms.
 All four-variable kernels factor over the grid axes, so every route costs
 a handful of dense matrix products.
 """
@@ -35,16 +34,13 @@ from .fock import Operator, _require_same_ctx
 __all__ = [
     "SampledSymbol",
     "star_fourier",
-    "star_integral",
     "star_integral_report",
     "star_matrix",
-    "twisted_convolution",
     "vacuum_symbol",
-    "window_profile",
 ]
 
 _MAX_POINTS = 1025
-_DECAY_DEFAULT = 1e-8
+_DECAY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,10 @@ class SampledSymbol:
 
     @classmethod
     def from_function(cls, fn: Callable, r: float, h: float) -> "SampledSymbol":
+        if not (math.isfinite(r) and r > 0 and math.isfinite(h) and h > 0):
+            raise ValueError(
+                f"box half-width and grid step must be finite and positive, got r={r}, h={h}"
+            )
         steps = r / h
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"r/h must be an integer, got {steps}")
@@ -110,15 +110,6 @@ def vacuum_symbol(theta: float, r: float, h: float) -> SampledSymbol:
     )
 
 
-def window_profile(r: float) -> Callable:
-    """Flat-top window: close to 1 inside |x| < r/2, certified tiny at |x| = r."""
-
-    def w(x1, x2):
-        return np.exp(-(((x1**2 + x2**2) / (0.8 * r) ** 2) ** 8))
-
-    return w
-
-
 def _require_same_grid(f: SampledSymbol, g: SampledSymbol) -> None:
     if f.r != g.r or f.h != g.h or f.values.shape != g.values.shape:
         raise ValueError(
@@ -127,11 +118,11 @@ def _require_same_grid(f: SampledSymbol, g: SampledSymbol) -> None:
         )
 
 
-def _require_decay(sym: SampledSymbol, threshold: float) -> None:
-    if not sym.decay_cert < threshold:
+def _require_decay(sym: SampledSymbol) -> None:
+    if not sym.decay_cert < _DECAY:
         raise ValueError(
             f"decay certification failed: boundary magnitude {sym.decay_cert:.3e} "
-            f"is not below {threshold:.3e}"
+            f"is not below {_DECAY:.3e}"
         )
 
 
@@ -200,7 +191,6 @@ def star_integral_report(
     g: SampledSymbol,
     x,
     theta: float = 1.0,
-    decay_threshold: float = _DECAY_DEFAULT,
 ) -> tuple[complex, float]:
     """Kernel quadrature of (f*g)(x) plus a certified error bound.
 
@@ -209,8 +199,8 @@ def star_integral_report(
     rounding floor.  Points must lie on the grid, inside |x_i| <= r/2.
     """
     _require_same_grid(f, g)
-    _require_decay(f, decay_threshold)
-    _require_decay(g, decay_threshold)
+    _require_decay(f)
+    _require_decay(g)
     if not theta > 0:
         raise ValueError("theta must be positive for the kernel quadrature")
     i1, i2 = _grid_index(f, x)
@@ -232,51 +222,11 @@ def star_integral_report(
     return val, float(bound)
 
 
-def star_integral(
-    f: SampledSymbol,
-    g: SampledSymbol,
-    x,
-    theta: float = 1.0,
-    decay_threshold: float = _DECAY_DEFAULT,
-) -> complex:
-    """Kernel-quadrature value of (f*g)(x); see star_integral_report."""
-    return star_integral_report(f, g, x, theta, decay_threshold)[0]
-
-
-def twisted_convolution(
-    F: SampledSymbol,
-    G: SampledSymbol,
-    x,
-    theta: float = 1.0,
-    decay_threshold: float = _DECAY_DEFAULT,
-) -> complex:
-    """Quadrature of int F(x') G(x - x') exp(-i theta sigma(x', x)/2) dx'
-    with sigma(x, y) = x1 y2 - x2 y1.  At theta = 0 this is the ordinary
-    convolution."""
-    _require_same_grid(F, G)
-    _require_decay(F, decay_threshold)
-    _require_decay(G, decay_threshold)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    i1, i2 = _grid_index(F, x)
-    rev = G.values[::-1, ::-1]
-    gshift = _shifted(rev, -i1, -i2)  # samples of G(x - x') on the x' grid
-    axis = F.axis
-    x1, x2 = float(x[0]), float(x[1])
-    sigma = np.subtract.outer(axis * x2, axis * x1)  # x'_1 x_2 - x'_2 x_1
-    phase = np.exp(-0.5j * theta * sigma)
-    w = _weights(len(axis))
-    total = np.sum(F.values * gshift * phase * np.outer(w, w))
-    return complex(total) * F.h**2
-
-
 def star_fourier(
     f: SampledSymbol,
     g: SampledSymbol,
     x,
     theta: float = 1.0,
-    k_cut: float | None = None,
-    decay_threshold: float = _DECAY_DEFAULT,
 ) -> complex:
     """Transform, twisted-convolve, transform back.
 
@@ -285,11 +235,12 @@ def star_fourier(
     of Fg at points shifted linearly in k', so the whole evaluation is
     four dense matrix products on the dual grid.  The phase stays slow as
     theta shrinks, which makes this the route of choice for commutative-
-    limit sweeps.  x need not be a grid point.
+    limit sweeps.  x need not be a grid point.  The dual grid has step
+    pi / r and reaches |k| <= min(14 / sqrt(min(theta, 1)), 0.95 pi / h).
     """
     _require_same_grid(f, g)
-    _require_decay(f, decay_threshold)
-    _require_decay(g, decay_threshold)
+    _require_decay(f)
+    _require_decay(g)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     x1, x2 = float(x[0]), float(x[1])
@@ -297,9 +248,8 @@ def star_fourier(
         raise ValueError(f"evaluation point {x} outside the grid interior")
     axis = f.axis
     h = f.h
-    if k_cut is None:
-        scale = math.sqrt(min(theta, 1.0)) if theta > 0 else 1.0
-        k_cut = min(14.0 / scale, 0.95 * math.pi / h)
+    scale = math.sqrt(min(theta, 1.0)) if theta > 0 else 1.0
+    k_cut = min(14.0 / scale, 0.95 * math.pi / h)
     hk = math.pi / f.r
     nk = int(math.ceil(k_cut / hk))
     k_axis = hk * np.arange(-nk, nk + 1)

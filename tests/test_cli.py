@@ -181,12 +181,20 @@ class TestExitCodes:
             # indices without pairwise separation two
             ("counterexample", "--indices", "0,1,4,6", "--trunc-dim", "16"),
             ("distance", "eigen:0", "eigen:1", "--trunc-dim", "4"),
+            # out-of-range values: a plain message, never a traceback
+            ("spectrum", "--count", "0", "--trunc-dim", "16"),
+            ("spectrum", "--count", "-3", "--trunc-dim", "16"),
+            ("oracle", "--step", "0"),
+            ("oracle", "--box", "-8"),
+            ("spectrum", "--tol", "inf", "--trunc-dim", "16"),
+            ("spectrum", "--leakage-bound", "inf", "--trunc-dim", "16"),
         ],
     )
     def test_data_errors_give_65(self, tmp_path, argv, capsys):
         rc = run_cli(*argv, "--output-dir", str(tmp_path))
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == 65
+        assert err.startswith("data error: ") and err.count("\n") == 1
 
     def test_malformed_environment_gives_65(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOYAL_TRUNC_DIM", "banana")
@@ -252,12 +260,23 @@ class TestOutputContract:
         assert lines[8] == "label,d_D,d_L,d_L2,d_L_mod,rel_gap,feasibility"
         assert lines[9].startswith("same-family m=0 |dk|=0,")
 
-    def test_rerun_is_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("qlength", "eigen:0", "coherent:0.5+0.5i"),
+             "qlength_eigen-0_coherent-0.5-0.5i.csv"),
+            (("distance", "eigen:0", "coherent:1+0i", "--method", "all"),
+             "distance_eigen-0_coherent-1-0i_all.json"),
+            (("pythagoras", "--kappa", "0,1"), "pythagoras.csv"),
+        ],
+        ids=("qlength", "distance", "pythagoras"),
+    )
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, argv, name):
         argv = (
-            "qlength", "eigen:0", "coherent:0.5+0.5i",
-            "--trunc-dim", "16", "--output-dir", str(tmp_path),
+            *argv, "--trunc-dim", "16", "--solver-iterations", "40",
+            "--solver-restarts", "2", "--output-dir", str(tmp_path),
         )
-        path = tmp_path / "qlength_eigen-0_coherent-0.5-0.5i.csv"
+        path = tmp_path / name
         assert run_cli(*argv) == 0
         first = path.read_bytes()
         assert run_cli(*argv) == 0

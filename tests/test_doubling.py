@@ -33,14 +33,18 @@ from moyalmetric.doubling import (
     reference_lambda,
 )
 from moyalmetric.doubling import (
+    _chiral_adjoint,
     _chiral_block,
-    _doubled_adjoint,
     _doubled_commutator,
     _doubled_pair,
 )
 from moyalmetric.spectral import _objective, _top_singular_pair
 
 LIGHT = SolverConfig(iterations=120, restarts=2)
+
+# Complex internal entries: a real Lambda cannot tell Lambda from conj(Lambda).
+LAMBDAS = st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
+                             allow_nan=False, allow_infinity=False)
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +80,21 @@ class TestConstruction:
 
 
 class TestDoubledCommutator:
-    def test_adjoint_identity(self, dd32, ctx32):
-        # <W, C(X1, X2)> must equal <adj(W)_1, X1> + <adj(W)_2, X2> for the
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_adjoint_identity(self, seed, lam):
+        # <W, K(X1, X2)> must equal <adj(W)_1, X1> + <adj(W)_2, X2> for the
         # subgradient chain rule to be trustworthy.
-        rng = np.random.default_rng(7)
-        n = ctx32.trunc_dim
-        mc = ctx32.interior_dim
-        x1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w = rng.standard_normal((4 * mc, 4 * mc)) + 1j * rng.standard_normal((4 * mc, 4 * mc))
-        lhs = complex(np.trace(w.conj().T @ _doubled_commutator(dd32, x1, x2))).real
-        g1, g2 = _doubled_adjoint(dd32, w, hermitize=False)
-        rhs = complex(np.trace(g1.conj().T @ x1) + np.trace(g2.conj().T @ x2)).real
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        rng = np.random.default_rng(seed)
+        for n in (8, 16, 24):
+            dd = make_doubled(DiracCalculus(make_context(n, 1.0, 1e-10)), lam)
+            k = 2 * dd.ctx.interior_dim
+            x1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            w = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            lhs = complex(np.trace(w.conj().T @ _chiral_block(dd, x1, x2))).real
+            g1, g2 = _chiral_adjoint(dd, w)
+            rhs = complex(np.trace(g1.conj().T @ x1) + np.trace(g2.conj().T @ x2)).real
+            assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_constant_pair_seminorm(self, dd32, ctx32):
         n = ctx32.trunc_dim
@@ -130,9 +136,7 @@ def hermitian(rng, n):
 
 @pytest.mark.parametrize("n", (8, 16, 24))
 class TestChiralBlock:
-    @given(seed=st.integers(0, 2**32 - 1),
-           lam=st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
-                                  allow_nan=False, allow_infinity=False))
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
     def test_block_carries_the_doubled_norm(self, n, seed, lam):
         calc = DiracCalculus(make_context(n, 1.0, 1e-10))
         dd = make_doubled(calc, lam)
@@ -152,12 +156,12 @@ class TestChiralBlock:
         want = float(np.linalg.svd(c, compute_uv=False)[0])
         assert abs(sigma - want) <= 1e-12 * want
 
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_pair_gives_a_subgradient(self, n, seed):
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_pair_gives_a_subgradient(self, n, seed, lam):
         # Euler's identity <S, x> = p(x) and p(y) >= <S, y> against the
         # full-SVD norm of the doubled commutator.
         calc = DiracCalculus(make_context(n, 1.0, 1e-10))
-        dd = make_doubled(calc, reference_lambda(calc, 0))
+        dd = make_doubled(calc, lam)
         rng = np.random.default_rng(seed)
         x = np.stack([hermitian(rng, n), hermitian(rng, n)])
         y = np.stack([hermitian(rng, n), hermitian(rng, n)])

@@ -5,6 +5,7 @@ import pytest
 
 from moyalmetric import (
     ContextMismatchError,
+    FockContext,
     LeakageError,
     Operator,
     annihilation,
@@ -47,6 +48,11 @@ class TestContext:
             make_context(16, -1.0, 1e-10)
         with pytest.raises(ValueError):
             make_context(16, 1.0, 0.0)
+        # an infinite tolerance or leakage bound would make every guard vacuous
+        with pytest.raises(ValueError):
+            make_context(16, 1.0, math.inf)
+        with pytest.raises(ValueError):
+            FockContext(16, 1.0, leakage_bound=math.inf)
 
     def test_lambda_p(self):
         assert make_context(16, 4.0, 1e-10).lambda_p == 2.0

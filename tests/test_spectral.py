@@ -35,7 +35,6 @@ from moyalmetric.spectral import (
     lipschitz_seminorm,
     optimal_element_eigenstates,
     optimal_element_translation,
-    scaled_distance,
     _ascend,
     _objective,
     _sheet_pair,
@@ -546,34 +545,3 @@ class TestDiscrepancy:
             length_vs_optimal_discrepancy(calc, 3, 3)
         with pytest.raises(ValueError):
             length_vs_optimal_discrepancy(calc, 0, ctx64.interior_dim)
-
-
-class TestScaledDistance:
-    def test_zero_scale_keeps_value(self, ctx32):
-        calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "translation", 1.0)
-        out = scaled_distance(rep, 0.0)
-        assert out.value == pytest.approx(rep.value, abs=0)
-        assert out.method == "scaled"
-
-    def test_unit_scale(self, ctx32):
-        calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "translation", 1.0)
-        assert scaled_distance(rep, 1.0).value == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_root_three(self, ctx32):
-        calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "translation", 2.0)
-        assert scaled_distance(rep, math.sqrt(3.0)).value == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_rejected(self, ctx32):
-        calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "translation", 1.0)
-        with pytest.raises(ValueError):
-            scaled_distance(rep, -0.5)
-
-    def test_certificate_carried(self, ctx32):
-        calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "eigenstates", (0, 2))
-        out = scaled_distance(rep, 1.0)
-        assert out.certificate is rep.certificate
