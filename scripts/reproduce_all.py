@@ -4,7 +4,8 @@
 Drives the batch CLI in-process so the whole pipeline shares one operator
 cache, then finishes with the verification battery.  Full settings take
 several minutes (the ascent solver dominates); --quick drops truncations
-and solver budgets for a couple-of-minutes pass over the same commands.
+and solver budgets for a pass of about ten seconds on two cores over the
+same commands.
 
     python3 scripts/reproduce_all.py
     python3 scripts/reproduce_all.py --quick --output-dir out-quick

@@ -48,7 +48,7 @@ from .doubling import (
     DoubledDirac,
     PythagorasResult,
     SheetState,
-    SweepTable,
+    SweepRow,
     doubled_distance,
     identification_sweep,
     make_doubled,

@@ -74,7 +74,6 @@ class SuiteSettings:
     light: SolverConfig
     pair_count: int
     seed: int
-    quick: bool
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ def settings_from(cfg: RunConfig | None = None, quick: bool = False) -> SuiteSet
         light=SolverConfig(iterations=80, restarts=1, seed=cfg.solver_seed),
         pair_count=pair_count,
         seed=cfg.solver_seed,
-        quick=quick,
     )
 
 
@@ -306,28 +304,16 @@ def _c6_identification(st: SuiteSettings) -> tuple[float, str]:
             worst_eq = max(worst_eq, abs(dmod - abs(p - q)))
 
     dd = make_doubled(calc, reference_lambda(calc, 0))
-    table = identification_sweep(dd, 0, [complex(k) for k in range(11)])
-    first_level = None
-    last_level = None
-    shift_ten = None
-    for row in table.rows:
-        if row[0].startswith("cross-family-level n=1 "):
-            first_level = row
-        if row[0].startswith("cross-family-level"):
-            last_level = row
-        if row[0].startswith("cross-family-shift |dk|=10"):
-            shift_ten = row
-    if first_level is None or last_level is None or shift_ten is None:
-        raise ArithmeticError("identification sweep lost its reference rows")
-    r_first = abs(first_level[5] - 0.0341) / 1e-4
-    r_level = last_level[5] / 0.01
-    r_shift = shift_ten[5] / 0.01
+    _, shift, level = identification_sweep(dd, 0, [complex(k) for k in range(11)])
+    first_level, last_level, shift_ten = level[0], level[-1], shift[10]
+    r_first = abs(first_level.rel_gap - 0.0341) / 1e-4
+    r_level = last_level.rel_gap / 0.01
+    r_shift = shift_ten.rel_gap / 0.01
     ratio = max(worst_eq / 1e-6, r_first, r_level, r_shift)
-    last_n = int(last_level[0].split("n=")[1].split()[0])
     return ratio, (
         f"family equality residual {worst_eq:.3e} (tol 1e-6); gap(0,1) = "
-        f"{first_level[5]:.6f} (target 0.0341 +- 1e-4); gap at n={last_n} = "
-        f"{last_level[5]:.5f} and at |dk|=10 = {shift_ten[5]:.5f} (both < 0.01)"
+        f"{first_level.rel_gap:.6f} (target 0.0341 +- 1e-4); gap at n={last_level.separation} = "
+        f"{last_level.rel_gap:.5f} and at |dk|=10 = {shift_ten.rel_gap:.5f} (both < 0.01)"
     )
 
 
@@ -390,8 +376,13 @@ def _c8_optimal_elements(st: SuiteSettings) -> tuple[float, str]:
     want[0, 0] = 1.0
     defect_resid = float(np.abs(defect[:m, :m] - want).max())
     r2 = defect_resid / 1e-12
+    # The radial element sqrt(a a* + a* a) from the truncated matrices, kept
+    # apart from the closed form behind the discrepancy route.
+    a = annihilation(ctx).mat
+    w, v = np.linalg.eigh(a @ a.conj().T + a.conj().T @ a)
+    radial = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     disc = length_vs_optimal_discrepancy(calc, 0, 1)
-    radial_resid = abs(disc.d_L_mod - math.sqrt(st.theta) * (math.sqrt(3.0) - 1.0))
+    radial_resid = abs(disc.d_L_mod - float((radial[1, 1] - radial[0, 0]).real))
     r3 = radial_resid / 1e-8
     ratio = max(r1, r2, r3)
     return ratio, (

@@ -30,7 +30,6 @@ import numpy as np
 from . import acceptance
 from .config import ConfigError, RunConfig, format_value, resolve_config
 from .doubling import (
-    _REPORT_COLUMNS,
     identification_sweep,
     make_doubled,
     pythagoras_check,
@@ -58,7 +57,13 @@ from .spectral import (
     optimal_element_translation,
 )
 from .starprod import star_fourier, star_integral_report, vacuum_symbol
-from .stateexpr import StateExprError, build_state, format_state_expr, parse_state_expr
+from .stateexpr import (
+    StateExprError,
+    _parse_complex,
+    build_state,
+    format_state_expr,
+    parse_state_expr,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +73,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 _FEAS_SLACK = 1e-8
+_REPORT_COLUMNS = ("label", "d_D", "d_L", "d_L2", "d_L_mod", "rel_gap", "feasibility")
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
@@ -107,13 +113,13 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
-def _write_csv(cfg: RunConfig, name: str, rows, columns=_REPORT_COLUMNS) -> str:
+def _write_csv(cfg: RunConfig, name: str, rows) -> str:
     path = _out_path(cfg, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in cfg.header_lines():
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(_REPORT_COLUMNS)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
     return path
@@ -262,16 +268,6 @@ def _svg_plot(cfg: RunConfig, name: str, title: str, xlabel: str, ylabel: str, s
 # small parsing helpers
 
 
-def _parse_complex_token(token: str) -> complex:
-    text = token.strip().replace(" ", "").lower()
-    if text.endswith("i"):
-        text = text[:-1] + "j"
-    try:
-        return complex(text)
-    except ValueError:
-        raise _UsageError(f"bad complex value {token!r}") from None
-
-
 def _parse_kappa_list(text: str) -> list[complex]:
     """Shift grids: either 'a..b' (unit steps, inclusive) or 'k1,k2,...'."""
     text = text.strip()
@@ -285,7 +281,7 @@ def _parse_kappa_list(text: str) -> list[complex]:
             raise _UsageError(f"empty range {text!r}")
         steps = int(math.floor(hi - lo + 1e-9))
         return [complex(lo + i) for i in range(steps + 1)]
-    values = [_parse_complex_token(part) for part in text.split(",") if part.strip()]
+    values = [_parse_complex(part) for part in text.split(",") if part.strip()]
     if not values:
         raise _UsageError(f"empty shift list {text!r}")
     return values
@@ -603,42 +599,42 @@ def cmd_asymptotics(cfg: RunConfig, args) -> int:
     calc = DiracCalculus(ctx)
     dd = make_doubled(calc, reference_lambda(calc, args.family))
     grid = _parse_kappa_list(args.kappa)
-    table = identification_sweep(dd, args.family, grid)
-    path = _write_csv(cfg, "asymptotics.csv", table.rows, table.columns)
+    same, shift, level = identification_sweep(dd, args.family, grid)
+    m = args.family
 
-    shift_pts: list[tuple[float, float]] = []
-    level_pts: list[tuple[int, float]] = []
-    for row in table.rows:
-        label = row[0]
-        m_shift = re.match(r"cross-family-shift \|dk\|=([0-9.eE+-]+)", label)
-        if m_shift:
-            shift_pts.append((float(m_shift.group(1)), row[5]))
-        m_level = re.match(r"cross-family-level n=(\d+)", label)
-        if m_level:
-            level_pts.append((int(m_level.group(1)), row[5]))
-    if shift_pts:
-        first, last = shift_pts[0], shift_pts[-1]
-        print(
-            f"shift sweep: rel gap {_fmt(first[1])} at |dk|={first[0]:g} -> "
-            f"{_fmt(last[1])} at |dk|={last[0]:g} (monotone from |dk|=1 on)"
-        )
-    if level_pts:
-        first, last = level_pts[0], level_pts[-1]
-        print(
-            f"level sweep: rel gap {_fmt(first[1])} at n={first[0]} -> "
-            f"{_fmt(last[1])} at n={last[0]} (monotone)"
-        )
+    def tag(row) -> str:
+        return " (closed)" if row.closed else ""
+
+    rows = [
+        (f"same-family m={m} |dk|={r.separation:g}{tag(r)}",
+         r.distance, None, r.length, None, r.rel_gap, None)
+        for r in same
+    ]
+    rows += [
+        (f"cross-family-shift |dk|={r.separation:g} m={m} n={m + 1}{tag(r)}",
+         r.distance, None, None, r.length, r.rel_gap, 1.0)
+        for r in shift
+    ]
+    rows += [
+        (f"cross-family-level n={r.separation} m={m}",
+         r.distance, None, None, r.length, r.rel_gap, 1.0)
+        for r in level
+    ]
+    path = _write_csv(cfg, "asymptotics.csv", rows)
+    print(
+        f"shift sweep: rel gap {_fmt(shift[0].rel_gap)} at |dk|={shift[0].separation:g} -> "
+        f"{_fmt(shift[-1].rel_gap)} at |dk|={shift[-1].separation:g} (monotone from |dk|=1 on)"
+    )
+    print(
+        f"level sweep: rel gap {_fmt(level[0].rel_gap)} at n={level[0].separation} -> "
+        f"{_fmt(level[-1].rel_gap)} at n={level[-1].separation} (monotone)"
+    )
     print(f"wrote {path}")
     if args.plot:
-        series = []
-        if shift_pts:
-            series.append(
-                ("shift sweep", [p[0] for p in shift_pts], [p[1] for p in shift_pts])
-            )
-        if level_pts:
-            series.append(
-                ("level sweep", [p[0] for p in level_pts], [p[1] for p in level_pts])
-            )
+        series = [
+            (name, [r.separation for r in rs], [r.rel_gap for r in rs])
+            for name, rs in (("shift sweep", shift), ("level sweep", level))
+        ]
         print(f"wrote {_svg_plot(cfg, 'asymptotics.svg', 'identification relative gap', 'separation', 'relative gap', series)}")
     return EXIT_OK
 
@@ -750,8 +746,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
 
 
 def cmd_optimal_element(cfg: RunConfig, args) -> int:
-    ctx = cfg.context()
-    calc = DiracCalculus(ctx)
+    calc = DiracCalculus(cfg.context())
     anomaly = False
 
     elt = optimal_element_translation(calc, args.xi)
@@ -769,14 +764,7 @@ def cmd_optimal_element(cfg: RunConfig, args) -> int:
         anomaly = True
 
     disc = length_vs_optimal_discrepancy(calc, 0, 1)
-    radial_target = ctx.lambda_p * (math.sqrt(3.0) - 1.0)
-    radial_resid = abs(disc.d_L_mod - radial_target)
-    print(
-        f"radial element gap (0,1) = {_fmt(disc.d_L_mod)} "
-        f"(closed form {_fmt(radial_target)}, residual {_fmt(radial_resid)})"
-    )
-    if radial_resid > 1e-8:
-        anomaly = True
+    print(f"radial element gap (0,1) = {_fmt(disc.d_L_mod)}")
 
     rows = [
         (f"translation element xi={args.xi:g}", None, None, None, None, abs(s_elt - 1.0), s_elt),

@@ -15,7 +15,6 @@ value`` per line, ``#`` starts a comment, blank lines are ignored.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 
@@ -52,20 +51,13 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        # FockContext/SolverConfig re-validate on construction; checking here
-        # as well lets a bad flag fail before any work starts.
-        if int(self.trunc_dim) != self.trunc_dim or self.trunc_dim < 8:
-            raise ConfigError(f"trunc_dim must be an integer >= 8, got {self.trunc_dim}")
-        if not self.theta > 0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.solver_iterations < 1 or self.solver_restarts < 1:
-            raise ConfigError("solver_iterations and solver_restarts must be >= 1")
-        if not (self.leakage_bound > 0 and math.isfinite(self.leakage_bound)):
-            raise ConfigError(
-                f"leakage_bound must be positive and finite, got {self.leakage_bound}"
-            )
+        # Building the context and the solver budget runs their own checks,
+        # so a bad value fails before any work starts.
+        try:
+            self.context()
+            self.solver()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not str(self.output_dir):
             raise ConfigError("output_dir must be a non-empty path")
 

@@ -61,16 +61,13 @@ __all__ = [
     "DoubledDirac",
     "PythagorasResult",
     "SheetState",
-    "SweepTable",
+    "SweepRow",
     "doubled_distance",
     "identification_sweep",
     "make_doubled",
     "pythagoras_check",
     "reference_lambda",
 ]
-
-_REPORT_COLUMNS = ("label", "d_D", "d_L", "d_L2", "d_L_mod", "rel_gap", "feasibility")
-
 
 @dataclass(frozen=True)
 class SheetState:
@@ -91,6 +88,10 @@ class DoubledDirac:
     calc: DiracCalculus
     Lambda: complex
 
+    def __post_init__(self) -> None:
+        if not abs(self.Lambda) >= _TINY:
+            raise ValueError(f"the internal entry Lambda must be nonzero, got {self.Lambda!r}")
+
     @property
     def ctx(self):
         return self.calc.ctx
@@ -103,10 +104,7 @@ class DoubledDirac:
 
 def make_doubled(calc: DiracCalculus, Lambda: complex) -> DoubledDirac:
     """Couple two copies of the plane through a constant internal entry."""
-    lam = complex(Lambda)
-    if abs(lam) < _TINY:
-        raise ValueError("the internal entry Lambda must be nonzero")
-    return DoubledDirac(calc=calc, Lambda=lam)
+    return DoubledDirac(calc=calc, Lambda=complex(Lambda))
 
 
 def reference_lambda(calc: DiracCalculus, m: int) -> float:
@@ -426,14 +424,21 @@ def pythagoras_check(
 # identification sweep
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Row-oriented comparison table in the standard report schema."""
+class SweepRow(NamedTuple):
+    """One comparison of the identification sweep.
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    family: int
-    lambda_abs: float
+    ``separation`` is |dk| on the same-family and shift series and the
+    partner level n on the level series; ``length`` is the square length
+    on the same-family series and the modified length on the others.
+    ``closed`` marks a row whose translate would leak past the guarded
+    edge, so its length comes from the family closed form.
+    """
+
+    separation: float
+    distance: float
+    length: float
+    rel_gap: float
+    closed: bool
 
 
 def _closed_modified(ctx, m: int, n: int, delta: float) -> float:
@@ -449,22 +454,25 @@ def identification_sweep(
     family: int,
     kappa_grid: Sequence[complex],
     levels: Sequence[int] | None = None,
-) -> SweepTable:
-    """Tabulate the two metric identifications along a reference family.
+) -> tuple[list[SweepRow], list[SweepRow], list[SweepRow]]:
+    """Compare the two metric identifications along a reference family.
 
-    Same-family rows compare the square length (pair trace on actual
-    density matrices) against the squared doubled distance; their relative
-    residual must vanish when |Lambda| is calibrated on the family, and
-    the function raises otherwise.  Cross-family rows compare the certified
-    spectral-distance estimate against the modified length, with the
-    relative gap required to shrink monotonically along growing shift
-    separation (from separation one onward) and along growing level
-    separation.
+    Returns the same-family, cross-family shift and cross-family level
+    series, as lists of ``SweepRow``.  Same-family rows compare the square
+    length (pair trace on actual density matrices) against the squared
+    doubled distance; their relative residual must vanish when |Lambda| is
+    calibrated on the family, and the function raises otherwise.
+    Cross-family rows compare the certified spectral-distance estimate
+    against the modified length, for level m at the first shift against
+    level m + 1 at each grid shift, and for level m against each partner
+    level n; the relative gap is required to shrink monotonically along
+    growing shift separation (from separation one onward) and along
+    growing level separation.
 
     Shifted states are built whenever they fit the truncation; rows whose
     translate would leak past the guarded edge fall back to the family
     closed forms, already cross-validated at small parameters, and are
-    labelled "(closed)".
+    flagged ``closed``.
     """
     ctx = dd.ctx
     if int(family) != family or not 0 <= family < ctx.interior_dim - 1:
@@ -489,30 +497,23 @@ def identification_sweep(
 
     d_i = dd.internal_distance
     kref = grid[0]
-    nan = math.nan
-    rows: list[tuple] = []
 
+    same: list[SweepRow] = []
     base = eigenstate(ctx, family)
     for kappa in grid:
         delta = abs(kappa - kref)
         dprime = math.hypot(delta, d_i)
         try:
-            s1 = displace(base, kref)
-            s2 = displace(base, kappa)
-            sq = d_L2(s1, s2)
-            tag = ""
+            sq = d_L2(displace(base, kref), displace(base, kappa))
+            closed = False
         except LeakageError:
             sq = _family_square_length(ctx.theta, family, family, delta)
-            tag = " (closed)"
-        rel = abs(sq - dprime**2) / sq
-        rows.append(
-            (f"same-family m={family} |dk|={delta:g}{tag}",
-             dprime, nan, sq, nan, rel, nan)
-        )
+            closed = True
+        same.append(SweepRow(delta, dprime, sq, abs(sq - dprime**2) / sq, closed))
 
     partner = family + 1
     ladder_value = distance_closed_form(dd.calc, "eigenstates", (family, partner)).value
-    shift_gaps: list[tuple[float, float]] = []
+    shift: list[SweepRow] = []
     for kappa in grid:
         delta = abs(kappa - kref)
         est = ladder_value if delta < 1e-12 else delta
@@ -520,50 +521,35 @@ def identification_sweep(
             s1 = displace(eigenstate(ctx, family), kref)
             s2 = displace(eigenstate(ctx, partner), kappa)
             dmod = modified_length(s1, s2)
-            tag = ""
+            closed = False
         except LeakageError:
             dmod = _closed_modified(ctx, family, partner, delta)
-            tag = " (closed)"
-        rel = 1.0 - est / dmod
-        shift_gaps.append((delta, rel))
-        rows.append(
-            (f"cross-family-shift |dk|={delta:g} m={family} n={partner}{tag}",
-             est, nan, nan, dmod, rel, 1.0)
-        )
+            closed = True
+        shift.append(SweepRow(delta, est, dmod, 1.0 - est / dmod, closed))
 
-    level_gaps: list[float] = []
+    level: list[SweepRow] = []
     for n in levels:
         est = distance_closed_form(dd.calc, "eigenstates", (family, n)).value
         dmod = modified_length(eigenstate(ctx, family), eigenstate(ctx, n))
-        rel = 1.0 - est / dmod
-        level_gaps.append(rel)
-        rows.append(
-            (f"cross-family-level n={n} m={family}",
-             est, nan, nan, dmod, rel, 1.0)
-        )
+        level.append(SweepRow(n, est, dmod, 1.0 - est / dmod, False))
 
-    for row in rows:
-        if row[0].startswith("same-family") and not row[5] < 1e-6:
+    for row in same:
+        if not row.rel_gap < 1e-6:
             raise ArithmeticError(
-                f"identification residual {row[5]:.3e} on row {row[0]!r}; the "
-                "square length and the squared doubled distance disagree"
+                f"identification residual {row.rel_gap:.3e} at |dk|={row.separation:g}; "
+                "the square length and the squared doubled distance disagree"
             )
-    tail = sorted((d, g) for d, g in shift_gaps if d >= 1.0 - 1e-12)
+    tail = sorted((r.separation, r.rel_gap) for r in shift if r.separation >= 1.0 - 1e-12)
     for (d_a, g_a), (d_b, g_b) in zip(tail, tail[1:]):
         if d_b > d_a + 1e-12 and not g_b < g_a + 1e-12:
             raise ArithmeticError(
                 f"relative gap failed to shrink from separation {d_a:g} "
                 f"({g_a:.6g}) to {d_b:g} ({g_b:.6g})"
             )
-    for g_a, g_b in zip(level_gaps, level_gaps[1:]):
-        if not g_b < g_a + 1e-12:
+    for a, b in zip(level, level[1:]):
+        if not b.rel_gap < a.rel_gap + 1e-12:
             raise ArithmeticError(
                 "relative gap failed to shrink along growing level separation"
             )
 
-    return SweepTable(
-        columns=_REPORT_COLUMNS,
-        rows=rows,
-        family=family,
-        lambda_abs=abs(dd.Lambda),
-    )
+    return same, shift, level

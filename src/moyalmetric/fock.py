@@ -69,8 +69,8 @@ class FockContext:
     def __post_init__(self) -> None:
         if int(self.trunc_dim) != self.trunc_dim or self.trunc_dim < 8:
             raise ValueError(f"trunc_dim must be an integer >= 8, got {self.trunc_dim}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not (self.theta > 0 and math.isfinite(self.theta)):
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not (self.leakage_bound > 0 and math.isfinite(self.leakage_bound)):

@@ -43,13 +43,31 @@ _MAX_POINTS = 1025
 _DECAY = 1e-8
 
 
+def _grid_size(r: float, h: float) -> int:
+    """Samples per axis over [-r, r] at step h; r and h must be finite and
+    positive with r/h integral, and the grid within the desk-scale cap."""
+    if not (math.isfinite(r) and r > 0 and math.isfinite(h) and h > 0):
+        raise ValueError(
+            f"box half-width and grid step must be finite and positive, got r={r}, h={h}"
+        )
+    steps = r / h
+    if not 2 * steps + 1 <= _MAX_POINTS + 1e-6:
+        raise ValueError(
+            f"grid of {2 * steps + 1:g} points exceeds the desk-scale cap {_MAX_POINTS}"
+        )
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"r/h must be an integer, got {steps}")
+    return 2 * int(round(steps)) + 1
+
+
 @dataclass(frozen=True)
 class SampledSymbol:
     """Complex samples of a rapidly decaying function on [-r, r]^2.
 
-    ``values[i, j]`` is f(axis[i], axis[j]); ``decay_cert`` is the largest
-    magnitude on the boundary ring and certifies that the grid captures
-    the symbol's mass.
+    ``values[i, j]`` is f(axis[i], axis[j]) on a grid of step h, so r and h
+    are finite and positive, r/h is an integer and ``values`` is square
+    with 2 r/h + 1 rows; ``decay_cert`` is the largest magnitude on the
+    boundary ring and certifies that the grid captures the symbol's mass.
     """
 
     r: float
@@ -59,17 +77,12 @@ class SampledSymbol:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
-        n = vals.shape[0]
-        if vals.ndim != 2 or vals.shape != (n, n):
-            raise ValueError("values must be a square 2-D array")
-        steps = self.r / self.h
-        if abs(steps - round(steps)) > 1e-9 or n != 2 * int(round(steps)) + 1:
+        n = _grid_size(self.r, self.h)
+        if vals.shape != (n, n):
             raise ValueError(
-                f"grid mismatch: need r/h integral and n = 2 r/h + 1, "
-                f"got r={self.r}, h={self.h}, n={n}"
+                f"grid mismatch: r={self.r}, h={self.h} need {n}x{n} values, "
+                f"got shape {vals.shape}"
             )
-        if n > _MAX_POINTS:
-            raise ValueError(f"grid of {n} points exceeds the desk-scale cap {_MAX_POINTS}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -81,15 +94,7 @@ class SampledSymbol:
 
     @classmethod
     def from_function(cls, fn: Callable, r: float, h: float) -> "SampledSymbol":
-        if not (math.isfinite(r) and r > 0 and math.isfinite(h) and h > 0):
-            raise ValueError(
-                f"box half-width and grid step must be finite and positive, got r={r}, h={h}"
-            )
-        steps = r / h
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"r/h must be an integer, got {steps}")
-        n = 2 * int(round(steps)) + 1
-        axis = np.linspace(-r, r, n)
+        axis = np.linspace(-r, r, _grid_size(r, h))
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         vals = np.asarray(fn(x1, x2), dtype=complex)
         ring = max(

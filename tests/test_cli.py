@@ -164,6 +164,7 @@ class TestExitCodes:
             ("nosuchcommand",),
             ("counterexample", "--indices", "0,2,4"),
             ("asymptotics", "--kappa", "0..three"),
+            ("pythagoras", "--kappa", "0,1+zz"),
         ],
     )
     def test_usage_errors_give_64(self, tmp_path, argv, capsys):
@@ -188,6 +189,9 @@ class TestExitCodes:
             ("oracle", "--box", "-8"),
             ("spectrum", "--tol", "inf", "--trunc-dim", "16"),
             ("spectrum", "--leakage-bound", "inf", "--trunc-dim", "16"),
+            ("spectrum", "--theta", "inf", "--trunc-dim", "16"),
+            ("distance", "eigen:0", "eigen:1", "--method", "lp", "--theta", "inf",
+             "--trunc-dim", "16"),
         ],
     )
     def test_data_errors_give_65(self, tmp_path, argv, capsys):
@@ -258,7 +262,17 @@ class TestOutputContract:
         assert lines[0] == "# trunc_dim = 16"
         assert all(lines[i].startswith("# ") for i in range(8))
         assert lines[8] == "label,d_D,d_L,d_L2,d_L_mod,rel_gap,feasibility"
-        assert lines[9].startswith("same-family m=0 |dk|=0,")
+        labels = [line.split(",")[0] for line in lines[9:]]
+        assert labels == [
+            "same-family m=0 |dk|=0",
+            "same-family m=0 |dk|=1",
+            "same-family m=0 |dk|=2 (closed)",
+            "same-family m=0 |dk|=3 (closed)",
+            "cross-family-shift |dk|=0 m=0 n=1",
+            "cross-family-shift |dk|=1 m=0 n=1",
+            "cross-family-shift |dk|=2 m=0 n=1 (closed)",
+            "cross-family-shift |dk|=3 m=0 n=1 (closed)",
+        ] + [f"cross-family-level n={n} m=0" for n in range(1, 14)]
 
     @pytest.mark.parametrize(
         "argv, name",

@@ -1,5 +1,7 @@
 """Layering, parsing and validation of the run configuration."""
 
+import math
+
 import pytest
 
 from moyalmetric.config import (
@@ -43,6 +45,7 @@ class TestValidation:
             {"trunc_dim": 4},
             {"theta": 0.0},
             {"theta": -1.0},
+            {"theta": math.inf},
             {"tol": 0.0},
             {"solver_iterations": 0},
             {"solver_restarts": 0},

@@ -47,6 +47,8 @@ class TestContext:
         with pytest.raises(ValueError):
             make_context(16, -1.0, 1e-10)
         with pytest.raises(ValueError):
+            FockContext(16, theta=math.inf)
+        with pytest.raises(ValueError):
             make_context(16, 1.0, 0.0)
         # an infinite tolerance or leakage bound would make every guard vacuous
         with pytest.raises(ValueError):

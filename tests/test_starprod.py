@@ -84,6 +84,11 @@ class TestSampledSymbol:
         with pytest.raises(ValueError, match="finite and positive"):
             SampledSymbol.from_function(gaussian((0, 0)), r, h)
 
+    @pytest.mark.parametrize("r, h", [(1.0, 0.0), (-1.0, -0.5)])
+    def test_direct_construction_checks_the_grid(self, r, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SampledSymbol(r=r, h=h, values=np.zeros((5, 5)), decay_cert=0.0)
+
     def test_values_read_only(self, f0):
         with pytest.raises(ValueError):
             f0.values[0, 0] = 1.0
