@@ -17,12 +17,17 @@ doubled seminorm at one, which is what produces exact hypotenuse
 certificates.
 
 The grading also means the commutator only joins the odd blocks to the
-even ones, so its chiral block (``_chiral_block``) carries all of its
-singular values.  The pair solver runs the shared ascent core of
-``spectral`` on stacked element pairs, with one Gram eigendecomposition of
-the chiral block per iteration and the subgradient from its adjoint
-(``_chiral_adjoint``); the SVD of the whole commutator
-(``_doubled_seminorm``) is kept as the independent feasibility check.
+even ones, so its chiral block K (``_chiral_block``, 2m x 2m) carries all
+of its singular values and the 4m x 4m commutator is never built; the
+tests keep it as the oracle for K.  The pair solver runs the shared ascent
+core of ``spectral`` on stacked element pairs, with one Gram
+eigendecomposition of K per iteration and the subgradient from its adjoint
+(``_chiral_adjoint``); a full SVD of K (``_doubled_seminorm``) is kept as
+the independent feasibility check.
+
+Single-sheet work (the closed form, LP or solver route and the translation
+seed) comes from ``spectral``; this module only adds what the second sheet
+brings: the rung, the hypotenuse mix and the pair solver.
 """
 from __future__ import annotations
 
@@ -49,12 +54,10 @@ from .spectral import (
     _hermitize,
     _objective,
     _portfolio_ascent,
+    _single_route,
     _top_singular_pair,
-    closed_form_for,
+    _translation_seed,
     distance_closed_form,
-    distance_diagonal_lp,
-    distance_solver,
-    optimal_element_translation,
 )
 
 __all__ = [
@@ -122,37 +125,23 @@ def reference_lambda(calc: DiracCalculus, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# doubled commutator, its chiral block and adjoint, and the pair solver
-
-
-def _doubled_commutator(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Interior block matrix whose operator norm is the doubled seminorm.
-
-    Row/column layout: (sheet 1, component 0), (sheet 1, component 1),
-    (sheet 2, component 0), (sheet 2, component 1), each of interior size.
-    """
-    calc = dd.calc
-    mc = dd.ctx.interior_dim
-    root2 = math.sqrt(2.0)
-    lam = dd.Lambda
-    delta = calc._crop(a2 - a1)
-    out = np.zeros((4 * mc, 4 * mc), dtype=complex)
-    b = [slice(0, mc), slice(mc, 2 * mc), slice(2 * mc, 3 * mc), slice(3 * mc, 4 * mc)]
-    out[b[0], b[1]] = -1j * root2 * calc._crop(calc._dzbar(a1))
-    out[b[1], b[0]] = -1j * root2 * calc._crop(calc._dz(a1))
-    out[b[2], b[3]] = -1j * root2 * calc._crop(calc._dzbar(a2))
-    out[b[3], b[2]] = -1j * root2 * calc._crop(calc._dz(a2))
-    out[b[0], b[2]] = np.conj(lam) * delta
-    out[b[1], b[3]] = -np.conj(lam) * delta
-    out[b[2], b[0]] = -lam * delta
-    out[b[3], b[1]] = lam * delta
-    return out
+# chiral block of the doubled commutator, its adjoint, and the pair solver
 
 
 def _chiral_block(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Chiral block K = C[(s1c1, s2c0), (s1c0, s2c1)] of the doubled commutator.
 
-    The grading diag(1, -1, -1, 1) over the blocks (s1c0, s1c1, s2c0, s2c1)
+    C is the interior block matrix over the (sheet, component) blocks
+    (s1c0, s1c1, s2c0, s2c1), each of interior size, with nonzero blocks
+    at (row, column)
+
+        (s c0, s c1): -i sqrt(2) crop(dzbar a_s)    (s1c0, s2c0):  conj(Lambda) delta
+        (s c1, s c0): -i sqrt(2) crop(dz a_s)       (s1c1, s2c1): -conj(Lambda) delta
+                                                    (s2c0, s1c0): -Lambda delta
+                                                    (s2c1, s1c1):  Lambda delta
+
+    for s in {1, 2} and delta = crop(a2 - a1); its operator norm is the
+    doubled seminorm.  The grading diag(1, -1, -1, 1) over the blocks
     anticommutes with every block of C, so C only joins the even blocks
     (s1c0, s2c1) to the odd ones (s1c1, s2c0): its odd-row, even-column
     part is K and its even-row, odd-column part is -K* for Hermitian
@@ -192,8 +181,9 @@ def _chiral_adjoint(dd: DoubledDirac, w: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _doubled_seminorm(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> float:
-    c = _doubled_commutator(dd, a1, a2)
-    return float(np.linalg.svd(c, compute_uv=False)[0])
+    """Doubled seminorm by a full SVD of the chiral block, independent of
+    the Gram eigendecomposition the ascent uses."""
+    return float(np.linalg.svd(_chiral_block(dd, a1, a2), compute_uv=False)[0])
 
 
 def _doubled_pair(dd: DoubledDirac, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -239,7 +229,7 @@ def _doubled_solver(
     s2: QState,
     sheet2: int,
     cfg: SolverConfig,
-    extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+    extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> _PairBest:
     """Best feasible pair over ascent restarts plus a candidate portfolio."""
     g1 = _hermitize((sheet1 == 1) * s1.rho - (sheet2 == 1) * s2.rho)
@@ -257,18 +247,6 @@ def _doubled_solver(
 # distances
 
 
-def _single_route(
-    calc: DiracCalculus, s1: QState, s2: QState, cfg: SolverConfig
-) -> DistanceReport:
-    rep = closed_form_for(calc, s1, s2)
-    if rep is not None:
-        return rep
-    try:
-        return distance_diagonal_lp(calc, s1, s2)
-    except ValueError:
-        return distance_solver(calc, s1, s2, cfg)
-
-
 def _portfolio_pairs(
     dd: DoubledDirac, s1: QState, s2: QState, single: DistanceReport
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -279,14 +257,23 @@ def _portfolio_pairs(
     bases: list[np.ndarray] = []
     if single.certificate is not None and single.feasibility > _TINY:
         bases.append(single.certificate.mat / single.feasibility)
-    mean_gap = s2.mean_ladder - s1.mean_ladder
-    if abs(mean_gap) > 1e-12:
-        xi = math.atan2(mean_gap.imag, mean_gap.real)
-        bases.append(optimal_element_translation(dd.calc, xi).mat)
+    translation = _translation_seed(dd.calc, s1, s2)
+    if translation is not None:
+        bases.append(translation)
     for base in bases:
         gap = _objective(drho, base)
         pairs.append(_hypotenuse_pair(dd, base, gap))
     return pairs
+
+
+def _opposite_sheets(
+    dd: DoubledDirac, s1: QState, s2: QState, cfg: SolverConfig
+) -> tuple[DistanceReport, _PairBest]:
+    """Single-sheet distance of (s1, s2) and the pair solver's best value
+    for s1 on sheet 1 against s2 on sheet 2, seeded by its hypotenuses."""
+    single = _single_route(dd.calc, s1, s2, cfg)
+    check = _doubled_solver(dd, s1, 1, s2, 2, cfg, _portfolio_pairs(dd, s1, s2, single))
+    return single, check
 
 
 def doubled_distance(
@@ -334,9 +321,7 @@ def doubled_distance(
         return replace(rep, gap=abs(rep.value - check.value), note=note)
 
     d_i = dd.internal_distance
-    single = _single_route(dd.calc, sa, sb, cfg)
-    extra = _portfolio_pairs(dd, sa, sb, single)
-    check = _doubled_solver(dd, sa, 1, sb, 2, cfg, extra)
+    single, check = _opposite_sheets(dd, sa, sb, cfg)
 
     identical = float(np.abs(sa.rho - sb.rho).max()) < 1e-12
     fa, fb = sa.family, sb.family
@@ -404,12 +389,9 @@ def pythagoras_check(
         cfg = SolverConfig()
     _require_same_ctx(dd.ctx, s1.ctx)
     _require_same_ctx(dd.ctx, s2.ctx)
-    single = _single_route(dd.calc, s1, s2, cfg)
-    d_i = dd.internal_distance
-    rhs_equal = single.value**2 + d_i**2
+    single, check = _opposite_sheets(dd, s1, s2, cfg)
+    rhs_equal = single.value**2 + dd.internal_distance**2
     rhs_lo, rhs_hi = rhs_equal, 2.0 * rhs_equal
-    extra = _portfolio_pairs(dd, s1, s2, single)
-    check = _doubled_solver(dd, s1, 1, s2, 2, cfg, extra)
     lhs = check.value**2
     tol = 1e-6 * max(1.0, rhs_equal)
     if lhs < rhs_lo - tol or lhs > rhs_hi + tol:
@@ -450,52 +432,39 @@ def _closed_modified(ctx, m: int, n: int, delta: float) -> float:
 
 
 def identification_sweep(
-    dd: DoubledDirac,
+    calc: DiracCalculus,
     family: int,
     kappa_grid: Sequence[complex],
-    levels: Sequence[int] | None = None,
 ) -> tuple[list[SweepRow], list[SweepRow], list[SweepRow]]:
     """Compare the two metric identifications along a reference family.
 
     Returns the same-family, cross-family shift and cross-family level
     series, as lists of ``SweepRow``.  Same-family rows compare the square
     length (pair trace on actual density matrices) against the squared
-    doubled distance; their relative residual must vanish when |Lambda| is
-    calibrated on the family, and the function raises otherwise.
-    Cross-family rows compare the certified spectral-distance estimate
-    against the modified length, for level m at the first shift against
-    level m + 1 at each grid shift, and for level m against each partner
-    level n; the relative gap is required to shrink monotonically along
-    growing shift separation (from separation one onward) and along
-    growing level separation.
+    doubled distance, with the rung 1/|Lambda| calibrated on the family by
+    ``reference_lambda``; their relative residual must vanish, and the
+    function raises otherwise.  Cross-family rows compare the certified
+    spectral-distance estimate against the modified length, for level m at
+    the first shift against level m + 1 at each grid shift, and for level m
+    against each partner level n up to m + 50 or the guarded edge; the
+    relative gap is required to shrink monotonically along growing shift
+    separation (from separation one onward) and along growing level
+    separation.
 
     Shifted states are built whenever they fit the truncation; rows whose
     translate would leak past the guarded edge fall back to the family
     closed forms, already cross-validated at small parameters, and are
     flagged ``closed``.
     """
-    ctx = dd.ctx
+    ctx = calc.ctx
     if int(family) != family or not 0 <= family < ctx.interior_dim - 1:
         raise ValueError(f"family level must satisfy 0 <= m < {ctx.interior_dim - 1}")
     family = int(family)
     grid = [complex(k) for k in kappa_grid]
     if not grid:
         raise ValueError("kappa grid must not be empty")
-    want_inv_sq = d_L2(eigenstate(ctx, family), eigenstate(ctx, family))
-    have_inv_sq = 1.0 / abs(dd.Lambda) ** 2
-    if abs(have_inv_sq - want_inv_sq) > 1e-9 * max(1.0, want_inv_sq):
-        raise ValueError(
-            f"|Lambda|^-2 = {have_inv_sq:.12g} is not calibrated on family "
-            f"{family} (needs {want_inv_sq:.12g}); see reference_lambda"
-        )
-    if levels is None:
-        levels = range(family + 1, min(family + 51, ctx.interior_dim))
-    levels = [int(n) for n in levels]
-    if any(n <= family or n >= ctx.interior_dim for n in levels):
-        raise ValueError("partner levels must lie strictly between the family "
-                         "level and the guarded edge")
 
-    d_i = dd.internal_distance
+    d_i = make_doubled(calc, reference_lambda(calc, family)).internal_distance
     kref = grid[0]
 
     same: list[SweepRow] = []
@@ -512,7 +481,7 @@ def identification_sweep(
         same.append(SweepRow(delta, dprime, sq, abs(sq - dprime**2) / sq, closed))
 
     partner = family + 1
-    ladder_value = distance_closed_form(dd.calc, "eigenstates", (family, partner)).value
+    ladder_value = distance_closed_form(calc, "eigenstates", (family, partner)).value
     shift: list[SweepRow] = []
     for kappa in grid:
         delta = abs(kappa - kref)
@@ -528,8 +497,8 @@ def identification_sweep(
         shift.append(SweepRow(delta, est, dmod, 1.0 - est / dmod, closed))
 
     level: list[SweepRow] = []
-    for n in levels:
-        est = distance_closed_form(dd.calc, "eigenstates", (family, n)).value
+    for n in range(family + 1, min(family + 51, ctx.interior_dim)):
+        est = distance_closed_form(calc, "eigenstates", (family, n)).value
         dmod = modified_length(eigenstate(ctx, family), eigenstate(ctx, n))
         level.append(SweepRow(n, est, dmod, 1.0 - est / dmod, False))
 

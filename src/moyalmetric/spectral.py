@@ -10,7 +10,8 @@ coordinate gives the identity on the interior block.  The spectral distance
 between two states is the supremum of the evaluation gap over Hermitian
 elements whose commutator seminorm is at most one; this module provides
 closed forms where they exist, an exact linear-program reduction for
-diagonal states, and a certified lower-bound solver for everything else.
+diagonal states, and a certified lower-bound solver for everything else;
+``_single_route`` takes the first of the three that covers a pair.
 
 The solver is one projected-subgradient core, shared with the two-sheet
 geometry, with the fixed step 1 / (|grad| sqrt(k + 1)) at iteration k.  It
@@ -217,8 +218,9 @@ def optimal_element_eigenstates(calc: DiracCalculus, upto: int) -> Operator:
     t = calc._dz(mat) @ calc._a
     lhs = (t @ t.conj().T)[:m, :m]
     rhs = 0.5 * (calc._a.conj().T @ calc._a)[:m, :m]
+    # Relative to the largest entry, which grows like theta * m.
     resid = float(np.abs(lhs - rhs).max())
-    if resid > 1e-12:
+    if resid > 1e-12 * max(1.0, float(np.abs(rhs).max())):
         raise ArithmeticError(
             f"ladder element transport check failed (residual {resid:.3e})"
         )
@@ -316,17 +318,8 @@ def _diagonal_weights(state: QState) -> np.ndarray:
     return np.diag(rho).real
 
 
-def distance_diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
-    """Exact distance between number-diagonal states via tail sums.
-
-    For diagonal states the optimal element can be taken diagonal, and the
-    unit-seminorm cone is exactly |alpha_k - alpha_{k-1}| <= lambda_p /
-    sqrt(2k) for increments below the guarded edge.  Writing the objective
-    through the increments turns it into independent interval choices,
-    maximized by increments of size cap * sign(tail sum).
-    """
-    _require_same_ctx(calc.ctx, s1.ctx)
-    _require_same_ctx(s1.ctx, s2.ctx)
+def _diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
+    """The linear program of ``distance_diagonal_lp``, without its gap."""
     ctx = calc.ctx
     p = _diagonal_weights(s1)
     q = _diagonal_weights(s2)
@@ -343,15 +336,30 @@ def distance_diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> Distanc
     alpha[1:m] = np.cumsum(incs)
     alpha[m:] = alpha[m - 1]
     cert = Operator(ctx, np.diag(alpha), hermitian=True)
-    ref = closed_form_for(calc, s1, s2)
     return DistanceReport(
         value=value,
         method="diagonal-lp",
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
-        gap=None if ref is None else abs(value - ref.value),
         increments=tuple(float(x) for x in incs),
     )
+
+
+def distance_diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
+    """Exact distance between number-diagonal states via tail sums.
+
+    For diagonal states the optimal element can be taken diagonal, and the
+    unit-seminorm cone is exactly |alpha_k - alpha_{k-1}| <= lambda_p /
+    sqrt(2k) for increments below the guarded edge.  Writing the objective
+    through the increments turns it into independent interval choices,
+    maximized by increments of size cap * sign(tail sum).  ``gap`` is the
+    distance to the closed form when one covers the pair.
+    """
+    _require_same_ctx(calc.ctx, s1.ctx)
+    _require_same_ctx(s1.ctx, s2.ctx)
+    rep = _diagonal_lp(calc, s1, s2)
+    ref = closed_form_for(calc, s1, s2)
+    return rep if ref is None else dataclasses.replace(rep, gap=abs(rep.value - ref.value))
 
 
 def _objective(g: np.ndarray, x: np.ndarray) -> float:
@@ -448,6 +456,15 @@ def _portfolio_ascent(
     return best_val, best
 
 
+def _translation_seed(calc: DiracCalculus, s1: QState, s2: QState) -> np.ndarray | None:
+    """Translation element phase-aligned with the ladder-mean gap from s1 to
+    s2, or None when the means coincide."""
+    mean_gap = s2.mean_ladder - s1.mean_ladder
+    if abs(mean_gap) <= 1e-12:
+        return None
+    return optimal_element_translation(calc, math.atan2(mean_gap.imag, mean_gap.real)).mat
+
+
 def distance_solver(
     calc: DiracCalculus, s1: QState, s2: QState, cfg: SolverConfig | None = None
 ) -> DistanceReport:
@@ -473,12 +490,11 @@ def distance_solver(
         return zero
 
     seeded: list[np.ndarray] = []
-    mean_gap = s2.mean_ladder - s1.mean_ladder
-    if abs(mean_gap) > 1e-12:
-        xi = math.atan2(mean_gap.imag, mean_gap.real)
-        seeded.append(optimal_element_translation(calc, xi).mat)
+    translation = _translation_seed(calc, s1, s2)
+    if translation is not None:
+        seeded.append(translation)
     try:
-        lp = distance_diagonal_lp(calc, s1, s2)
+        lp = _diagonal_lp(calc, s1, s2)
     except ValueError:
         lp = None
     if lp is not None and lp.value > 0:
@@ -497,6 +513,20 @@ def distance_solver(
         gap=None if exact is None else abs(best_val - exact.value),
         note=note,
     )
+
+
+def _single_route(
+    calc: DiracCalculus, s1: QState, s2: QState, cfg: SolverConfig
+) -> DistanceReport:
+    """One-sheet distance by the best route that covers the pair: the
+    closed form, else the diagonal LP, else the solver's lower bound."""
+    rep = closed_form_for(calc, s1, s2)
+    if rep is not None:
+        return rep
+    try:
+        return _diagonal_lp(calc, s1, s2)
+    except ValueError:
+        return distance_solver(calc, s1, s2, cfg)
 
 
 class DiscrepancyResult(NamedTuple):

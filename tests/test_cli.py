@@ -200,6 +200,21 @@ class TestExitCodes:
         assert rc == 65
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # exact identities whose roundoff grows with theta and N
+            ("distance", "eigen:0", "eigen:1", "--method", "closed", "--theta", "2"),
+            ("distance", "eigen:0", "eigen:1", "--method", "lp", "--theta", "2"),
+            ("distance", "eigen:0", "eigen:1", "--method", "closed", "--trunc-dim", "128"),
+            ("optimal-element", "--theta", "2"),
+        ],
+    )
+    def test_exact_identities_give_0(self, tmp_path, argv, capsys):
+        rc = run_cli(*argv, "--output-dir", str(tmp_path))
+        capsys.readouterr()
+        assert rc == 0
+
     def test_malformed_environment_gives_65(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOYAL_TRUNC_DIM", "banana")
         rc = run_cli("spectrum", "--output-dir", str(tmp_path))
@@ -235,6 +250,17 @@ class TestConfigLayering:
         assert run_cli(*common, "--trunc-dim", "16") == 0
         assert read_json(path)["config"]["trunc_dim"] == 16
         capsys.readouterr()
+
+    def test_every_field_has_its_flag(self, tmp_path):
+        want = RunConfig(trunc_dim=12, theta=0.5, tol=1e-9, solver_seed=3,
+                         solver_iterations=7, solver_restarts=2, leakage_bound=1e-9,
+                         output_dir=str(tmp_path))
+        args = cli.build_parser().parse_args([
+            "spectrum", "--trunc-dim", "12", "--theta", "0.5", "--tol", "1e-9",
+            "--solver-seed", "3", "--solver-iterations", "7", "--solver-restarts", "2",
+            "--leakage-bound", "1e-9", "--output-dir", str(tmp_path),
+        ])
+        assert cli.resolve_config(overrides=cli._overrides(args)) == want
 
     def test_certificate_only_on_request(self, tmp_path, capsys):
         base = (

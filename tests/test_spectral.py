@@ -38,7 +38,9 @@ from moyalmetric.spectral import (
     _ascend,
     _objective,
     _sheet_pair,
+    _single_route,
     _top_singular_pair,
+    _translation_seed,
 )
 from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
 
@@ -325,6 +327,47 @@ class TestSolver:
         )
         assert "regularization" in rep.note
 
+    def test_closed_form_runs_once_on_diagonal_pairs(self, ctx32, monkeypatch):
+        from moyalmetric import spectral
+
+        calls = []
+        real = spectral.closed_form_for
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "closed_form_for", counted)
+        calc = DiracCalculus(ctx32)
+        rep = distance_solver(calc, eigenstate(ctx32, 0), eigenstate(ctx32, 3),
+                              SolverConfig(iterations=5, restarts=1))
+        assert len(calls) == 1
+        assert rep.gap == pytest.approx(abs(rep.value - eigen_distance(0, 3)), abs=0)
+
+
+class TestSingleRoute:
+    def test_translation_seed_follows_the_mean_gap(self, ctx32):
+        calc = DiracCalculus(ctx32)
+        base = eigenstate(ctx32, 1)
+        assert _translation_seed(calc, base, eigenstate(ctx32, 3)) is None
+        kappa = 0.6 - 0.8j
+        moved = displace(base, kappa)
+        seed = _translation_seed(calc, base, moved)
+        assert lipschitz_seminorm(calc, Operator(ctx32, seed)) == pytest.approx(1.0, abs=1e-12)
+        assert _objective(moved.rho - base.rho, seed) == pytest.approx(abs(kappa), abs=1e-9)
+
+    def test_routes_in_order(self, ctx32):
+        calc = DiracCalculus(ctx32)
+        cfg = SolverConfig(iterations=20, restarts=1)
+        e0, e2 = eigenstate(ctx32, 0), eigenstate(ctx32, 2)
+        cases = [
+            (e0, displace(e0, 0.5), "closed-form"),
+            (mixed_state([e0, e2], [0.5, 0.5]), e2, "diagonal-lp"),
+            (coherent_state(ctx32, 0.5), e2, "convex-solver"),
+        ]
+        for s1, s2, method in cases:
+            assert _single_route(calc, s1, s2, cfg).method == method
+
 
 ORACLE_DIMS = (8, 16, 24)
 
@@ -499,6 +542,20 @@ class TestOptimalElements:
         rhs = 0.5 * (a.conj().T @ a)
         m = ctx64.interior_dim
         assert np.abs(lhs[:m, :m] - rhs[:m, :m]).max() < 1e-12
+
+    @pytest.mark.parametrize("theta, n", [(2.0, 64), (10.0, 32), (1.0, 128)])
+    def test_ladder_transport_identity_is_relative(self, theta, n):
+        # The entries of a* a / 2 grow like theta * n, so their roundoff does too.
+        from moyalmetric import annihilation
+
+        ctx = make_context(n, theta, 1e-10)
+        calc = DiracCalculus(ctx)
+        el = optimal_element_eigenstates(calc, upto=10)
+        a = annihilation(ctx).mat
+        t = calc.dz(el).mat @ a
+        m = ctx.interior_dim
+        rhs = 0.5 * (a.conj().T @ a)[:m, :m]
+        assert np.abs((t @ t.conj().T)[:m, :m] - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_ladder_pairing_telescopes(self, ctx32):
         calc = DiracCalculus(ctx32)
