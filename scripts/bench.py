@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Time the solver layers and record them with the machine in a JSON file.
+
+Micro-timings at N=48, theta=1 of the layers that ``perfbench --trace 1``
+does not report: one ``DiracCalculus._dz``, one single-sheet top pair
+(``_sheet_pair``) and one two-sheet top pair (``doubling._doubled_pair``).
+BLAS is held at one thread.  Each figure is the median and quartiles of
+``ROUNDS`` timed rounds, per call.
+
+Runs of different source trees go into one file under their labels, so
+a parent commit and a change can be recorded side by side:
+
+    PYTHONPATH=<parent>/src python3 scripts/bench.py --label parent --out BENCH.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH.json
+
+Only the standard library, numpy and the library under test are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+N = 48
+THETA = 1.0
+ROUNDS = 30
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def machine_info() -> dict:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+    }
+
+
+def timed(fn, calls: int) -> dict:
+    """Median and quartiles, in microseconds per call, of ``ROUNDS`` rounds
+    of ``calls`` calls each, after one untimed warm-up call."""
+    fn()
+    per_call = []
+    for _ in range(ROUNDS):
+        start = perf_counter()
+        for _ in range(calls):
+            fn()
+        per_call.append((perf_counter() - start) / calls * 1e6)
+    q1, med, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
+    return {"median_us": med, "q1_us": q1, "q3_us": q3, "rounds": ROUNDS, "calls": calls}
+
+
+def measure() -> dict:
+    import numpy as np
+
+    from moyalmetric import make_context
+    from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
+    from moyalmetric.spectral import DiracCalculus, _sheet_pair
+
+    ctx = make_context(N, THETA)
+    calc = DiracCalculus(ctx)
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
+    herm = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
+    dd = make_doubled(calc, reference_lambda(calc, 0))
+    return {
+        "dz": timed(lambda: calc._dz(herm[0]), 200),
+        "sheet_pair": timed(lambda: _sheet_pair(calc, herm[0]), 20),
+        "doubled_pair": timed(lambda: _doubled_pair(dd, herm), 5),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="name of this run in the file")
+    ap.add_argument("--out", required=True, type=Path,
+                    help="JSON file; runs under other labels are kept")
+    args = ap.parse_args()
+
+    # Before numpy loads BLAS.
+    for var in BLAS_ENV:
+        os.environ[var] = "1"
+    record = {"machine": machine_info(), "N": N, "theta": THETA,
+              "timings": measure()}
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data.setdefault("runs", {})[args.label] = record
+    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    for name, t in record["timings"].items():
+        print(f"{name:32s} {t['median_us']:12.1f} us  (q1 {t['q1_us']:.1f}, q3 {t['q3_us']:.1f})")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

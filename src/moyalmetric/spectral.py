@@ -6,7 +6,9 @@ The derivative maps are scaled ladder commutators,
     dzbar(F) = +theta^-1 [a, F]
 
 with signs fixed so that dz applied to the ladder image of the holomorphic
-coordinate gives the identity on the interior block.  The spectral distance
+coordinate gives the identity on the interior block.  The ladder has one
+nonzero per row, so both maps are computed as shifted-slice products in
+O(N^2), equal to the dense commutators exactly.  The spectral distance
 between two states is the supremum of the evaluation gap over Hermitian
 elements whose commutator seminorm is at most one; this module provides
 closed forms where they exist, an exact linear-program reduction for
@@ -17,7 +19,11 @@ The solver is one projected-subgradient core, shared with the two-sheet
 geometry, with the fixed step 1 / (|grad| sqrt(k + 1)) at iteration k.  It
 makes one exact top-singular-pair solve per iteration (an eigh of a small
 Gram matrix) for both the rescale and the next subgradient; SVDs are left
-to the final-certificate check ``lipschitz_seminorm``.
+to the final-certificate check ``lipschitz_seminorm``.  The solver runs no
+ascent when the state difference is exactly diagonal with no weight at the
+guarded levels: an explicit dual certificate whose nuclear norm equals the
+LP value then bounds every element's ratio (``_lp_is_exact``), so the LP
+element is optimal.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -63,7 +69,16 @@ _TINY = 1e-14
 
 @dataclass(frozen=True)
 class DiracCalculus:
-    """Derivative maps of the quantum plane over one context."""
+    """Derivative maps of the quantum plane over one context.
+
+    The ladder a has one nonzero per row, l_k = lambda_p sqrt(k) at (k-1, k),
+    so each product with it is a shifted slice scaled by l, O(N^2) where a
+    dense product is O(N^3).  The maps keep the dense order of operations
+    (both products, their difference, the sign, then / theta) and every
+    nonzero product is a single rounding either way, so their output equals
+    the dense commutators exactly, signed zeros aside; the tests keep the
+    dense form as the oracle.
+    """
 
     ctx: FockContext
 
@@ -71,13 +86,26 @@ class DiracCalculus:
     def _a(self) -> np.ndarray:
         return annihilation(self.ctx).mat
 
+    @cached_property
+    def _ladder(self) -> np.ndarray:
+        """The superdiagonal l_1..l_{N-1} of a."""
+        return np.diagonal(self._a, 1).real
+
     def _dz(self, mat: np.ndarray) -> np.ndarray:
-        ad = self._a.conj().T
-        return -(ad @ mat - mat @ ad) / self.ctx.theta
+        ell = self._ladder
+        ad_mat = np.zeros(mat.shape, dtype=complex)
+        ad_mat[1:] = ell[:, None] * mat[:-1]  # row k of a* mat is l_k mat[k-1]
+        mat_ad = np.zeros(mat.shape, dtype=complex)
+        mat_ad[:, :-1] = mat[:, 1:] * ell  # column k of mat a* is mat[:, k+1] l_{k+1}
+        return -(ad_mat - mat_ad) / self.ctx.theta
 
     def _dzbar(self, mat: np.ndarray) -> np.ndarray:
-        a = self._a
-        return (a @ mat - mat @ a) / self.ctx.theta
+        ell = self._ladder
+        a_mat = np.zeros(mat.shape, dtype=complex)
+        a_mat[:-1] = ell[:, None] * mat[1:]  # row k of a mat is l_{k+1} mat[k+1]
+        mat_a = np.zeros(mat.shape, dtype=complex)
+        mat_a[:, 1:] = mat[:, :-1] * ell  # column k of mat a is mat[:, k-1] l_k
+        return (a_mat - mat_a) / self.ctx.theta
 
     def _crop(self, mat: np.ndarray) -> np.ndarray:
         m = self.ctx.interior_dim
@@ -423,14 +451,32 @@ def _ascend(g: np.ndarray, pair, start: np.ndarray, cfg: SolverConfig) -> np.nda
     return best
 
 
+def _best_candidate(g: np.ndarray, pair, candidates) -> tuple[float, np.ndarray | None]:
+    """Largest evaluation ratio |<g, x>| / p(x) over the candidates, with its
+    element rescaled to a unit one with a nonnegative objective; the first
+    of equal ratios wins.  Returns (0, None) if every candidate has zero
+    seminorm."""
+    best, best_val = None, 0.0
+    for x in candidates:
+        s = pair(x)[0]
+        if s < _TINY:
+            continue
+        val = abs(_objective(g, x)) / s
+        if val > best_val:
+            best, best_val = x / s, val
+    if best is not None and _objective(g, best) < 0:
+        best = -best
+    return best_val, best
+
+
 def _portfolio_ascent(
     g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...], seeded
 ) -> tuple[float, np.ndarray | None]:
     """Best evaluation ratio over ascent restarts plus seeded candidates.
 
     Restart 0 starts from g, restart r from complex Gaussians (one per sheet)
-    seeded [cfg.seed, *key, r].  Returns the winner as a unit element with a
-    nonnegative objective, or None if every candidate has zero seminorm.
+    seeded [cfg.seed, *key, r].  The ascent results come first in
+    ``_best_candidate``'s order, then the seeded candidates.
     """
     n = g.shape[-1]
     candidates = []
@@ -443,17 +489,22 @@ def _portfolio_ascent(
         x = _ascend(g, pair, start, cfg)
         if x is not None:
             candidates.append(x)
-    best, best_val = None, 0.0
-    for x in candidates + list(seeded):
-        s = pair(x)[0]
-        if s < _TINY:
-            continue
-        val = abs(_objective(g, x)) / s
-        if val > best_val:
-            best, best_val = x / s, val
-    if best is not None and _objective(g, best) < 0:
-        best = -best
-    return best_val, best
+    return _best_candidate(g, pair, candidates + list(seeded))
+
+
+def _lp_is_exact(calc: DiracCalculus, drho: np.ndarray) -> bool:
+    """Whether the state difference is exactly diagonal with no weight at
+    the guarded levels, which makes the diagonal LP value the distance.
+
+    With tails t_k = sum_{j>=k} drho_jj, the m x m matrix Y with
+    Y[k, k-1] = theta t_k / (sqrt(2) l_k), k = 1..m-1, solves the dual
+    constraint Herm(-sqrt(2) dzbar(pad Y)) = drho, and its nuclear norm
+    sum |Y[k, k-1]| is the LP value.  By weak duality <drho, x> <= LP p(x)
+    for every Hermitian x, so no ascent can beat the LP candidate.
+    """
+    m = calc.ctx.interior_dim
+    diag = np.diagonal(drho)
+    return np.count_nonzero(drho) == np.count_nonzero(diag) and not np.any(diag[m:])
 
 
 def _translation_seed(calc: DiracCalculus, s1: QState, s2: QState) -> np.ndarray | None:
@@ -476,6 +527,11 @@ def distance_solver(
     the ladder means separate, and the exact LP optimizer when both states
     are diagonal.  The best element is rescaled to seminorm one, so the
     reported value is always achieved by a feasible certificate.
+
+    When the state difference is exactly diagonal with no weight at the
+    guarded levels, weak duality against an explicit dual certificate
+    (``_lp_is_exact``) proves that no ascent can beat the LP element, so
+    the restarts are skipped and the seeded candidates alone are compared.
     """
     _require_same_ctx(calc.ctx, s1.ctx)
     _require_same_ctx(s1.ctx, s2.ctx)
@@ -497,10 +553,15 @@ def distance_solver(
         lp = _diagonal_lp(calc, s1, s2)
     except ValueError:
         lp = None
-    if lp is not None and lp.value > 0:
+    lp_seeded = lp is not None and lp.value > 0
+    if lp_seeded:
         seeded.append(lp.certificate.mat)
 
-    best_val, best_mat = _portfolio_ascent(drho, partial(_sheet_pair, calc), cfg, (), seeded)
+    pair = partial(_sheet_pair, calc)
+    if lp_seeded and _lp_is_exact(calc, drho):
+        best_val, best_mat = _best_candidate(drho, pair, seeded)
+    else:
+        best_val, best_mat = _portfolio_ascent(drho, pair, cfg, (), seeded)
     if best_mat is None:
         return zero
     cert = Operator(calc.ctx, _hermitize(best_mat), hermitian=True)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from moyalmetric import (
     Operator,
+    QState,
     coherent_state,
     displace,
     eigenstate,
@@ -36,6 +37,7 @@ from moyalmetric.spectral import (
     optimal_element_eigenstates,
     optimal_element_translation,
     _ascend,
+    _lp_is_exact,
     _objective,
     _sheet_pair,
     _single_route,
@@ -486,6 +488,122 @@ class TestAscentCore:
         with pytest.raises(ArithmeticError):
             _ascend(g, flat, g, SolverConfig(iterations=5, restarts=1))
         assert _ascend(np.zeros_like(g), flat, g, SolverConfig(iterations=5, restarts=1)) is None
+
+
+THETAS = (1.0, 0.7, 2.3)
+
+
+def dense_dz(calc, mat):
+    """-[a*, mat] / theta by dense products with the ladder matrix."""
+    ad = calc._a.conj().T
+    return -(ad @ mat - mat @ ad) / calc.ctx.theta
+
+
+def dense_dzbar(calc, mat):
+    """[a, mat] / theta by dense products with the ladder matrix."""
+    a = calc._a
+    return (a @ mat - mat @ a) / calc.ctx.theta
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+class TestDerivativeOracle:
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_slices_equal_dense_products(self, n, theta, seed):
+        calc = DiracCalculus(make_context(n, theta, 1e-10))
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for mat in (raw, random_hermitian(rng, n), raw.real.copy()):
+            assert np.array_equal(calc._dz(mat), dense_dz(calc, mat))
+            assert np.array_equal(calc._dzbar(mat), dense_dzbar(calc, mat))
+
+
+def number_mixture(ctx, rng):
+    levels = rng.choice(ctx.interior_dim, size=int(rng.integers(2, 4)), replace=False)
+    weights = rng.dirichlet(np.ones(levels.size))
+    return mixed_state([eigenstate(ctx, int(k)) for k in levels], weights.tolist())
+
+
+def ascent_calls(monkeypatch):
+    """Wrap the ascent core to record each call."""
+    from moyalmetric import spectral
+
+    calls = []
+    real = spectral._ascend
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_ascend", counted)
+    return calls
+
+
+class TestExactLPSkip:
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dual_certificate_meets_the_lp(self, n, theta, seed):
+        # Y[k, k-1] = theta t_k / (sqrt(2) l_k) with tails t_k solves
+        # A* Y = drho for A = sqrt(2) crop dz, and its nuclear norm is the
+        # LP value: by weak duality no element beats the LP.
+        ctx = make_context(n, theta, 1e-10)
+        calc = DiracCalculus(ctx)
+        rng = np.random.default_rng(seed)
+        s1, s2 = number_mixture(ctx, rng), number_mixture(ctx, rng)
+        drho = 0.5 * (s1.rho - s2.rho + (s1.rho - s2.rho).conj().T)
+        assert _lp_is_exact(calc, drho)
+        m = ctx.interior_dim
+        k = np.arange(1, m)
+        ell = math.sqrt(theta) * np.sqrt(k)
+        tails = np.cumsum(np.diag(drho).real[::-1])[::-1]
+        y = np.zeros((m, m))
+        y[k, k - 1] = theta * tails[k] / (math.sqrt(2.0) * ell)
+        img = -math.sqrt(2.0) * calc._dzbar(calc._pad(y))
+        assert np.abs(0.5 * (img + img.conj().T) - drho).max() <= 1e-14
+        lp = distance_diagonal_lp(calc, s1, s2).value
+        nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
+        assert abs(nuclear - lp) <= 1e-12 * lp
+
+    def test_no_ascent_on_exactly_diagonal_pairs(self, ctx32, monkeypatch):
+        calls = ascent_calls(monkeypatch)
+        calc = DiracCalculus(ctx32)
+        e = [eigenstate(ctx32, k) for k in range(4)]
+        pairs = [
+            (e[0], e[3]),
+            (mixed_state([e[0], e[1]], [0.5, 0.5]), e[2]),
+            (mixed_state([e[1], e[3]], [0.3, 0.7]), mixed_state([e[0], e[2]], [0.6, 0.4])),
+        ]
+        for s1, s2 in pairs:
+            rep = distance_solver(calc, s1, s2, QUICK_SOLVER)
+            lp = distance_diagonal_lp(calc, s1, s2)
+            assert rep.value == pytest.approx(lp.value, rel=1e-12)
+            # The solver orients its element to a nonnegative objective.
+            want = lp.certificate.mat * np.sign(_objective(s1.rho - s2.rho, lp.certificate.mat))
+            assert np.abs(rep.certificate.mat - want).max() <= 1e-12
+            assert rep.feasibility <= 1 + 1e-8
+        assert calls == []
+
+    def test_ascent_runs_unless_exactly_diagonal(self, ctx32, monkeypatch):
+        # Both states pass the LP's tol-diagonal test, so the LP is still
+        # seeded, but the skip needs the exact property.
+        ctx = ctx32
+        m = ctx.interior_dim
+        off = np.zeros((ctx.trunc_dim,) * 2, dtype=complex)
+        off[0, 0], off[1, 1], off[0, 1], off[1, 0] = 0.5, 0.5, 1e-13, 1e-13
+        edge = np.zeros((ctx.trunc_dim,) * 2)
+        edge[0, 0], edge[1, 1], edge[m, m] = 0.5, 0.5 - 1e-11, 1e-11
+        calc = DiracCalculus(ctx)
+        other = eigenstate(ctx, 2)
+        cfg = SolverConfig(iterations=5, restarts=1)
+        calls = ascent_calls(monkeypatch)
+        for rho in (off, edge):
+            state = QState(ctx, rho, ("test",))
+            assert not _lp_is_exact(calc, 0.5 * (rho - other.rho + (rho - other.rho).conj().T))
+            before = len(calls)
+            rep = distance_solver(calc, state, other, cfg)
+            assert len(calls) - before == cfg.restarts
+            assert rep.value >= distance_diagonal_lp(calc, state, other).value - 1e-9
 
 
 class TestOptimalElements:
