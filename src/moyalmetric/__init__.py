@@ -61,7 +61,6 @@ from .spectral import (
     DistanceReport,
     SolverConfig,
     closed_form_for,
-    distance_closed_form,
     distance_diagonal_lp,
     distance_solver,
     length_vs_optimal_discrepancy,

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .config import ConfigError, RunConfig, format_value, resolve_config
+from .config import RunConfig, format_value, resolve_config
 from .doubling import (
     identification_sweep,
     make_doubled,
@@ -878,24 +878,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(file_path=args.config, overrides=_overrides(args))
         return args.func(cfg, args)
-    except _UsageError as exc:
+    except (_UsageError, StateExprError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StateExprError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, LeakageError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

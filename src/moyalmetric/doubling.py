@@ -51,13 +51,13 @@ from .spectral import (
     DiracCalculus,
     DistanceReport,
     SolverConfig,
+    _eigen_sum,
     _hermitize,
     _objective,
     _portfolio_ascent,
     _single_route,
     _top_singular_pair,
     _translation_seed,
-    distance_closed_form,
 )
 
 __all__ = [
@@ -219,7 +219,6 @@ def _hypotenuse_pair(
 class _PairBest(NamedTuple):
     value: float
     feasibility: float
-    pair: tuple[np.ndarray, np.ndarray] | None
 
 
 def _doubled_solver(
@@ -239,8 +238,8 @@ def _doubled_solver(
         np.stack([g1, g2]), partial(_doubled_pair, dd), cfg, (97,), seeded
     )
     if best is None:
-        return _PairBest(0.0, 0.0, None)
-    return _PairBest(best_val, _doubled_seminorm(dd, best[0], best[1]), (best[0], best[1]))
+        return _PairBest(0.0, 0.0)
+    return _PairBest(best_val, _doubled_seminorm(dd, best[0], best[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +463,7 @@ def identification_sweep(
     if not grid:
         raise ValueError("kappa grid must not be empty")
 
-    d_i = make_doubled(calc, reference_lambda(calc, family)).internal_distance
+    d_i = 1.0 / reference_lambda(calc, family)
     kref = grid[0]
 
     same: list[SweepRow] = []
@@ -481,7 +480,7 @@ def identification_sweep(
         same.append(SweepRow(delta, dprime, sq, abs(sq - dprime**2) / sq, closed))
 
     partner = family + 1
-    ladder_value = distance_closed_form(calc, "eigenstates", (family, partner)).value
+    ladder_value = _eigen_sum(ctx, family, partner)
     shift: list[SweepRow] = []
     for kappa in grid:
         delta = abs(kappa - kref)
@@ -498,7 +497,7 @@ def identification_sweep(
 
     level: list[SweepRow] = []
     for n in range(family + 1, min(family + 51, ctx.interior_dim)):
-        est = distance_closed_form(calc, "eigenstates", (family, n)).value
+        est = _eigen_sum(ctx, family, n)
         dmod = modified_length(eigenstate(ctx, family), eigenstate(ctx, n))
         level.append(SweepRow(n, est, dmod, 1.0 - est / dmod, False))
 

@@ -13,7 +13,10 @@ between two states is the supremum of the evaluation gap over Hermitian
 elements whose commutator seminorm is at most one; this module provides
 closed forms where they exist, an exact linear-program reduction for
 diagonal states, and a certified lower-bound solver for everything else;
-``_single_route`` takes the first of the three that covers a pair.
+``_single_route`` takes the first of the three that covers a pair.  One
+function, ``_closed_value``, decides the closed-form value of a pair; the
+LP and the solver read their gaps from it, and only ``closed_form_for``,
+whose report carries the optimal element, builds a certificate for it.
 
 The solver is one projected-subgradient core, shared with the two-sheet
 geometry, with the fixed step 1 / (|grad| sqrt(k + 1)) at iteration k.  It
@@ -33,7 +36,6 @@ and crop afterwards.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -55,7 +57,6 @@ __all__ = [
     "DistanceReport",
     "SolverConfig",
     "closed_form_for",
-    "distance_closed_form",
     "distance_diagonal_lp",
     "distance_solver",
     "length_vs_optimal_discrepancy",
@@ -260,79 +261,54 @@ def _eigen_sum(ctx: FockContext, m: int, n: int) -> float:
     return ctx.lambda_p * sum(1.0 / math.sqrt(2.0 * k) for k in range(lo + 1, hi + 1))
 
 
-def distance_closed_form(calc: DiracCalculus, kind: str, params) -> DistanceReport:
-    """Closed-form distances: translations, and number-state pairs.
+def _closed_value(s1: QState, s2: QState) -> float | None:
+    """The closed-form distance of a state pair, or None when none covers it.
 
-    kind = "translation": params is the translation amplitude kappa
-    (complex allowed); the distance equals |kappa| and the certificate is
-    the phase-aligned translation element.
-
-    kind = "eigenstates": params is a pair (m, n), order-normalized; the
-    distance is the additive partial sum of lambda_p / sqrt(2k).  The
-    ladder certificate exists only when the larger index is below the
-    guarded edge; the value itself is truncation-independent.
+    Translates of a common level are |nu - mu| apart; number states at a
+    common translation are the partial sum of lambda_p / sqrt(2k) apart,
+    by translation covariance.  The value is truncation-independent.
     """
-    ctx = calc.ctx
-    kind = kind.lower()
-    if kind == "translation":
-        kappa = complex(params)
-        value = abs(kappa)
-        xi = math.atan2(kappa.imag, kappa.real) if value > 0 else 0.0
-        cert = optimal_element_translation(calc, xi)
-        return DistanceReport(
-            value=value,
-            method="closed-form",
-            certificate=cert,
-            feasibility=lipschitz_seminorm(calc, cert),
-        )
-    if kind == "eigenstates":
-        m, n = params
-        if int(m) != m or int(n) != n or m < 0 or n < 0:
-            raise ValueError(f"eigenstate indices must be nonnegative integers, got {params}")
-        m, n = sorted((int(m), int(n)))
-        value = _eigen_sum(ctx, m, n)
-        if n < ctx.interior_dim:
-            cert = optimal_element_eigenstates(calc, upto=n)
-            return DistanceReport(
-                value=value,
-                method="closed-form",
-                certificate=cert,
-                feasibility=lipschitz_seminorm(calc, cert),
-            )
-        return DistanceReport(
-            value=value,
-            method="closed-form",
-            certificate=None,
-            feasibility=math.nan,
-            note=f"index {n} is past the guarded edge; analytic value, no certificate",
-        )
-    raise ValueError(f"unknown closed-form kind {kind!r}")
-
-
-def closed_form_for(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport | None:
-    """Dispatch to a closed form when the state pair supports one.
-
-    Covers translates of a common base state (same level, any shifts) and
-    number states at a common translation; returns None otherwise.
-    """
-    _require_same_ctx(s1.ctx, s2.ctx)
     f1, f2 = s1.family, s2.family
     if f1 is None or f2 is None:
         return None
-    m, mu = f1
-    n, nu = f2
+    (m, mu), (n, nu) = f1, f2
     if m == n:
-        return distance_closed_form(calc, "translation", nu - mu)
+        return abs(nu - mu)
     if abs(mu - nu) < 1e-12:
-        rep = distance_closed_form(calc, "eigenstates", (m, n))
-        if abs(mu) > 1e-12:
-            rep = dataclasses.replace(
-                rep,
-                note="value by translation covariance; certificate for the "
-                "untranslated pair",
-            )
-        return rep
+        return _eigen_sum(s1.ctx, m, n)
     return None
+
+
+def closed_form_for(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport | None:
+    """The closed-form distance with its certificate, or None.
+
+    Translates of a common level are certified by the translation element
+    at the phase of nu - mu, and number states at a common translation by
+    the ladder element up to the larger level, which pairs with the
+    untranslated states.
+    """
+    _require_same_ctx(s1.ctx, s2.ctx)
+    value = _closed_value(s1, s2)
+    if value is None:
+        return None
+    (m, mu), (n, nu) = s1.family, s2.family
+    note = ""
+    if m == n:
+        kappa = nu - mu
+        cert = optimal_element_translation(
+            calc, math.atan2(kappa.imag, kappa.real) if value > 0 else 0.0
+        )
+    else:
+        cert = optimal_element_eigenstates(calc, upto=max(m, n))
+        if abs(mu) > 1e-12:
+            note = "value by translation covariance; certificate for the untranslated pair"
+    return DistanceReport(
+        value=value,
+        method="closed-form",
+        certificate=cert,
+        feasibility=lipschitz_seminorm(calc, cert),
+        note=note,
+    )
 
 
 def _diagonal_weights(state: QState) -> np.ndarray:
@@ -346,8 +322,18 @@ def _diagonal_weights(state: QState) -> np.ndarray:
     return np.diag(rho).real
 
 
-def _diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
-    """The linear program of ``distance_diagonal_lp``, without its gap."""
+def distance_diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
+    """Exact distance between number-diagonal states via tail sums.
+
+    For diagonal states the optimal element can be taken diagonal, and the
+    unit-seminorm cone is exactly |alpha_k - alpha_{k-1}| <= lambda_p /
+    sqrt(2k) for increments below the guarded edge.  Writing the objective
+    through the increments turns it into independent interval choices,
+    maximized by increments of size cap * sign(tail sum).  ``gap`` is the
+    distance to the closed form when one covers the pair.
+    """
+    _require_same_ctx(calc.ctx, s1.ctx)
+    _require_same_ctx(s1.ctx, s2.ctx)
     ctx = calc.ctx
     p = _diagonal_weights(s1)
     q = _diagonal_weights(s2)
@@ -364,30 +350,15 @@ def _diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
     alpha[1:m] = np.cumsum(incs)
     alpha[m:] = alpha[m - 1]
     cert = Operator(ctx, np.diag(alpha), hermitian=True)
+    ref = _closed_value(s1, s2)
     return DistanceReport(
         value=value,
         method="diagonal-lp",
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
+        gap=None if ref is None else abs(value - ref),
         increments=tuple(float(x) for x in incs),
     )
-
-
-def distance_diagonal_lp(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceReport:
-    """Exact distance between number-diagonal states via tail sums.
-
-    For diagonal states the optimal element can be taken diagonal, and the
-    unit-seminorm cone is exactly |alpha_k - alpha_{k-1}| <= lambda_p /
-    sqrt(2k) for increments below the guarded edge.  Writing the objective
-    through the increments turns it into independent interval choices,
-    maximized by increments of size cap * sign(tail sum).  ``gap`` is the
-    distance to the closed form when one covers the pair.
-    """
-    _require_same_ctx(calc.ctx, s1.ctx)
-    _require_same_ctx(s1.ctx, s2.ctx)
-    rep = _diagonal_lp(calc, s1, s2)
-    ref = closed_form_for(calc, s1, s2)
-    return rep if ref is None else dataclasses.replace(rep, gap=abs(rep.value - ref.value))
 
 
 def _objective(g: np.ndarray, x: np.ndarray) -> float:
@@ -539,9 +510,8 @@ def distance_solver(
         cfg = SolverConfig()
     note = "lower bound; certificate optimal up to regularization at infinity"
     drho = _hermitize(s1.rho - s2.rho)
-    ref = closed_form_for(calc, s1, s2)
-    zero = DistanceReport(0.0, "convex-solver", None, 0.0,
-                          gap=None if ref is None else ref.value, note=note)
+    ref = _closed_value(s1, s2)
+    zero = DistanceReport(0.0, "convex-solver", None, 0.0, gap=ref, note=note)
     if float(np.abs(drho).max()) < _TINY:
         return zero
 
@@ -550,7 +520,7 @@ def distance_solver(
     if translation is not None:
         seeded.append(translation)
     try:
-        lp = _diagonal_lp(calc, s1, s2)
+        lp = distance_diagonal_lp(calc, s1, s2)
     except ValueError:
         lp = None
     lp_seeded = lp is not None and lp.value > 0
@@ -565,13 +535,14 @@ def distance_solver(
     if best_mat is None:
         return zero
     cert = Operator(calc.ctx, _hermitize(best_mat), hermitian=True)
-    exact = ref if ref is not None else lp
+    if ref is None and lp is not None:
+        ref = lp.value
     return DistanceReport(
         value=best_val,
         method="convex-solver",
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
-        gap=None if exact is None else abs(best_val - exact.value),
+        gap=None if ref is None else abs(best_val - ref),
         note=note,
     )
 
@@ -585,7 +556,7 @@ def _single_route(
     if rep is not None:
         return rep
     try:
-        return _diagonal_lp(calc, s1, s2)
+        return distance_diagonal_lp(calc, s1, s2)
     except ValueError:
         return distance_solver(calc, s1, s2, cfg)
 

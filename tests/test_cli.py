@@ -28,6 +28,14 @@ def read_json(path):
         return json.load(fh)
 
 
+# A pair that no closed form covers and that is not number-diagonal, so
+# only the solver route applies to it.
+GENERAL_PAIR = (
+    "distance", "super:0,2:1,1", "eigen:1", "--trunc-dim", "16",
+    "--solver-iterations", "5", "--solver-restarts", "1",
+)
+
+
 class TestWorkedExamples:
     def test_distance_ground_to_first_level(self, tmp_path, capsys):
         rc = run_cli(
@@ -57,6 +65,16 @@ class TestWorkedExamples:
         )
         assert rc == 0
         assert "d_D = 2" in capsys.readouterr().out
+
+    def test_distance_all_skips_routes_that_do_not_cover(self, tmp_path, capsys):
+        rc = run_cli(*GENERAL_PAIR, "--method", "all", "--output-dir", str(tmp_path))
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "skipped closed-form:" in out
+        assert "skipped diagonal-lp:" in out
+        payload = read_json(tmp_path / "distance_super-0-2-1-1_eigen-1_all.json")
+        assert len(payload["skipped"]) == 2
+        assert [r["method"] for r in payload["reports"]] == ["convex-solver"]
 
     def test_distance_identical_states_vanishes(self, tmp_path):
         rc = run_cli(
@@ -199,6 +217,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 65
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [("closed", "no closed form covers this pair"), ("lp", "not diagonal")],
+    )
+    def test_route_outside_its_cover_gives_65(self, tmp_path, method, message, capsys):
+        rc = run_cli(*GENERAL_PAIR, "--method", method, "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 65
+        assert err.startswith("data error: ") and message in err
 
     @pytest.mark.parametrize(
         "argv",

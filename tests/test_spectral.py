@@ -29,7 +29,6 @@ from moyalmetric.spectral import (
     DistanceReport,
     SolverConfig,
     closed_form_for,
-    distance_closed_form,
     distance_diagonal_lp,
     distance_solver,
     length_vs_optimal_discrepancy,
@@ -37,6 +36,7 @@ from moyalmetric.spectral import (
     optimal_element_eigenstates,
     optimal_element_translation,
     _ascend,
+    _eigen_sum,
     _lp_is_exact,
     _objective,
     _sheet_pair,
@@ -123,61 +123,57 @@ class TestSeminorm:
 class TestClosedForm:
     def test_translation(self, ctx32):
         calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "translation", 2.0)
+        base = eigenstate(ctx32, 0)
+        rep = closed_form_for(calc, base, displace(base, 2.0))
         assert rep.value == pytest.approx(2.0, abs=1e-12)
         assert rep.method == "closed-form"
         assert rep.feasibility <= 1 + 1e-8
 
     def test_translation_complex_parameter(self, ctx32):
         calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "translation", 1.0 - 1.0j)
+        base = eigenstate(ctx32, 0)
+        rep = closed_form_for(calc, base, displace(base, 1.0 - 1.0j))
         assert rep.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_adjacent_eigenstates(self, ctx32):
         calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "eigenstates", (0, 1))
+        rep = closed_form_for(calc, eigenstate(ctx32, 0), eigenstate(ctx32, 1))
         assert rep.value == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_additive_chain(self, ctx32):
         calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "eigenstates", (0, 3))
+        level = lambda k: eigenstate(ctx32, k)
+        rep = closed_form_for(calc, level(0), level(3))
         want = (1 / math.sqrt(2)) * (1 + 1 / math.sqrt(2) + 1 / math.sqrt(3))
         assert rep.value == pytest.approx(want, abs=1e-12)
-        mid = distance_closed_form(calc, "eigenstates", (0, 1)).value
-        mid += distance_closed_form(calc, "eigenstates", (1, 3)).value
+        mid = closed_form_for(calc, level(0), level(1)).value
+        mid += closed_form_for(calc, level(1), level(3)).value
         assert rep.value == pytest.approx(mid, abs=1e-12)
 
     def test_unordered_input_normalized(self, ctx32):
         calc = DiracCalculus(ctx32)
-        assert distance_closed_form(calc, "eigenstates", (3, 0)).value == pytest.approx(
-            distance_closed_form(calc, "eigenstates", (0, 3)).value, abs=0
-        )
+        s0, s3 = eigenstate(ctx32, 0), eigenstate(ctx32, 3)
+        assert closed_form_for(calc, s3, s0).value == closed_form_for(calc, s0, s3).value
 
     def test_scale_covariance(self):
         from moyalmetric import make_context
 
         ctx = make_context(32, 4.0, 1e-10)
         calc = DiracCalculus(ctx)
-        rep = distance_closed_form(calc, "eigenstates", (0, 1))
+        rep = closed_form_for(calc, eigenstate(ctx, 0), eigenstate(ctx, 1))
         assert rep.value == pytest.approx(2 / math.sqrt(2), abs=1e-12)
 
     def test_equal_indices_zero(self, ctx32):
         calc = DiracCalculus(ctx32)
-        assert distance_closed_form(calc, "eigenstates", (2, 2)).value == 0.0
+        assert closed_form_for(calc, eigenstate(ctx32, 2), eigenstate(ctx32, 2)).value == 0.0
 
     def test_certificate_pairing_matches_value(self, ctx32):
         calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "eigenstates", (1, 4))
+        rep = closed_form_for(calc, eigenstate(ctx32, 1), eigenstate(ctx32, 4))
         gap = evaluate(eigenstate(ctx32, 1), rep.certificate) - evaluate(
             eigenstate(ctx32, 4), rep.certificate
         )
         assert abs(gap) == pytest.approx(rep.value, abs=1e-12)
-
-    def test_certificate_absent_past_interior(self, ctx32):
-        calc = DiracCalculus(ctx32)
-        rep = distance_closed_form(calc, "eigenstates", (0, 30))
-        assert rep.certificate is None
-        assert rep.value == pytest.approx(eigen_distance(0, 30), abs=1e-12)
 
     def test_family_dispatch(self, ctx32):
         calc = DiracCalculus(ctx32)
@@ -343,8 +339,25 @@ class TestSolver:
         calc = DiracCalculus(ctx32)
         rep = distance_solver(calc, eigenstate(ctx32, 0), eigenstate(ctx32, 3),
                               SolverConfig(iterations=5, restarts=1))
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert rep.gap == pytest.approx(abs(rep.value - eigen_distance(0, 3)), abs=0)
+
+    def test_distance_all_builds_the_ladder_element_once(self, tmp_path, monkeypatch, capsys):
+        from moyalmetric import cli, spectral
+
+        calls = []
+        real = spectral.optimal_element_eigenstates
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "optimal_element_eigenstates", counted)
+        rc = cli.main(["distance", "eigen:0", "eigen:3", "--method", "all",
+                       "--trunc-dim", "32", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(calls) == 1
 
 
 class TestSingleRoute:
@@ -708,9 +721,8 @@ class TestDiscrepancy:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_partial_sums_unbounded(self, ctx64):
-        calc = DiracCalculus(ctx64)
         n = 1
-        while distance_closed_form(calc, "eigenstates", (0, n)).value <= 10.0:
+        while _eigen_sum(ctx64, 0, n) <= 10.0:
             n += 1
         assert n == 61
 
