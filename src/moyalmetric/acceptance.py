@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ from .fock import (
     displace,
     eigenstate,
     hamiltonian,
-    make_context,
     mixed_state,
     superposition_state,
     uncertainty_product,
@@ -65,15 +64,17 @@ __all__ = ["CriterionResult", "SuiteSettings", "settings_from", "run_all", "run_
 
 @dataclass(frozen=True)
 class SuiteSettings:
-    """Resolved sizes and budgets for one battery run."""
+    """Contexts and budgets for one battery run.
 
-    theta: float
-    n_full: int
-    n_solver: int
+    Both contexts carry the run's theta, tol and leakage bound: ``ctx`` at
+    the full truncation, ``solver_ctx`` at the solver's (at most 48).
+    """
+
+    ctx: FockContext
+    solver_ctx: FockContext
     solver: SolverConfig
     light: SolverConfig
     pair_count: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -90,30 +91,19 @@ def settings_from(cfg: RunConfig | None = None, quick: bool = False) -> SuiteSet
     if cfg is None:
         cfg = RunConfig()
     if quick:
-        n_full = min(cfg.trunc_dim, 32)
-        solver = SolverConfig(
-            iterations=min(cfg.solver_iterations, 300),
-            restarts=min(cfg.solver_restarts, 2),
-            seed=cfg.solver_seed,
+        cfg = replace(
+            cfg,
+            trunc_dim=min(cfg.trunc_dim, 32),
+            solver_iterations=min(cfg.solver_iterations, 300),
+            solver_restarts=min(cfg.solver_restarts, 2),
         )
-        pair_count = 40
-    else:
-        n_full = cfg.trunc_dim
-        solver = cfg.solver()
-        pair_count = 200
     return SuiteSettings(
-        theta=cfg.theta,
-        n_full=n_full,
-        n_solver=min(n_full, 48),
-        solver=solver,
+        ctx=cfg.context(),
+        solver_ctx=replace(cfg, trunc_dim=min(cfg.trunc_dim, 48)).context(),
+        solver=cfg.solver(),
         light=SolverConfig(iterations=80, restarts=1, seed=cfg.solver_seed),
-        pair_count=pair_count,
-        seed=cfg.solver_seed,
+        pair_count=40 if quick else 200,
     )
-
-
-def _ctx(st: SuiteSettings, dim: int) -> FockContext:
-    return make_context(dim, st.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +112,7 @@ def _ctx(st: SuiteSettings, dim: int) -> FockContext:
 
 def _c1_additivity(st: SuiteSettings) -> tuple[float, str]:
     """Linear program against the additive partial-sum closed form."""
-    ctx = _ctx(st, st.n_full)
+    ctx = st.ctx
     calc = DiracCalculus(ctx)
     tol = 1e-9
     worst = 0.0
@@ -130,7 +120,7 @@ def _c1_additivity(st: SuiteSettings) -> tuple[float, str]:
     for m in range(0, 7):
         for n in range(m + 1, 7):
             got = distance_diagonal_lp(calc, eigenstate(ctx, m), eigenstate(ctx, n)).value
-            want = math.sqrt(st.theta) * sum(
+            want = math.sqrt(ctx.theta) * sum(
                 1.0 / math.sqrt(2.0 * k) for k in range(m + 1, n + 1)
             )
             worst = max(worst, abs(got - want))
@@ -140,7 +130,7 @@ def _c1_additivity(st: SuiteSettings) -> tuple[float, str]:
 
 def _c2_translation_certificates(st: SuiteSettings) -> tuple[float, str]:
     """Solver certificates must evaluate to the translation amplitude."""
-    ctx = _ctx(st, st.n_solver)
+    ctx = st.solver_ctx
     calc = DiracCalculus(ctx)
     bases = [eigenstate(ctx, 0), eigenstate(ctx, 1), coherent_state(ctx, 1.0)]
     worst_eval = 0.0
@@ -165,8 +155,8 @@ def _c2_translation_certificates(st: SuiteSettings) -> tuple[float, str]:
 
 def _c3_square_length(st: SuiteSettings) -> tuple[float, str]:
     """Square length against 2E_m + 2E_n + |shift difference|^2."""
-    ctx = _ctx(st, st.n_full)
-    theta = st.theta
+    ctx = st.ctx
+    theta = ctx.theta
     vals = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
     points = [complex(x, y) for x in vals for y in vals]
     families = {
@@ -196,8 +186,8 @@ def _c3_square_length(st: SuiteSettings) -> tuple[float, str]:
 
 def _c4_minimal_length(st: SuiteSettings) -> tuple[float, str]:
     """Spectral floor 2*theta and the vacuum diagonal length sqrt(2*theta)."""
-    ctx = _ctx(st, st.n_full)
-    theta = st.theta
+    ctx = st.ctx
+    theta = ctx.theta
     tol = 1e-6
     floor = float(build_length(ctx).spectrum[0])
     r1 = abs(floor - 2.0 * theta) / tol
@@ -239,7 +229,7 @@ def _random_state(ctx: FockContext, rng: np.random.Generator):
 
 def _c5_pythagoras(st: SuiteSettings) -> tuple[float, str]:
     """Doubled-sheet quadrature: closed equality plus solver brackets."""
-    ctx = _ctx(st, st.n_full)
+    ctx = st.ctx
     # corner amplitudes reach |kappa| = 2, the edge of the checked range
     vals = (-math.sqrt(2.0), 0.0, math.sqrt(2.0))
     points = [complex(x, y) for x in vals for y in vals]
@@ -259,10 +249,10 @@ def _c5_pythagoras(st: SuiteSettings) -> tuple[float, str]:
                 worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, rhs))
                 count += 1
 
-    sctx = _ctx(st, st.n_solver)
+    sctx = st.solver_ctx
     scalc = DiracCalculus(sctx)
     doubles = [make_doubled(scalc, reference_lambda(scalc, m)) for m in range(3)]
-    rng = np.random.default_rng([st.seed, 5])
+    rng = np.random.default_rng([st.solver.seed, 5])
     violations = 0
     slack = 0.0
     for k in range(st.pair_count):
@@ -286,7 +276,7 @@ def _c5_pythagoras(st: SuiteSettings) -> tuple[float, str]:
 def _c6_identification(st: SuiteSettings) -> tuple[float, str]:
     """Spectral distance vs modified length: equality on one family,
     shrinking relative gap across families."""
-    ctx = _ctx(st, st.n_full)
+    ctx = st.ctx
     calc = DiracCalculus(ctx)
     vals = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
     points = list(
@@ -317,7 +307,7 @@ def _c6_identification(st: SuiteSettings) -> tuple[float, str]:
 
 def _c7_counterexample(st: SuiteSettings) -> tuple[float, str]:
     """Frozen obstruction residual, reproduced through literal pair traces."""
-    ctx = _ctx(st, st.n_full)
+    ctx = st.ctx
     tol = 1e-4
     res = counterexample_L2prime(ctx, 0, 2, 4, 6)
     r1 = abs(res.residual - 2.04412) / tol
@@ -362,7 +352,7 @@ def _c7_counterexample(st: SuiteSettings) -> tuple[float, str]:
 
 def _c8_optimal_elements(st: SuiteSettings) -> tuple[float, str]:
     """Unit seminorm, derivative defect and the radial-element gap."""
-    ctx = _ctx(st, st.n_full)
+    ctx = st.ctx
     calc = DiracCalculus(ctx)
     s_elt = lipschitz_seminorm(calc, optimal_element_translation(calc, 0.0))
     r1 = abs(s_elt - 1.0) / 1e-10
@@ -394,7 +384,7 @@ def _c8_optimal_elements(st: SuiteSettings) -> tuple[float, str]:
 
 def _c9_star_oracle(st: SuiteSettings) -> tuple[float, str]:
     """Quadrature vs matrix route within the certified bound; round-trip."""
-    theta = st.theta
+    theta = st.ctx.theta
     f0 = vacuum_symbol(theta, 8.0, 1.0 / 16.0)
     worst_bound = 0.0
     worst_match = 0.0
@@ -416,9 +406,9 @@ def _c9_star_oracle(st: SuiteSettings) -> tuple[float, str]:
 
 def _c10_property_floor(st: SuiteSettings) -> tuple[float, str]:
     """Metric axioms, uncertainty floor and truncation-halving stability."""
-    ctx = _ctx(st, st.n_full)
+    ctx = st.ctx
     calc = DiracCalculus(ctx)
-    theta = st.theta
+    theta = ctx.theta
     diag = [eigenstate(ctx, m) for m in range(5)]
     diag.append(mixed_state([diag[0], diag[2]], [0.5, 0.5]))
     diag.append(mixed_state([diag[1], diag[3]], [0.3, 0.7]))
@@ -447,7 +437,7 @@ def _c10_property_floor(st: SuiteSettings) -> tuple[float, str]:
         theta / 2.0 - uncertainty_product(s) for s in samples
     )
 
-    half = _ctx(st, st.n_full // 2)
+    half = replace(ctx, trunc_dim=ctx.trunc_dim // 2)
     drifts = []
     for make in (
         lambda c: d_L2(coherent_state(c, 1.0), eigenstate(c, 2)),

@@ -12,6 +12,8 @@ Exit codes follow the usual batch conventions: 0 success, 2 certified-value
 anomaly (an infeasible certificate, a failed proposition check or a violated
 bracket), 64 usage error (bad flags or unparseable state expression), 65 data
 error (bad config file, out-of-range state, leakage past the guarded edge).
+Commands write their files (each writer announces its own) and then raise on
+an anomaly or bad input; ``main`` alone maps outcomes to exit codes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -56,7 +59,7 @@ from .spectral import (
     optimal_element_eigenstates,
     optimal_element_translation,
 )
-from .starprod import star_fourier, star_integral_report, vacuum_symbol
+from .starprod import star_fourier, star_integral_report, star_matrix, vacuum_symbol
 from .stateexpr import (
     StateExprError,
     _parse_complex,
@@ -122,6 +125,7 @@ def _write_csv(cfg: RunConfig, name: str, rows) -> str:
         writer.writerow(_REPORT_COLUMNS)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+    print(f"wrote {path}")
     return path
 
 
@@ -163,6 +167,7 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
     text = json.dumps(_quantize(body), indent=2, ensure_ascii=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
+    print(f"wrote {path}")
     return path
 
 
@@ -261,6 +266,7 @@ def _svg_plot(cfg: RunConfig, name: str, title: str, xlabel: str, ylabel: str, s
     path = _out_path(cfg, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(out) + "\n")
+    print(f"wrote {path}")
     return path
 
 
@@ -277,6 +283,8 @@ def _parse_kappa_list(text: str) -> list[complex]:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise _UsageError(f"bad range {text!r}; expected like 0..10") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"range bounds must be finite, got {text!r}")
         if hi < lo:
             raise _UsageError(f"empty range {text!r}")
         steps = int(math.floor(hi - lo + 1e-9))
@@ -331,7 +339,7 @@ def _report_payload(rep: DistanceReport, with_certificate: bool) -> dict:
     return payload
 
 
-def cmd_distance(cfg: RunConfig, args) -> int:
+def cmd_distance(cfg: RunConfig, args) -> None:
     ctx = cfg.context()
     calc = DiracCalculus(ctx)
     tag1 = parse_state_expr(args.state1)
@@ -391,19 +399,16 @@ def cmd_distance(cfg: RunConfig, args) -> int:
         "anomaly": anomaly,
     }
     name = f"distance_{_slug(args.state1)}_{_slug(args.state2)}_{args.method}.json"
-    path = _write_json(cfg, name, payload)
-    print(f"wrote {path}")
+    _write_json(cfg, name, payload)
     if anomaly:
-        print("anomaly: a certificate exceeded the unit seminorm budget", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        raise ArithmeticError("a certificate exceeded the unit seminorm budget")
 
 
 # ---------------------------------------------------------------------------
 # quantum length
 
 
-def cmd_qlength(cfg: RunConfig, args) -> int:
+def cmd_qlength(cfg: RunConfig, args) -> None:
     ctx = cfg.context()
     tag1 = parse_state_expr(args.state1)
     tag2 = parse_state_expr(args.state2)
@@ -460,20 +465,16 @@ def cmd_qlength(cfg: RunConfig, args) -> int:
     else:
         print(f"convergence in N: skipped (N/2 = {half} is below the minimum truncation)")
 
-    name = f"qlength_{_slug(args.state1)}_{_slug(args.state2)}.csv"
-    path = _write_csv(cfg, name, rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, f"qlength_{_slug(args.state1)}_{_slug(args.state2)}.csv", rows)
     if anomaly:
-        print("anomaly: a length value failed its cross-check", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        raise ArithmeticError("a length value failed its cross-check")
 
 
 # ---------------------------------------------------------------------------
 # verification battery
 
 
-def cmd_suite(cfg: RunConfig, args) -> int:
+def cmd_suite(cfg: RunConfig, args) -> None:
     mode = "quick" if args.quick else "full"
     print(f"verification battery ({mode} settings)")
 
@@ -499,20 +500,19 @@ def cmd_suite(cfg: RunConfig, args) -> int:
         )
         for r in results
     ]
-    path = _write_csv(cfg, f"suite_{mode}.csv", rows)
-    check_header(path, cfg)
     npass = sum(1 for r in results if r.passed)
     total = sum(r.seconds for r in results)
     print(f"suite: {npass}/{len(results)} criteria passed in {total:.1f} s")
-    print(f"wrote {path}")
-    return EXIT_OK if npass == len(results) else EXIT_ANOMALY
+    check_header(_write_csv(cfg, f"suite_{mode}.csv", rows), cfg)
+    if npass < len(results):
+        raise ArithmeticError(f"{len(results) - npass} of {len(results)} criteria failed")
 
 
 # ---------------------------------------------------------------------------
 # proposition commands
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def cmd_spectrum(cfg: RunConfig, args) -> None:
     count = args.count
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
@@ -537,36 +537,34 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     resid = abs(float(spectra[dims[0]][0]) - floor)
     print(f"min Sp(L2) = {_fmt(float(spectra[dims[0]][0]))} (closed form 2*theta = {_fmt(floor)})")
     print(f"residual   = {_fmt(resid)}")
-    path = _write_csv(cfg, "spectrum.csv", rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "spectrum.csv", rows)
     if args.plot:
         series = [
             (f"N={dim}", list(range(len(spectra[dim]))), [float(w) for w in spectra[dim]])
             for dim in dims
         ]
-        print(f"wrote {_svg_plot(cfg, 'spectrum.svg', 'lowest square-length spectrum', 'eigenvalue index', 'eigenvalue', series)}")
+        _svg_plot(cfg, "spectrum.svg", "lowest square-length spectrum",
+                  "eigenvalue index", "eigenvalue", series)
     if resid > 1e-6 * max(1.0, floor):
-        print("anomaly: the spectral floor moved away from 2*theta", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        raise ArithmeticError("the spectral floor moved away from 2*theta")
 
 
-def cmd_pythagoras(cfg: RunConfig, args) -> int:
+def cmd_pythagoras(cfg: RunConfig, args) -> None:
     ctx = cfg.context()
     calc = DiracCalculus(ctx)
     dd = make_doubled(calc, reference_lambda(calc, args.family))
     kappas = _parse_kappa_list(args.kappa)
-    pairs = [(kappas[0], kappas[0])]
-    pairs += [(ka, kb) for i, ka in enumerate(kappas) for kb in kappas[i + 1 :]]
+    # Every translate is built before any solve, so a bad shift fails first.
+    base = eigenstate(ctx, args.family)
+    states = [displace(base, k) for k in kappas]
+    pairs = [(0, 0), *itertools.combinations(range(len(kappas)), 2)]
     print(f"family m={args.family}, internal rung d_I = {_fmt(dd.internal_distance)}")
 
     rows: list[tuple] = []
     worst = 0.0
-    base = eigenstate(ctx, args.family)
-    for ka, kb in pairs:
-        s1 = displace(base, ka)
-        s2 = displace(base, kb)
-        res = pythagoras_check(dd, s1, s2, cfg.solver())
+    for i, j in pairs:
+        ka, kb = kappas[i], kappas[j]
+        res = pythagoras_check(dd, states[i], states[j], cfg.solver())
         rel = abs(res.lhs - res.rhs_equal) / max(1.0, res.rhs_equal)
         worst = max(worst, rel)
         rows.append(
@@ -585,16 +583,13 @@ def cmd_pythagoras(cfg: RunConfig, args) -> int:
             f"lhs = {_fmt(res.lhs)}  rhs = {_fmt(res.rhs_equal)}  "
             f"bracket [{_fmt(res.rhs_lo)}, {_fmt(res.rhs_hi)}]  rel = {_fmt(rel)}"
         )
-    path = _write_csv(cfg, "pythagoras.csv", rows)
     print(f"worst relative equality residual = {_fmt(worst)}")
-    print(f"wrote {path}")
+    _write_csv(cfg, "pythagoras.csv", rows)
     if worst > 1e-6:
-        print("anomaly: the quadrature equality failed on a family pair", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        raise ArithmeticError("the quadrature equality failed on a family pair")
 
 
-def cmd_asymptotics(cfg: RunConfig, args) -> int:
+def cmd_asymptotics(cfg: RunConfig, args) -> None:
     ctx = cfg.context()
     grid = _parse_kappa_list(args.kappa)
     same, shift, level = identification_sweep(DiracCalculus(ctx), args.family, grid)
@@ -618,7 +613,6 @@ def cmd_asymptotics(cfg: RunConfig, args) -> int:
          r.distance, None, None, r.length, r.rel_gap, 1.0)
         for r in level
     ]
-    path = _write_csv(cfg, "asymptotics.csv", rows)
     print(
         f"shift sweep: rel gap {_fmt(shift[0].rel_gap)} at |dk|={shift[0].separation:g} -> "
         f"{_fmt(shift[-1].rel_gap)} at |dk|={shift[-1].separation:g} (monotone from |dk|=1 on)"
@@ -627,17 +621,17 @@ def cmd_asymptotics(cfg: RunConfig, args) -> int:
         f"level sweep: rel gap {_fmt(level[0].rel_gap)} at n={level[0].separation} -> "
         f"{_fmt(level[-1].rel_gap)} at n={level[-1].separation} (monotone)"
     )
-    print(f"wrote {path}")
+    _write_csv(cfg, "asymptotics.csv", rows)
     if args.plot:
         series = [
             (name, [r.separation for r in rs], [r.rel_gap for r in rs])
             for name, rs in (("shift sweep", shift), ("level sweep", level))
         ]
-        print(f"wrote {_svg_plot(cfg, 'asymptotics.svg', 'identification relative gap', 'separation', 'relative gap', series)}")
-    return EXIT_OK
+        _svg_plot(cfg, "asymptotics.svg", "identification relative gap",
+                  "separation", "relative gap", series)
 
 
-def cmd_counterexample(cfg: RunConfig, args) -> int:
+def cmd_counterexample(cfg: RunConfig, args) -> None:
     try:
         idx = tuple(int(part) for part in args.indices.split(","))
     except ValueError:
@@ -659,12 +653,10 @@ def cmd_counterexample(cfg: RunConfig, args) -> int:
         "a residual away from zero is the expected outcome: no pair-space "
         "operator realizes the modified square length linearly"
     )
-    path = _write_csv(cfg, "counterexample.csv", rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    _write_csv(cfg, "counterexample.csv", rows)
 
 
-def cmd_riemann(cfg: RunConfig, args) -> int:
+def cmd_riemann(cfg: RunConfig, args) -> None:
     ctx = cfg.context()
     calc = DiracCalculus(ctx)
     m = args.family
@@ -682,18 +674,16 @@ def cmd_riemann(cfg: RunConfig, args) -> int:
     monotone = all(b < a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     print(f"rel gap: {_fmt(gaps[0])} at n={m + 1} -> {_fmt(gaps[-1])} at n={top}")
     print(f"monotone decreasing: {'yes' if monotone else 'NO'}")
-    path = _write_csv(cfg, "riemann.csv", rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "riemann.csv", rows)
     if args.plot:
         xs = list(range(m + 1, top + 1))
-        print(f"wrote {_svg_plot(cfg, 'riemann.svg', 'partial-sum distance vs modified length', 'upper level n', 'relative gap', [('relative gap', xs, gaps)])}")
+        _svg_plot(cfg, "riemann.svg", "partial-sum distance vs modified length",
+                  "upper level n", "relative gap", [("relative gap", xs, gaps)])
     if not monotone:
-        print("anomaly: the relative gap failed to decrease", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        raise ArithmeticError("the relative gap failed to decrease")
 
 
-def cmd_oracle(cfg: RunConfig, args) -> int:
+def cmd_oracle(cfg: RunConfig, args) -> None:
     theta = cfg.theta
     f0 = vacuum_symbol(theta, args.box, args.step)
 
@@ -702,7 +692,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     # on actual matrices, the symbol value in closed form.
     ctx = cfg.context()
     p0 = vacuum_projector(ctx)
-    idem = float(np.abs((p0 @ p0).mat - p0.mat).max())
+    idem = float(np.abs(star_matrix(p0, p0).mat - p0.mat).max())
 
     rows: list[tuple] = [
         ("vacuum projector idempotent (matrix route)", None, None, None, None, idem, None)
@@ -735,31 +725,22 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         if quad_err > bound or four_err > 1e-6:
             anomaly = True
 
-    path = _write_csv(cfg, "oracle.csv", rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "oracle.csv", rows)
     if anomaly:
-        print("anomaly: a star-product route left its certified bound", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        raise ArithmeticError("a star-product route left its certified bound")
 
 
-def cmd_optimal_element(cfg: RunConfig, args) -> int:
+def cmd_optimal_element(cfg: RunConfig, args) -> None:
     calc = DiracCalculus(cfg.context())
-    anomaly = False
-
     elt = optimal_element_translation(calc, args.xi)
     s_elt = lipschitz_seminorm(calc, elt)
     print(f"translation element: seminorm = {_fmt(s_elt)} (target 1)")
-    if abs(s_elt - 1.0) > 1e-10:
-        anomaly = True
 
     chain = optimal_element_eigenstates(calc, upto=args.upto)
     s_chain = lipschitz_seminorm(calc, chain)
     defect_resid = _ladder_defect(calc, chain.mat)
     print(f"ladder element:      seminorm = {_fmt(s_chain)} (target 1)")
     print(f"interior defect vs ground projector: residual = {_fmt(defect_resid)}")
-    if abs(s_chain - 1.0) > 1e-10:
-        anomaly = True
 
     disc = length_vs_optimal_discrepancy(calc, 0, 1)
     print(f"radial element gap (0,1) = {_fmt(disc.d_L_mod)}")
@@ -770,12 +751,9 @@ def cmd_optimal_element(cfg: RunConfig, args) -> int:
         ("ladder defect vs ground projector", None, None, None, None, defect_resid, None),
         ("radial element pair m=0 n=1", disc.d_D, None, None, disc.d_L_mod, disc.rel_gap, None),
     ]
-    path = _write_csv(cfg, "optimal_element.csv", rows)
-    print(f"wrote {path}")
-    if anomaly:
-        print("anomaly: an optimal-element identity failed", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+    _write_csv(cfg, "optimal_element.csv", rows)
+    if max(abs(s_elt - 1.0), abs(s_chain - 1.0)) > 1e-10:
+        raise ArithmeticError("an optimal-element identity failed")
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +859,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(file_path=args.config, overrides=_overrides(args))
-        return args.func(cfg, args)
+        args.func(cfg, args)
+        return EXIT_OK
     except (_UsageError, StateExprError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -466,33 +466,40 @@ def identification_sweep(
     d_i = 1.0 / reference_lambda(calc, family)
     kref = grid[0]
 
-    same: list[SweepRow] = []
     base = eigenstate(ctx, family)
+    try:
+        ref = displace(base, kref)
+    except LeakageError:
+        ref = None
+
+    def measured(measure, state: QState, kappa: complex) -> float | None:
+        """measure(ref, state translated by kappa); None when either leaks."""
+        try:
+            return None if ref is None else measure(ref, displace(state, kappa))
+        except LeakageError:
+            return None
+
+    same: list[SweepRow] = []
     for kappa in grid:
         delta = abs(kappa - kref)
         dprime = math.hypot(delta, d_i)
-        try:
-            sq = d_L2(displace(base, kref), displace(base, kappa))
-            closed = False
-        except LeakageError:
+        sq = measured(d_L2, base, kappa)
+        closed = sq is None
+        if closed:
             sq = _family_square_length(ctx.theta, family, family, delta)
-            closed = True
         same.append(SweepRow(delta, dprime, sq, abs(sq - dprime**2) / sq, closed))
 
     partner = family + 1
     ladder_value = _eigen_sum(ctx, family, partner)
+    partner_base = eigenstate(ctx, partner)
     shift: list[SweepRow] = []
     for kappa in grid:
         delta = abs(kappa - kref)
         est = ladder_value if delta < 1e-12 else delta
-        try:
-            s1 = displace(eigenstate(ctx, family), kref)
-            s2 = displace(eigenstate(ctx, partner), kappa)
-            dmod = modified_length(s1, s2)
-            closed = False
-        except LeakageError:
+        dmod = measured(modified_length, partner_base, kappa)
+        closed = dmod is None
+        if closed:
             dmod = _closed_modified(ctx, family, partner, delta)
-            closed = True
         shift.append(SweepRow(delta, est, dmod, 1.0 - est / dmod, closed))
 
     level: list[SweepRow] = []

@@ -14,6 +14,7 @@ that error auditable.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,21 +134,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.ctx, self.mat.conj().T, hermitian=self.hermitian)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _require_same_ctx(self.ctx, other.ctx)
-        return Operator(self.ctx, self.mat @ other.mat)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        _require_same_ctx(self.ctx, other.ctx)
-        return Operator(self.ctx, self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _require_same_ctx(self.ctx, other.ctx)
-        return Operator(self.ctx, self.mat - other.mat)
-
-    def __rmul__(self, scalar: complex) -> "Operator":
-        return Operator(self.ctx, complex(scalar) * self.mat)
-
 
 def _require_same_ctx(a: FockContext, b: FockContext) -> None:
     if a != b:
@@ -199,6 +185,13 @@ def hamiltonian(ctx: FockContext) -> Operator:
     return Operator(ctx, mat, hermitian=True)
 
 
+def _finite_kappa(kappa: complex, what: str) -> complex:
+    kappa = complex(kappa)
+    if not cmath.isfinite(kappa):
+        raise ValueError(f"{what} must be finite, got {kappa}")
+    return kappa
+
+
 def displacement_operator(ctx: FockContext, kappa: complex) -> Operator:
     """Unitary U(kappa) = exp((kappa a* - conj(kappa) a) / (sqrt(2) theta)).
 
@@ -207,7 +200,7 @@ def displacement_operator(ctx: FockContext, kappa: complex) -> Operator:
     and <q2> by Im kappa, and the ground state displaced by
     sqrt(2)*lambda_p*kappa is the coherent state of label kappa.
     """
-    kappa = complex(kappa)
+    kappa = _finite_kappa(kappa, "translation amplitude")
     n = ctx.trunc_dim
     if kappa == 0:
         return Operator(ctx, np.eye(n))
@@ -241,6 +234,8 @@ class QState:
         rho = _read_only(rho)
         if rho.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} density matrix, got {rho.shape}")
+        if not np.all(np.isfinite(rho.view(float))):
+            raise ValueError("density matrix entries must be finite")
         scale = max(1.0, float(np.abs(rho).max()))
         if float(np.abs(rho - rho.conj().T).max()) > ctx.tol * scale:
             raise ValueError("density matrix is not Hermitian within tol")
@@ -342,10 +337,10 @@ def coherent_state(ctx: FockContext, kappa: complex) -> QState:
     """Coherent state with amplitudes exp(-|k|^2/2) k^n / sqrt(n!).
 
     Satisfies a|kappa> = lambda_p*kappa|kappa> up to leakage.  Rejects
-    labels whose Poisson tail beyond the interior block exceeds the
-    leakage bound.
+    non-finite labels, and labels whose Poisson tail beyond the interior
+    block exceeds the leakage bound.
     """
-    kappa = complex(kappa)
+    kappa = _finite_kappa(kappa, "coherent label")
     n = ctx.trunc_dim
     # Poisson weights |c_n|^2, built iteratively for numerical stability.
     mean = abs(kappa) ** 2

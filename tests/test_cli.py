@@ -15,7 +15,7 @@ import math
 import pytest
 
 from moyalmetric import cli
-from moyalmetric.acceptance import CriterionResult
+from moyalmetric.acceptance import CriterionResult, settings_from
 from moyalmetric.config import RunConfig
 
 
@@ -210,6 +210,11 @@ class TestExitCodes:
             ("spectrum", "--theta", "inf", "--trunc-dim", "16"),
             ("distance", "eigen:0", "eigen:1", "--method", "lp", "--theta", "inf",
              "--trunc-dim", "16"),
+            # non-finite shifts and labels
+            ("asymptotics", "--kappa", "0..inf"),
+            ("pythagoras", "--kappa", "0,nan"),
+            ("qlength", "eigen:0", "coherent:inf+0i", "--trunc-dim", "16"),
+            ("qlength", "eigen:0", "translated:eigen:0:nan", "--trunc-dim", "16"),
         ],
     )
     def test_data_errors_give_65(self, tmp_path, argv, capsys):
@@ -242,6 +247,26 @@ class TestExitCodes:
         rc = run_cli(*argv, "--output-dir", str(tmp_path))
         capsys.readouterr()
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "argv, patched, name, message",
+        [
+            (("optimal-element",), "lipschitz_seminorm", "optimal_element.csv",
+             "an optimal-element identity failed"),
+            (("qlength", "eigen:0", "eigen:1"), "d_L2", "qlength_eigen-0_eigen-1.csv",
+             "a length value failed its cross-check"),
+        ],
+        ids=("optimal-element", "qlength"),
+    )
+    def test_failed_cross_check_writes_then_gives_2(
+        self, tmp_path, monkeypatch, capsys, argv, patched, name, message
+    ):
+        monkeypatch.setattr(cli, patched, lambda *args: 7.0)
+        rc = run_cli(*argv, "--trunc-dim", "16", "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"anomaly: {message}\n"
+        assert (tmp_path / name).exists()
 
     def test_malformed_environment_gives_65(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOYAL_TRUNC_DIM", "banana")
@@ -409,11 +434,21 @@ class TestSuiteCommand:
         monkeypatch.setattr(cli.acceptance, "run_all", fake_run_all)
         rc = run_cli("suite", "--quick", "--trunc-dim", "16",
                      "--output-dir", str(tmp_path))
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert rc == 2
+        assert err == "anomaly: 1 of 2 criteria failed\n"
         assert "FAIL  second check" in out
         assert "broken" in out
         assert "suite: 1/2 criteria passed" in out
         lines = (tmp_path / "suite_quick.csv").read_text(encoding="utf-8").splitlines()
         assert lines[9] == "criterion 1: first check,,,,,0.25,1"
         assert lines[10] == "criterion 2: second check,,,,,3.5,0"
+
+    @pytest.mark.parametrize("quick, dims", [(True, (32, 32)), (False, (64, 48))])
+    def test_battery_runs_at_the_echoed_configuration(self, quick, dims):
+        cfg = RunConfig(tol=1e-6, leakage_bound=1e-4, theta=0.5, solver_seed=9)
+        st = settings_from(cfg, quick)
+        assert (st.ctx.trunc_dim, st.solver_ctx.trunc_dim) == dims
+        for ctx in (st.ctx, st.solver_ctx):
+            assert (ctx.theta, ctx.tol, ctx.leakage_bound) == (0.5, 1e-6, 1e-4)
+        assert st.solver.seed == st.light.seed == 9

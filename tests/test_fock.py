@@ -8,6 +8,7 @@ from moyalmetric import (
     FockContext,
     LeakageError,
     Operator,
+    QState,
     annihilation,
     coherent_state,
     creation,
@@ -166,6 +167,28 @@ class TestCoherent:
         state = coherent_state(ctx64, kappa)
         a = annihilation(ctx64)
         assert evaluate(state, a) == pytest.approx(ctx64.lambda_p * kappa, abs=1e-10)
+
+
+class TestNonFinite:
+    """Every NaN comparison is false, so NaN would slip past the tail,
+    Hermitian and trace checks; non-finite values are refused by name."""
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, complex(0.5, math.inf)])
+    def test_coherent_label(self, ctx16, kappa):
+        with pytest.raises(ValueError, match="coherent label must be finite"):
+            coherent_state(ctx16, kappa)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, complex(math.nan, 1.0)])
+    def test_translation_amplitude(self, ctx16, kappa):
+        with pytest.raises(ValueError, match="translation amplitude must be finite"):
+            displace(eigenstate(ctx16, 0), kappa)
+
+    def test_density_matrix_entries(self, ctx16):
+        rho = np.zeros((16, 16))
+        rho[0, 0] = 1.0
+        rho[1, 1] = math.nan
+        with pytest.raises(ValueError, match="entries must be finite"):
+            QState(ctx16, rho, ("eigen", 0))
 
 
 class TestDisplace:
