@@ -327,6 +327,7 @@ def _report_payload(rep: DistanceReport, with_certificate: bool) -> dict:
         "value": rep.value,
         "feasibility": rep.feasibility,
         "gap": rep.gap,
+        "upper": rep.upper,
         "note": rep.note,
         "increments": list(rep.increments) if rep.increments is not None else None,
     }

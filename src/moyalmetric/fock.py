@@ -204,13 +204,22 @@ def displacement_operator(ctx: FockContext, kappa: complex) -> Operator:
     n = ctx.trunc_dim
     if kappa == 0:
         return Operator(ctx, np.eye(n))
-    a = annihilation(ctx).mat
-    gen = (kappa * a.conj().T - np.conj(kappa) * a) / (math.sqrt(2) * ctx.theta)
-    # gen is anti-Hermitian; exponentiate through the Hermitian matrix i*gen
-    # so U comes out exactly unitary (up to roundoff).
-    w, v = np.linalg.eigh(1j * gen)
+    w, v = _displacement_eigh(ctx, kappa)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return Operator(ctx, u)
+
+
+def _displacement_eigh(ctx: FockContext, kappa: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of the Hermitian matrix i*gen, where gen is the
+    anti-Hermitian generator of U(kappa).
+
+    Exponentiating through i*gen keeps U exactly unitary (up to roundoff),
+    and since the eigenvectors do not depend on the amplitude,
+    U(t kappa) = v exp(-i t w) v* for every real t.
+    """
+    a = annihilation(ctx).mat
+    gen = (kappa * a.conj().T - np.conj(kappa) * a) / (math.sqrt(2) * ctx.theta)
+    return np.linalg.eigh(1j * gen)
 
 
 class QState:

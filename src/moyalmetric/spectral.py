@@ -22,11 +22,24 @@ The solver is one projected-subgradient core, shared with the two-sheet
 geometry, with the fixed step 1 / (|grad| sqrt(k + 1)) at iteration k.  It
 makes one exact top-singular-pair solve per iteration (an eigh of a small
 Gram matrix) for both the rescale and the next subgradient; SVDs are left
-to the final-certificate check ``lipschitz_seminorm``.  The solver runs no
-ascent when the state difference is exactly diagonal with no weight at the
-guarded levels: an explicit dual certificate whose nuclear norm equals the
-LP value then bounds every element's ratio (``_lp_is_exact``), so the LP
-element is optimal.
+to the final-certificate check ``lipschitz_seminorm``.
+
+The seminorm reads an element only on the corner, levels 0..m with
+m = interior_dim, and is blind there to span{1, |m><m|}; the truncated
+distance is therefore taken over corner elements modulo that kernel, and
+what this drops, the state difference outside the corner and on the
+kernel, is reported as leakage rather than ignored.  An explicit dual Y
+bounds that distance by ||Y||_* plus its residual charged at
+sqrt(m) / s_min (``_dual_upper``), where s_min is the smallest nonzero
+singular value of the derivative map on the corner
+(``DiracCalculus.corner_s_min``).  The solver runs no ascent where such a
+dual proves its best seeded candidate optimal, with leakage at most tol
+and the bound within tol of the value.  Two duals are tried: the tail dual
+of a state difference that is exactly diagonal with no weight at the
+guarded levels, whose nuclear norm is the LP value (``_lp_dual``), and the
+path mean of a translation, -conj(kappa) times the average of the states
+along the path, whose nuclear norm is at most |kappa|
+(``_translation_dual``).
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -47,6 +60,7 @@ from .fock import (
     FockContext,
     Operator,
     QState,
+    _displacement_eigh,
     _require_same_ctx,
     annihilation,
 )
@@ -120,6 +134,44 @@ class DiracCalculus:
         out[:m, :m] = block
         return out
 
+    @cached_property
+    def corner_s_min(self) -> float:
+        """Smallest nonzero singular value of A = sqrt(2) crop dz on Hermitian
+        elements of the corner, levels 0..m with m = interior_dim, under the
+        Frobenius norms; A's kernel there is span{1, |m><m|}.
+
+        dz maps diagonal offset d of x to offset d - 1, so A splits into one
+        block per offset pair (d, -d).  The real diagonal feeds output offset
+        -1 alone, (k, k-1) -> l_k (x_kk - x_{k-1,k-1}) for k = 1..m-1: an
+        (m-1) x (m+1) block B_0 whose two spare columns are the kernel.  For
+        d >= 1 the entries x_d[i] = x[i, i+d] feed output offset d - 1 and,
+        conjugated, offset -d - 1: a real stacked block [B_d; C_d] acting on
+        the real and imaginary parts alike.  x_d enters the Frobenius norm
+        twice, once per triangle, which scales that block's singular values
+        by 1/sqrt(2).
+        """
+        m = self.ctx.interior_dim
+        ell = np.concatenate(([0.0], self._ladder[:m])) / self.ctx.theta  # l_0..l_m
+        k = np.arange(1, m)
+        b0 = np.zeros((m - 1, m + 1))
+        b0[k - 1, k] = ell[k]
+        b0[k - 1, k - 1] = -ell[k]
+        smallest = np.linalg.svd(b0, compute_uv=False)[-1]
+        for d in range(1, m + 1):
+            n = m + 1 - d
+            i = np.arange(n)
+            r = np.arange(max(n - 2, 0))
+            block = np.zeros((n + r.size, n))
+            # (k, k+d-1): l_{k+d} x_d[k] - l_k x_d[k-1], k = 0..m-d
+            block[i, i] = ell[i + d]
+            block[i[1:], i[1:] - 1] = -ell[i[1:]]
+            # (k, k-d-1), row r = k-d-1 = 0..m-d-2:
+            # l_{r+1} conj x_d[r+1] - l_{r+d+1} conj x_d[r]
+            block[n + r, r + 1] = ell[r + 1]
+            block[n + r, r] = -ell[r + d + 1]
+            smallest = min(smallest, np.linalg.svd(block, compute_uv=False)[-1] / math.sqrt(2.0))
+        return math.sqrt(2.0) * float(smallest)
+
     def dz(self, f: Operator) -> Operator:
         _require_same_ctx(self.ctx, f.ctx)
         return Operator(self.ctx, self._dz(f.mat))
@@ -138,7 +190,8 @@ class DistanceReport:
     certified lower bound on the distance.  ``gap`` is filled when an
     independent cross-check (closed form, or the LP on diagonal pairs)
     exists.  ``increments`` carries the diagonal profile of ladder-type
-    certificates.
+    certificates.  ``upper`` is the proven upper bound of the solver's two
+    skip routes (see ``distance_solver``), None elsewhere.
     """
 
     value: float
@@ -148,6 +201,7 @@ class DistanceReport:
     gap: float | None = None
     note: str = ""
     increments: tuple[float, ...] | None = None
+    upper: float | None = None
 
 
 @dataclass(frozen=True)
@@ -463,19 +517,99 @@ def _portfolio_ascent(
     return _best_candidate(g, pair, candidates + list(seeded))
 
 
-def _lp_is_exact(calc: DiracCalculus, drho: np.ndarray) -> bool:
-    """Whether the state difference is exactly diagonal with no weight at
-    the guarded levels, which makes the diagonal LP value the distance.
+def _lp_dual(calc: DiracCalculus, drho: np.ndarray) -> np.ndarray | None:
+    """The tail dual of a state difference that is exactly diagonal with no
+    weight at the guarded levels, else None.
 
     With tails t_k = sum_{j>=k} drho_jj, the m x m matrix Y with
     Y[k, k-1] = theta t_k / (sqrt(2) l_k), k = 1..m-1, solves the dual
     constraint Herm(-sqrt(2) dzbar(pad Y)) = drho, and its nuclear norm
-    sum |Y[k, k-1]| is the LP value.  By weak duality <drho, x> <= LP p(x)
-    for every Hermitian x, so no ascent can beat the LP candidate.
+    sum |Y[k, k-1]| is the LP value.
     """
     m = calc.ctx.interior_dim
     diag = np.diagonal(drho)
-    return np.count_nonzero(drho) == np.count_nonzero(diag) and not np.any(diag[m:])
+    if np.count_nonzero(drho) != np.count_nonzero(diag) or np.any(diag[m:]):
+        return None
+    tails = np.cumsum(diag.real[::-1])[::-1]
+    k = np.arange(1, m)
+    y = np.zeros((m, m))
+    y[k, k - 1] = calc.ctx.theta * tails[k] / (math.sqrt(2.0) * calc._ladder[k - 1])
+    return y
+
+
+def _translation_amplitude(s1: QState, s2: QState) -> complex | None:
+    """kappa with s2 = U(kappa) s1 U(kappa)*, read from the pair: one state
+    is tagged as the other's translate, or both are translates of one level
+    (the families that ``_closed_value`` reads); None otherwise."""
+    if s2.tag[0] == "translated" and s2.tag[1] == s1.tag:
+        return complex(s2.tag[2])
+    if s1.tag[0] == "translated" and s1.tag[1] == s2.tag:
+        return -complex(s1.tag[2])
+    f1, f2 = s1.family, s2.family
+    if f1 is not None and f2 is not None and f1[0] == f2[0]:
+        return f2[1] - f1[1]
+    return None
+
+
+def _translation_dual(calc: DiracCalculus, rho1: np.ndarray, kappa: complex) -> np.ndarray:
+    """The path-mean dual Y = -conj(kappa) crop(int_0^1 rho_t dt) of the
+    translation from rho1 by kappa, with rho_t = U(t kappa) rho1 U(t kappa)*.
+
+    Since drho_t/dt = [G, rho_t] for the generator G of U(kappa), which is
+    built from the same truncated ladder as dz and dzbar, rho_0 - rho_1 =
+    Herm(-sqrt(2) dzbar(pad Y)) up to the weight of the path states outside
+    the crop, and ||Y||_* <= |kappa| because the path mean is a density
+    matrix.  With U(t kappa) = V exp(-i t W) V* and R = V* rho1 V the mean is
+    exact: V (R o K) V* with K_jk = expm1(z) / z, z = -i (w_j - w_k).
+    """
+    w, v = _displacement_eigh(calc.ctx, kappa)
+    z = -1j * (w[:, None] - w[None, :])
+    small = np.abs(z) < 1e-8
+    k = np.where(small, 1.0 + 0.5 * z, np.expm1(z) / np.where(small, 1.0, z))
+    mean = v @ ((v.conj().T @ rho1 @ v) * k) @ v.conj().T
+    return -np.conj(kappa) * calc._crop(mean)
+
+
+def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(upper, leakage) of a dual Y for the state difference drho.
+
+    The distance is taken over Hermitian elements x of the corner, levels
+    0..m, modulo the kernel span{1, |m><m|} of A = sqrt(2) crop dz; the
+    seminorm reads nothing else.  The residual r = corner(drho - A* Y), with
+    A* Y = Herm(-sqrt(2) dzbar(pad Y)), splits into its kernel component
+    and r_perp.  Then <drho, x> <= ||Y||_* p(x) + <r_perp, x>, and
+    ||x||_F <= sqrt(m) p(x) / s_min for x orthogonal to the kernel, so
+
+        upper = ||Y||_* + ||r_perp||_F sqrt(m) / s_min.
+
+    ``leakage`` is what the definition drops: the Frobenius norms of r's
+    kernel component and of drho outside the corner.
+    """
+    m = calc.ctx.interior_dim
+    img = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
+    r = (drho - img)[: m + 1, : m + 1]
+    mean = float(np.trace(r[:m, :m]).real) / m
+    kernel = math.hypot(mean * math.sqrt(m), float(r[m, m].real))
+    r_perp = r - np.diag(np.append(np.full(m, mean), r[m, m]))
+    outside = math.hypot(float(np.linalg.norm(drho[m + 1 :])),
+                         float(np.linalg.norm(drho[: m + 1, m + 1 :])))
+    nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
+    upper = nuclear + float(np.linalg.norm(r_perp)) * math.sqrt(m) / calc.corner_s_min
+    return upper, kernel + outside
+
+
+def _proven_upper(calc: DiracCalculus, drho: np.ndarray, value: float, duals) -> float | None:
+    """The first dual's upper bound that proves ``value`` optimal, or None.
+
+    A dual proves it when its leakage is at most ctx.tol and its upper
+    bound exceeds the value by at most ctx.tol max(1, value).
+    """
+    tol = calc.ctx.tol
+    for y in duals:
+        upper, leakage = _dual_upper(calc, drho, y)
+        if leakage <= tol and upper - value <= tol * max(1.0, value):
+            return upper
+    return None
 
 
 def _translation_seed(calc: DiracCalculus, s1: QState, s2: QState) -> np.ndarray | None:
@@ -499,10 +633,17 @@ def distance_solver(
     are diagonal.  The best element is rescaled to seminorm one, so the
     reported value is always achieved by a feasible certificate.
 
-    When the state difference is exactly diagonal with no weight at the
-    guarded levels, weak duality against an explicit dual certificate
-    (``_lp_is_exact``) proves that no ascent can beat the LP element, so
-    the restarts are skipped and the seeded candidates alone are compared.
+    The restarts are skipped, and the seeded candidates alone compared,
+    where an explicit dual proves the best of them optimal: the LP's tail
+    dual when the state difference is exactly diagonal with no weight at
+    the guarded levels, or the translation path mean when the pair is a
+    translate by kappa, read from a ``translated`` tag or from two families
+    at one level.  The proof holds for the distance over corner elements,
+    levels 0..interior_dim, modulo the seminorm's kernel there; it needs the
+    leakage, the state difference outside the corner and on the kernel, at
+    most ctx.tol, and the dual's upper bound within ctx.tol max(1, value)
+    of the value.  ``upper`` then carries that bound; it is None wherever
+    the ascent runs.
     """
     _require_same_ctx(calc.ctx, s1.ctx)
     _require_same_ctx(s1.ctx, s2.ctx)
@@ -528,9 +669,16 @@ def distance_solver(
         seeded.append(lp.certificate.mat)
 
     pair = partial(_sheet_pair, calc)
-    if lp_seeded and _lp_is_exact(calc, drho):
+    duals = []
+    if (y := _lp_dual(calc, drho)) is not None:
+        duals.append(y)
+    if kappa := _translation_amplitude(s1, s2):
+        duals.append(_translation_dual(calc, s1.rho, kappa))
+    upper = None
+    if duals:
         best_val, best_mat = _best_candidate(drho, pair, seeded)
-    else:
+        upper = _proven_upper(calc, drho, best_val, duals)
+    if upper is None:
         best_val, best_mat = _portfolio_ascent(drho, pair, cfg, (), seeded)
     if best_mat is None:
         return zero
@@ -544,6 +692,7 @@ def distance_solver(
         feasibility=lipschitz_seminorm(calc, cert),
         gap=None if ref is None else abs(best_val - ref),
         note=note,
+        upper=upper,
     )
 
 

@@ -53,6 +53,10 @@ class TestWorkedExamples:
         assert values["diagonal-lp"] == pytest.approx(want, abs=1e-9)
         # The ascent route only certifies a lower bound at a tiny budget.
         assert values["convex-solver"] >= 0.98 * want
+        # Only the solver's proven skip routes carry an upper bound.
+        uppers = {r["method"]: r["upper"] for r in payload["reports"]}
+        assert uppers["closed-form"] is None and uppers["diagonal-lp"] is None
+        assert uppers["convex-solver"] == pytest.approx(want, abs=1e-9)
         assert payload["anomaly"] is False
 
     def test_distance_pure_translation(self, tmp_path, capsys):

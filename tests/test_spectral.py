@@ -3,19 +3,23 @@
 Reference values are recomputed in the tests from the level energies and
 partial sums; brute-force enumerations back the linear-program reduction.
 """
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from moyalmetric import (
+    LeakageError,
     Operator,
     QState,
     coherent_state,
     displace,
+    displacement_operator,
     eigenstate,
     evaluate,
     identity,
@@ -36,12 +40,16 @@ from moyalmetric.spectral import (
     optimal_element_eigenstates,
     optimal_element_translation,
     _ascend,
+    _dual_upper,
     _eigen_sum,
-    _lp_is_exact,
+    _hermitize,
+    _lp_dual,
     _objective,
     _sheet_pair,
     _single_route,
     _top_singular_pair,
+    _translation_amplitude,
+    _translation_dual,
     _translation_seed,
 )
 from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
@@ -565,13 +573,13 @@ class TestExactLPSkip:
         rng = np.random.default_rng(seed)
         s1, s2 = number_mixture(ctx, rng), number_mixture(ctx, rng)
         drho = 0.5 * (s1.rho - s2.rho + (s1.rho - s2.rho).conj().T)
-        assert _lp_is_exact(calc, drho)
         m = ctx.interior_dim
         k = np.arange(1, m)
         ell = math.sqrt(theta) * np.sqrt(k)
         tails = np.cumsum(np.diag(drho).real[::-1])[::-1]
         y = np.zeros((m, m))
         y[k, k - 1] = theta * tails[k] / (math.sqrt(2.0) * ell)
+        assert np.array_equal(_lp_dual(calc, drho), y)
         img = -math.sqrt(2.0) * calc._dzbar(calc._pad(y))
         assert np.abs(0.5 * (img + img.conj().T) - drho).max() <= 1e-14
         lp = distance_diagonal_lp(calc, s1, s2).value
@@ -595,6 +603,7 @@ class TestExactLPSkip:
             want = lp.certificate.mat * np.sign(_objective(s1.rho - s2.rho, lp.certificate.mat))
             assert np.abs(rep.certificate.mat - want).max() <= 1e-12
             assert rep.feasibility <= 1 + 1e-8
+            assert -1e-12 <= rep.upper - rep.value <= ctx32.tol * max(1.0, rep.value)
         assert calls == []
 
     def test_ascent_runs_unless_exactly_diagonal(self, ctx32, monkeypatch):
@@ -612,11 +621,177 @@ class TestExactLPSkip:
         calls = ascent_calls(monkeypatch)
         for rho in (off, edge):
             state = QState(ctx, rho, ("test",))
-            assert not _lp_is_exact(calc, 0.5 * (rho - other.rho + (rho - other.rho).conj().T))
+            assert _lp_dual(calc, 0.5 * (rho - other.rho + (rho - other.rho).conj().T)) is None
             before = len(calls)
             rep = distance_solver(calc, state, other, cfg)
             assert len(calls) - before == cfg.restarts
+            assert rep.upper is None
             assert rep.value >= distance_diagonal_lp(calc, state, other).value - 1e-9
+
+
+def corner_basis(ctx):
+    """Frobenius-orthonormal basis of the Hermitian elements supported on the
+    corner, levels 0..m, padded to N x N."""
+    n, c = ctx.trunc_dim, ctx.interior_dim + 1
+    basis = []
+    for i in range(c):
+        for j in range(i, c):
+            parts = [(1.0, 1.0)] if i == j else [(1.0, 1.0), (1j, -1j)]
+            for up, down in parts:
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j], e[j, i] = up, down
+                basis.append(e / np.linalg.norm(e))
+    return basis
+
+
+def dense_corner_map(calc):
+    """A = sqrt(2) crop dz on the corner as a dense real matrix, one column
+    per basis element (real and imaginary parts of the image stacked)."""
+    cols = []
+    for e in corner_basis(calc.ctx):
+        img = math.sqrt(2.0) * calc._crop(calc._dz(e))
+        cols.append(np.concatenate([img.real.ravel(), img.imag.ravel()]))
+    return np.array(cols).T
+
+
+def corner_part(ctx, x):
+    m = ctx.interior_dim
+    out = np.zeros_like(x)
+    out[: m + 1, : m + 1] = x[: m + 1, : m + 1]
+    return out
+
+
+class TestCorner:
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", (8, 12, 16, 24))
+    def test_s_min_matches_dense_svd(self, n, theta):
+        ctx = make_context(n, theta, 1e-10)
+        calc = DiracCalculus(ctx)
+        s = np.linalg.svd(dense_corner_map(calc), compute_uv=False)
+        zero = s < 1e-10 * s[0]
+        # The kernel on the corner is span{1, |m><m|}: real dimension 2.
+        assert np.count_nonzero(zero) == 2
+        # The corner identity and every level projector from m up, guarded
+        # levels included, have seminorm 0.
+        m = ctx.interior_dim
+        kernel = [corner_part(ctx, np.eye(n, dtype=complex))]
+        kernel += [np.diag(np.arange(n) == k).astype(complex) for k in range(m, n)]
+        for x in kernel:
+            assert lipschitz_seminorm(calc, Operator(ctx, x, hermitian=True)) == 0.0
+        want = s[~zero][-1]
+        assert abs(calc.corner_s_min - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_seminorm_reads_only_the_corner(self, n, seed):
+        ctx = make_context(n, 1.0, 1e-10)
+        calc = DiracCalculus(ctx)
+        x = random_hermitian(np.random.default_rng(seed), n)
+        corner = corner_part(ctx, x)
+        assert np.array_equal(calc._crop(calc._dz(x)), calc._crop(calc._dz(corner)))
+        assert lipschitz_seminorm(calc, Operator(ctx, x, hermitian=True)) == lipschitz_seminorm(
+            calc, Operator(ctx, corner, hermitian=True)
+        )
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dual_upper_bounds_every_corner_element(self, n, seed):
+        # For any Y, <drho, x> <= upper p(x) on corner elements orthogonal
+        # to the kernel, whatever drho carries outside the corner.
+        ctx = make_context(n, 1.0, 1e-10)
+        calc = DiracCalculus(ctx)
+        rng = np.random.default_rng(seed)
+        m = ctx.interior_dim
+        drho = random_hermitian(rng, n)
+        y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        y = y * rng.uniform(0.0, 2.0)
+        upper, leakage = _dual_upper(calc, drho, y)
+        assert leakage > 0
+        for _ in range(8):
+            x = corner_part(ctx, random_hermitian(rng, n))
+            x[np.arange(m), np.arange(m)] -= np.trace(x[:m, :m]).real / m
+            x[m, m] = 0.0
+            p = lipschitz_seminorm(calc, Operator(ctx, x, hermitian=True))
+            assert abs(_objective(drho, x)) <= upper * p * (1 + 1e-12)
+
+
+class TestTranslationDual:
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    @given(
+        level=st.integers(0, 2),
+        label=st.one_of(st.none(), st.complex_numbers(max_magnitude=0.5)),
+        size=st.floats(0.05, 2.0),
+        phase=st.floats(0.0, 2 * math.pi),
+    )
+    def test_path_mean_matches_gauss_legendre(self, n, theta, level, label, size, phase):
+        ctx = make_context(n, theta, 1e-10)
+        calc = DiracCalculus(ctx)
+        try:
+            base = eigenstate(ctx, level) if label is None else coherent_state(ctx, label)
+        except LeakageError:
+            assume(False)
+        kappa = size * cmath.exp(1j * phase)
+        rho1 = base.rho
+        y = _translation_dual(calc, rho1, kappa)
+        nodes, weights = leggauss(40)
+        mean = np.zeros_like(rho1)
+        for node, weight in zip(nodes, weights):
+            u = displacement_operator(ctx, 0.5 * (node + 1.0) * kappa).mat
+            mean += 0.5 * weight * (u @ rho1 @ u.conj().T)
+        m = ctx.interior_dim
+        assert np.abs(y + np.conj(kappa) * mean[:m, :m]).max() <= 1e-13
+        assert float(np.linalg.svd(y, compute_uv=False).sum()) <= abs(kappa) + 1e-12
+        u = displacement_operator(ctx, kappa).mat
+        rho2 = u @ rho1 @ u.conj().T
+        if max(np.linalg.norm(r[:, m:]) for r in (rho1, rho2)) < 1e-14:
+            img = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
+            assert np.abs(rho1 - rho2 - img).max() <= 1e-13
+
+    def test_amplitude_is_read_from_the_pair(self, ctx32):
+        base = eigenstate(ctx32, 1)
+        kappa = 0.5 + 0.2j
+        moved = displace(base, kappa)
+        assert _translation_amplitude(base, moved) == kappa
+        assert _translation_amplitude(moved, base) == -kappa
+        c1, c2 = coherent_state(ctx32, 0.3), coherent_state(ctx32, 0.1j)
+        assert _translation_amplitude(c1, c2) == pytest.approx(math.sqrt(2.0) * (0.1j - 0.3))
+        assert _translation_amplitude(base, eigenstate(ctx32, 2)) is None
+        assert _translation_amplitude(base, coherent_state(ctx32, 0.3)) is None
+
+    @pytest.mark.parametrize("swap", (False, True))
+    def test_no_ascent_on_a_proven_translation(self, ctx48, monkeypatch, swap):
+        from moyalmetric import spectral
+
+        calc = DiracCalculus(ctx48)
+        base = eigenstate(ctx48, 1)
+        pair = (base, displace(base, 2.0))
+        if swap:
+            pair = pair[::-1]
+        calls = ascent_calls(monkeypatch)
+        rep = distance_solver(calc, *pair, QUICK_SOLVER)
+        assert calls == []
+        assert -1e-12 <= rep.upper - rep.value <= ctx48.tol * max(1.0, rep.value)
+        monkeypatch.setattr(spectral, "_translation_amplitude", lambda s1, s2: None)
+        forced = distance_solver(calc, *pair, QUICK_SOLVER)
+        assert len(calls) == QUICK_SOLVER.restarts
+        assert forced.upper is None
+        assert rep.value == forced.value
+
+    def test_leaking_pair_refuses_the_skip(self, monkeypatch):
+        ctx = make_context(24, 1.0, 1e-10)
+        calc = DiracCalculus(ctx)
+        base = coherent_state(ctx, 1.0)
+        moved = displace(base, 1.0)
+        upper, _ = _dual_upper(
+            calc, _hermitize(base.rho - moved.rho), _translation_dual(calc, base.rho, 1.0)
+        )
+        assert upper - 1.0 > ctx.tol
+        cfg = SolverConfig(iterations=5, restarts=2)
+        calls = ascent_calls(monkeypatch)
+        rep = distance_solver(calc, base, moved, cfg)
+        assert len(calls) == cfg.restarts
+        assert rep.upper is None
 
 
 class TestOptimalElements:
