@@ -16,10 +16,10 @@ and a* (x) a moves it back.  Truncation only deletes matrix entries of a
 and a*, so it cannot create a term that changes s, and the truncated L2
 is exactly the direct sum of its 2N - 1 sectors s = 0 .. 2N - 2.  In the
 first-copy level n1 each sector block is tridiagonal and of size at most
-N.  The operator is therefore assembled, diagonalized and square-rooted
-block by block, with work growing like N^4 rather than the N^6 of the
-pair-space matrix, and pair traces run sector by sector without forming
-any N^4 tensor.
+N.  The operator is therefore assembled, diagonalized, square-rooted and
+held block by block, with work growing like N^4 rather than the N^6 of
+the pair-space matrix, and pair traces run sector by sector without
+forming any N^2 x N^2 matrix or N^4 tensor.
 
 A subtracted "modified" square length can be computed state-by-state, but
 no single operator reproduces it; `counterexample_L2prime` quantifies the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ from .fock import (
 __all__ = [
     "CounterexampleResult",
     "LengthOperator",
+    "SectorOperator",
     "build_length",
     "counterexample_L2prime",
     "d_L",
@@ -59,60 +60,52 @@ __all__ = [
 _CACHE_SIZE = 8
 
 
-class _Sector(NamedTuple):
-    """Block of the pair space with total number s = n1 + n2."""
+@dataclass(frozen=True, eq=False)
+class SectorOperator:
+    """Pair-space operator that conserves n1 + n2, held as its sector blocks.
 
-    levels: np.ndarray  # first-copy levels n1, ascending; n2 = s - n1
-    l2: np.ndarray  # square length on those levels (tridiagonal)
-    w: np.ndarray  # its eigenvalues, ascending
-    root: np.ndarray  # its operator square root
+    ``blocks[s]`` is the operator on the pairs with n1 + n2 = s, indexed by
+    the first-copy levels ``levels[s]`` (ascending; n2 = s - n1).  In the
+    natural n1*N + n2 basis the operator is their N^2 x N^2 direct sum.
+    """
+
+    ctx: FockContext
+    levels: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.ctx.trunc_dim
+        return (n * n, n * n)
+
+    def pair_trace(self, s1: QState, s2: QState) -> float:
+        """trace((rho1 (x) rho2) T) for this operator T.
+
+        T only couples pairs within one sector, so with B = T's block on
+        sector s the trace is sum_s sum_{p,q} B[p, q] rho1[q, p] rho2[s - q, s - p].
+        """
+        _require_same_ctx(s1.ctx, self.ctx)
+        _require_same_ctx(s2.ctx, self.ctx)
+        r1, r2 = s1.rho, s2.rho
+        total = 0.0
+        for s, (levels, block) in enumerate(zip(self.levels, self.blocks)):
+            lo, hi = int(levels[0]), int(levels[-1]) + 1
+            # c[i, j] = rho2[s - lo - i, s - lo - j], aligned with rho1[lo + i, lo + j].
+            c = r2[s - hi + 1 : s - lo + 1, s - hi + 1 : s - lo + 1][::-1, ::-1]
+            total += np.sum(block.T * (r1[lo:hi, lo:hi] * c))
+        return float(total.real)
 
 
 @dataclass(frozen=True, eq=False)
 class LengthOperator:
-    """Square length on the pair space, held as its total-number sectors.
-
-    ``sectors[s]`` is the block with n1 + n2 = s.  ``L2`` and ``L`` are the
-    full N^2 x N^2 matrices in the natural n1*N + n2 basis, as sparse
-    arrays assembled from the blocks on first access.
-    """
+    """Square length ``L2`` and its operator square root ``L`` on the pair
+    space, both held as their total-number sectors, with the ascending
+    eigenvalues ``spectrum`` of L2, all N^2 of them."""
 
     ctx: FockContext
-    sectors: tuple[_Sector, ...]
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of the square length, all N^2 of them."""
-        w = np.sort(np.concatenate([sec.w for sec in self.sectors]))
-        w.setflags(write=False)
-        return w
-
-    @cached_property
-    def L2(self):
-        """Square length as a block-diagonal ``scipy.sparse`` array."""
-        return self._assemble("l2")
-
-    @cached_property
-    def L(self):
-        """Operator square root as a block-diagonal ``scipy.sparse`` array."""
-        return self._assemble("root")
-
-    def _assemble(self, field: str):
-        # Imported here: scipy costs more to import than a whole small
-        # build, and only callers of the full matrices need it.
-        from scipy import sparse
-
-        n = self.ctx.trunc_dim
-        rows, cols, vals = [], [], []
-        for s, sec in enumerate(self.sectors):
-            index = sec.levels * n + (s - sec.levels)
-            block = getattr(sec, field)
-            p, q = np.nonzero(block)
-            rows.append(index[p])
-            cols.append(index[q])
-            vals.append(block[p, q])
-        coords = (np.concatenate(rows), np.concatenate(cols))
-        return sparse.csr_array((np.concatenate(vals), coords), shape=(n * n, n * n))
+    L2: SectorOperator
+    L: SectorOperator
+    spectrum: np.ndarray
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -140,26 +133,18 @@ def build_length(ctx: FockContext) -> LengthOperator:
                 "below -tol; the assembly is corrupted"
             )
         root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-        for arr in (levels, l2, w, root):
+        for arr in (levels, l2, root):
             arr.setflags(write=False)
-        sectors.append(_Sector(levels, l2, w, root))
-    return LengthOperator(ctx=ctx, sectors=tuple(sectors))
-
-
-def _pair_trace(s1: QState, s2: QState, op: LengthOperator, field: str) -> float:
-    """trace((rho1 (x) rho2) T) for the block-diagonal T = op.L2 or op.L.
-
-    T only couples pairs within one sector, so with B = T's block on sector
-    s the trace is sum_s sum_{p,q} B[p, q] rho1[q, p] rho2[s - q, s - p].
-    """
-    r1, r2 = s1.rho, s2.rho
-    total = 0.0
-    for s, sec in enumerate(op.sectors):
-        lo, hi = int(sec.levels[0]), int(sec.levels[-1]) + 1
-        # c[i, j] = rho2[s - lo - i, s - lo - j], aligned with rho1[lo + i, lo + j].
-        c = r2[s - hi + 1 : s - lo + 1, s - hi + 1 : s - lo + 1][::-1, ::-1]
-        total += np.sum(getattr(sec, field).T * (r1[lo:hi, lo:hi] * c))
-    return float(total.real)
+        sectors.append((levels, l2, w, root))
+    sector_levels, l2s, ws, roots = zip(*sectors)
+    spectrum = np.sort(np.concatenate(ws))
+    spectrum.setflags(write=False)
+    return LengthOperator(
+        ctx=ctx,
+        L2=SectorOperator(ctx, sector_levels, l2s),
+        L=SectorOperator(ctx, sector_levels, roots),
+        spectrum=spectrum,
+    )
 
 
 def d_L2(s1: QState, s2: QState) -> float:
@@ -189,7 +174,7 @@ def _family_square_length(theta: float, m: int, n: int, delta: float) -> float:
 def d_L(s1: QState, s2: QState) -> float:
     """Quantum length trace((rho1 (x) rho2) L); at most sqrt(d_L2)."""
     _require_same_ctx(s1.ctx, s2.ctx)
-    return _pair_trace(s1, s2, build_length(s1.ctx), "root")
+    return build_length(s1.ctx).L.pair_trace(s1, s2)
 
 
 def _lambda_inverse_sq(s1: QState, s2: QState) -> float:
@@ -214,8 +199,8 @@ class CounterexampleResult(NamedTuple):
 
 def _modified_sq_traced(op: LengthOperator, s1: QState, s2: QState) -> float:
     """Modified square length evaluated through pair-space traces of L2."""
-    diag = math.sqrt(_pair_trace(s1, s1, op, "l2") * _pair_trace(s2, s2, op, "l2"))
-    return abs(_pair_trace(s1, s2, op, "l2") - diag)
+    diag = math.sqrt(op.L2.pair_trace(s1, s1) * op.L2.pair_trace(s2, s2))
+    return abs(op.L2.pair_trace(s1, s2) - diag)
 
 
 def counterexample_L2prime(

@@ -602,13 +602,15 @@ def _proven_upper(calc: DiracCalculus, drho: np.ndarray, value: float, duals) ->
     """The first dual's upper bound that proves ``value`` optimal, or None.
 
     A dual proves it when its leakage is at most ctx.tol and its upper
-    bound exceeds the value by at most ctx.tol max(1, value).
+    bound exceeds the value by at most ctx.tol max(1, value).  A dual bound
+    is at least the distance, which is at least the feasible value, so an
+    upper below the value is roundoff and is raised to the value.
     """
     tol = calc.ctx.tol
     for y in duals:
         upper, leakage = _dual_upper(calc, drho, y)
         if leakage <= tol and upper - value <= tol * max(1.0, value):
-            return upper
+            return max(upper, value)
     return None
 
 
@@ -724,7 +726,8 @@ def length_vs_optimal_discrepancy(calc: DiracCalculus, m: int, n: int) -> Discre
     midpoint-style Riemann approximation of the square-root difference,
     which is why the relative gap decays with separation.  The modified
     length is cross-checked against the expectation gap of the radial
-    element sqrt(a a* + a* a) before returning.
+    element sqrt(a a* + a* a) before returning; a a* + a* a is diagonal
+    in the number basis, so its square root is the root of its diagonal.
     """
     ctx = calc.ctx
     if int(m) != m or int(n) != n or not 0 <= m < n < ctx.interior_dim:
@@ -735,10 +738,8 @@ def length_vs_optimal_discrepancy(calc: DiracCalculus, m: int, n: int) -> Discre
     d_d = _eigen_sum(ctx, m, n)
     d_mod = ctx.lambda_p * (math.sqrt(2.0 * n + 1.0) - math.sqrt(2.0 * m + 1.0))
     a = calc._a
-    radial_sq = a @ a.conj().T + a.conj().T @ a
-    w, v = np.linalg.eigh(radial_sq)
-    radial = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    radial_gap = float((radial[n, n] - radial[m, m]).real)
+    radial = np.sqrt(np.diagonal(a @ a.conj().T + a.conj().T @ a).real)
+    radial_gap = float(radial[n] - radial[m])
     if abs(radial_gap - d_mod) > 1e-8:
         raise ArithmeticError(
             f"radial-element gap {radial_gap:.12g} disagrees with the modified "

@@ -7,12 +7,17 @@ against a literal Kronecker assembly of the full N^2 x N^2 matrix.
 """
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import moyalmetric
 from moyalmetric import (
     LeakageError,
     annihilation,
@@ -50,6 +55,15 @@ def kron_length(n):
     return l2, w, root
 
 
+def scatter(sector_op, n):
+    """The dense N^2 x N^2 matrix of a sector operator in the n1*N + n2 basis."""
+    dense = np.zeros((n * n, n * n))
+    for s, (levels, block) in enumerate(zip(sector_op.levels, sector_op.blocks)):
+        index = levels * n + (s - levels)
+        dense[np.ix_(index, index)] = block
+    return dense
+
+
 def kron_trace(s1, s2, mat):
     """trace((rho1 x rho2) mat) through the full N^4 tensor."""
     n = s1.ctx.trunc_dim
@@ -70,7 +84,7 @@ class TestBuildLength:
 
     def test_vacuum_pair_matrix_element(self, ctx32):
         op = build_length(ctx32)
-        assert op.L2[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert scatter(op.L2, ctx32.trunc_dim)[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_scale_covariance(self):
         ctx = make_context(32, 4.0, 1e-10)
@@ -84,8 +98,9 @@ class TestBuildLength:
 
     def test_square_root_squares_back(self, ctx16):
         op = build_length(ctx16)
-        scale = float(np.abs(op.L2).max())
-        defect = float(np.abs(op.L @ op.L - op.L2).max())
+        l2, root = scatter(op.L2, 16), scatter(op.L, 16)
+        scale = float(np.abs(l2).max())
+        defect = float(np.abs(root @ root - l2).max())
         assert defect < 100 * ctx16.tol * scale
 
     def test_caching_returns_same_object(self, ctx16):
@@ -142,8 +157,8 @@ class TestSectorOracle:
         l2, _, root = kron_length(n)
         op = build_length(make_context(n, 1.0, 1e-10))
         assert op.L2.shape == op.L.shape == (n * n, n * n)
-        assert np.array_equal(op.L2.toarray(), l2)
-        assert float(np.abs(op.L.toarray() - root).max()) <= 1e-12
+        assert np.array_equal(scatter(op.L2, n), l2)
+        assert float(np.abs(scatter(op.L, n) - root).max()) <= 1e-12
 
     @given(data=st.data())
     def test_length_matches_kron_trace(self, n, data):
@@ -151,6 +166,34 @@ class TestSectorOracle:
         s2 = data.draw(pair_states(n))
         _, _, root = kron_length(n)
         assert d_L(s1, s2) == pytest.approx(kron_trace(s1, s2, root), abs=1e-12)
+
+    @given(data=st.data())
+    def test_square_length_trace_matches_kron_trace(self, n, data):
+        s1 = data.draw(pair_states(n))
+        s2 = data.draw(pair_states(n))
+        l2, _, _ = kron_length(n)
+        got = build_length(s1.ctx).L2.pair_trace(s1, s2)
+        assert got == pytest.approx(kron_trace(s1, s2, l2), abs=1e-10)
+        assert got == pytest.approx(d_L2(s1, s2), abs=1e-10)
+
+
+def test_length_routes_import_numpy_only():
+    code = (
+        "import sys\n"
+        "import moyalmetric\n"
+        "from moyalmetric.lengthop import build_length, counterexample_L2prime, d_L\n"
+        "ctx = moyalmetric.make_context(16, 1.0, 1e-10)\n"
+        "assert build_length(ctx).L.shape == (256, 256)\n"
+        "w = moyalmetric.eigenstate(ctx, 0)\n"
+        "d_L(w, w)\n"
+        "counterexample_L2prime(ctx, 0, 2, 4, 6)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(moyalmetric.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSquareLength:

@@ -603,7 +603,7 @@ class TestExactLPSkip:
             want = lp.certificate.mat * np.sign(_objective(s1.rho - s2.rho, lp.certificate.mat))
             assert np.abs(rep.certificate.mat - want).max() <= 1e-12
             assert rep.feasibility <= 1 + 1e-8
-            assert -1e-12 <= rep.upper - rep.value <= ctx32.tol * max(1.0, rep.value)
+            assert 0 <= rep.upper - rep.value <= ctx32.tol * max(1.0, rep.value)
         assert calls == []
 
     def test_ascent_runs_unless_exactly_diagonal(self, ctx32, monkeypatch):
@@ -771,7 +771,7 @@ class TestTranslationDual:
         calls = ascent_calls(monkeypatch)
         rep = distance_solver(calc, *pair, QUICK_SOLVER)
         assert calls == []
-        assert -1e-12 <= rep.upper - rep.value <= ctx48.tol * max(1.0, rep.value)
+        assert 0 <= rep.upper - rep.value <= ctx48.tol * max(1.0, rep.value)
         monkeypatch.setattr(spectral, "_translation_amplitude", lambda s1, s2: None)
         forced = distance_solver(calc, *pair, QUICK_SOLVER)
         assert len(calls) == QUICK_SOLVER.restarts
