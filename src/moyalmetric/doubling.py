@@ -25,6 +25,14 @@ eigendecomposition of K per iteration and the subgradient from its adjoint
 (``_chiral_adjoint``); a full SVD of K (``_doubled_seminorm``) is kept as
 the independent feasibility check.
 
+On opposite sheets, equal states and translates by kappa have an explicit
+dual of K (``_doubled_dual``): the single-sheet path mean split along the
+path, with the rung spread evenly over it, whose nuclear norm is at most
+hypot(|kappa|, 1/|Lambda|).  Where it proves the best hypotenuse seed
+optimal, up to the corner leakage and residual charge of
+``_doubled_upper``, the pair solver runs no ascent and reports that upper
+bound; elsewhere it ascends.
+
 Single-sheet work (the closed form, LP or solver route and the translation
 seed) comes from ``spectral``; this module only adds what the second sheet
 brings: the rung, the hypotenuse mix and the pair solver.
@@ -51,12 +59,19 @@ from .spectral import (
     DiracCalculus,
     DistanceReport,
     SolverConfig,
+    _best_candidate,
+    _corner_split,
     _eigen_sum,
+    _first_kernel,
     _hermitize,
+    _mean_kernel,
     _objective,
+    _path_moments,
     _portfolio_ascent,
+    _proven_upper,
     _single_route,
     _top_singular_pair,
+    _translation_amplitude,
     _translation_seed,
 )
 
@@ -216,9 +231,91 @@ def _hypotenuse_pair(
     return cfac * unit_mat, cfac * unit_mat + shift * eye
 
 
+def _doubled_dual(dd: DoubledDirac, rho1: np.ndarray, kappa: complex) -> np.ndarray:
+    """The doubled path-mean dual of rho1 on sheet 1 against its translate by
+    kappa on sheet 2, in the 2m x 2m block layout of the chiral block.
+
+    With rho_t = U(t kappa) rho1 U(t kappa)*, d = 1/|Lambda| and M_w =
+    crop(int_0^1 w(t) rho_t dt),
+
+        W = [[ i conj(kappa) M_(1-t),     conj(Lambda) d^2/2 M_1 ],
+             [ Lambda d^2/2 M_1,          i kappa M_t            ]].
+
+    The coupling blocks pass -M_1 to sheet 1 and +M_1 to sheet 2, and the
+    diagonal blocks integrate the path by parts, so Herm K*(W) = (rho1,
+    -rho2) up to the weight of the path states outside the crop.  W is the
+    path integral of C(t) (x) crop(rho_t) with C(t) = [[i conj(kappa)
+    (1 - t), conj(Lambda) d^2/2], [Lambda d^2/2, i kappa t]], whose nuclear
+    norm squared ||C||_F^2 + 2 |det C| is |kappa|^2 + d^2 at every t, so
+    ||W||_* <= hypot(|kappa|, d): the coupling is spread evenly along the
+    path, the only tight choice.  At kappa = 0 it is the equal-state dual
+    [[0, rho1/(2 Lambda)], [rho1/(2 conj(Lambda)), 0]], cropped.
+    """
+    calc = dd.calc
+    mc = dd.ctx.interior_dim
+    lam = dd.Lambda
+    mean, first = (calc._crop(x) for x in _path_moments(
+        dd.ctx, rho1, kappa, (_mean_kernel, _first_kernel)))
+    coupling = 0.5 * dd.internal_distance**2
+    out = np.empty((2 * mc, 2 * mc), dtype=complex)
+    out[:mc, :mc] = 1j * np.conj(kappa) * (mean - first)
+    out[:mc, mc:] = np.conj(lam) * coupling * mean
+    out[mc:, :mc] = lam * coupling * mean
+    out[mc:, mc:] = 1j * kappa * first
+    return out
+
+
+def _doubled_upper(dd: DoubledDirac, g: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(upper, leakage) of a dual W for the stacked evaluation pair g.
+
+    The doubled distance is taken over corner pairs x = (x1, x2), levels
+    0..m, modulo the joint kernel of K.  With A = sqrt(2) crop dz, K11 =
+    -i A x1 and K22 = -i (A x2)*, each blind to span{1_m, E} with 1_m the
+    identity on levels 0..m-1 and E = |m><m|, and the coupling blocks read
+    crop(x2 - x1), so the joint kernel is {(c 1_m + b1 E, c 1_m + b2 E)}.
+    Split each sheet's residual r_i = corner(g_i - Herm K*(W)_i) as r_i =
+    gamma_i 1_m + eta_i E + r_i_perp (``_corner_split``) and x_i = c_i 1_m
+    + e_i E + a_i with a_i orthogonal to both.  Then
+
+        <g, x> = <W, K x> + sum_i <r_i_perp, a_i>
+                 + m (gamma1 + gamma2)(c1 + c2)/2 + eta1 e1 + eta2 e2
+                 + m (gamma1 - gamma2)(c1 - c2)/2.
+
+    Write p = ||K x||.  Each a_i is orthogonal to A's kernel, so ||a_i||_F
+    <= ||A a_i||_F / s_min <= sqrt(m) p / s_min.  The coupling block has
+    norm |Lambda| ||crop(x2 - x1)|| <= p, and crop(x2 - x1) = (c2 - c1) 1_m
+    + crop(a2 - a1), so |c1 - c2| <= p / |Lambda| + 2 sqrt(m) p / s_min.
+    Hence, off the joint kernel,
+
+        upper = ||W||_* + (||r1_perp||_F + ||r2_perp||_F) sqrt(m) / s_min
+                + (m/2) |gamma1 - gamma2| (1/|Lambda| + 2 sqrt(m) / s_min).
+
+    ``leakage`` is what the definition drops: the residual's joint-kernel
+    component, the Frobenius norm of (eta1, eta2, sqrt(m/2) (gamma1 +
+    gamma2)), plus g's weight outside the corner on either sheet.
+    """
+    calc = dd.calc
+    m = dd.ctx.interior_dim
+    img = _hermitize(np.stack(_chiral_adjoint(dd, w)))
+    (gam1, eta1, perp1, out1), (gam2, eta2, perp2, out2) = (
+        _corner_split(calc, gi, ii) for gi, ii in zip(g, img))
+    charge = math.sqrt(m) / calc.corner_s_min
+    nuclear = float(np.linalg.svd(w, compute_uv=False).sum())
+    upper = (nuclear + (perp1 + perp2) * charge
+             + 0.5 * m * abs(gam1 - gam2) * (dd.internal_distance + 2.0 * charge))
+    leakage = math.hypot(eta1, eta2, math.sqrt(0.5 * m) * (gam1 + gam2)) + math.hypot(out1, out2)
+    return upper, leakage
+
+
+def _identical(s1: QState, s2: QState) -> bool:
+    """Whether two states agree entrywise to 1e-12."""
+    return float(np.abs(s1.rho - s2.rho).max()) < 1e-12
+
+
 class _PairBest(NamedTuple):
     value: float
     feasibility: float
+    upper: float | None = None
 
 
 def _doubled_solver(
@@ -230,16 +327,35 @@ def _doubled_solver(
     cfg: SolverConfig,
     extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> _PairBest:
-    """Best feasible pair over ascent restarts plus a candidate portfolio."""
-    g1 = _hermitize((sheet1 == 1) * s1.rho - (sheet2 == 1) * s2.rho)
-    g2 = _hermitize((sheet1 == 2) * s1.rho - (sheet2 == 2) * s2.rho)
+    """Best feasible pair over ascent restarts plus a candidate portfolio.
+
+    For s1 on sheet 1 against s2 on sheet 2, a translate by kappa (read by
+    ``_translation_amplitude``, or 0 for equal states), the restarts are
+    skipped where the doubled path-mean dual (``_doubled_dual``) proves the
+    best seeded pair optimal: leakage at most ctx.tol and the dual's upper
+    bound within ctx.tol max(1, value) of the value.  ``upper`` then
+    carries that bound; it is None wherever the ascent runs.  The
+    feasibility is always the full SVD of ``_doubled_seminorm``.
+    """
+    g = np.stack([
+        _hermitize((sheet1 == 1) * s1.rho - (sheet2 == 1) * s2.rho),
+        _hermitize((sheet1 == 2) * s1.rho - (sheet2 == 2) * s2.rho),
+    ])
     seeded = [np.stack(p) for p in extra_pairs]
-    best_val, best = _portfolio_ascent(
-        np.stack([g1, g2]), partial(_doubled_pair, dd), cfg, (97,), seeded
-    )
+    pair = partial(_doubled_pair, dd)
+    upper = None
+    if (sheet1, sheet2) == (1, 2):
+        kappa = 0.0 if _identical(s1, s2) else _translation_amplitude(s1, s2)
+        if kappa is not None:
+            best_val, best = _best_candidate(g, pair, seeded)
+            upper = _proven_upper(
+                dd.ctx.tol, best_val, [_doubled_upper(dd, g, _doubled_dual(dd, s1.rho, kappa))]
+            )
+    if upper is None:
+        best_val, best = _portfolio_ascent(g, pair, cfg, (97,), seeded)
     if best is None:
         return _PairBest(0.0, 0.0)
-    return _PairBest(best_val, _doubled_seminorm(dd, best[0], best[1]))
+    return _PairBest(best_val, _doubled_seminorm(dd, best[0], best[1]), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +391,12 @@ def _opposite_sheets(
     return single, check
 
 
+def _upper_at(check: _PairBest, value: float) -> float | None:
+    """The pair solver's proven bound for a reported value, or None; a
+    bound below the value is roundoff and is raised to it."""
+    return None if check.upper is None else max(check.upper, value)
+
+
 def doubled_distance(
     dd: DoubledDirac,
     ss1: SheetState,
@@ -289,6 +411,12 @@ def doubled_distance(
     transverse shift with the rung in quadrature.  Every route is
     cross-checked (and, for remaining cross-family pairs, produced) by
     the pair solver, whose value is a certified lower bound.
+
+    On opposite sheets the pair solver runs no ascent where the doubled
+    path-mean dual proves its best hypotenuse seed optimal (see
+    ``_doubled_solver``): equal states, or a translate read from a
+    ``translated`` tag or two families at one level.  The report's
+    ``upper`` then carries that bound; it is None wherever the ascent ran.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -322,7 +450,7 @@ def doubled_distance(
     d_i = dd.internal_distance
     single, check = _opposite_sheets(dd, sa, sb, cfg)
 
-    identical = float(np.abs(sa.rho - sb.rho).max()) < 1e-12
+    identical = _identical(sa, sb)
     fa, fb = sa.family, sb.family
     same_family = fa is not None and fb is not None and fa[0] == fb[0]
 
@@ -348,15 +476,18 @@ def doubled_distance(
             feasibility=check.feasibility,
             gap=abs(value - check.value),
             note=note + f"; pair-solver cross-check at {check.value:.9g}",
+            upper=_upper_at(check, value),
         )
 
     ansatz = math.hypot(single.value, d_i)
+    value = max(check.value, ansatz)
     return DistanceReport(
-        value=max(check.value, ansatz),
+        value=value,
         method="convex-solver",
         certificate=None,
         feasibility=check.feasibility,
-        gap=abs(max(check.value, ansatz) - ansatz),
+        gap=abs(value - ansatz),
+        upper=_upper_at(check, value),
         note=(
             "opposite sheets, cross family: certified lower bound; the "
             "quadrature ansatz over the single-sheet estimate "
@@ -366,10 +497,15 @@ def doubled_distance(
 
 
 class PythagorasResult(NamedTuple):
+    """Squared opposite-sheet distance and its quadrature bracket; ``upper``
+    is the square of the doubled dual's proven bound, or None where the
+    ascent ran."""
+
     lhs: float
     rhs_equal: float
     rhs_lo: float
     rhs_hi: float
+    upper: float | None = None
 
 
 def pythagoras_check(
@@ -383,6 +519,11 @@ def pythagoras_check(
     times that sum; leaving it is an arithmetic failure, not a data
     condition, because the hypotenuse construction realizes rhs_lo exactly
     and feasible values cannot exceed the doubled supremum.
+
+    Equal states and translates (see ``doubled_distance``) usually run no
+    doubled ascent: the doubled path-mean dual proves the hypotenuse seed
+    optimal, and ``upper`` records its bound squared.  The constant rhs_hi
+    stays the outer check.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -398,7 +539,9 @@ def pythagoras_check(
             f"squared doubled distance {lhs:.12g} left its bracket "
             f"[{rhs_lo:.12g}, {rhs_hi:.12g}]"
         )
-    return PythagorasResult(lhs=lhs, rhs_equal=rhs_equal, rhs_lo=rhs_lo, rhs_hi=rhs_hi)
+    upper = None if check.upper is None else check.upper**2
+    return PythagorasResult(lhs=lhs, rhs_equal=rhs_equal, rhs_lo=rhs_lo, rhs_hi=rhs_hi,
+                            upper=upper)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ class DistanceReport:
     independent cross-check (closed form, or the LP on diagonal pairs)
     exists.  ``increments`` carries the diagonal profile of ladder-type
     certificates.  ``upper`` is the proven upper bound of the solver's two
-    skip routes (see ``distance_solver``), None elsewhere.
+    skip routes (see ``distance_solver``) and of the opposite-sheet skip of
+    ``doubling.doubled_distance``, None elsewhere.
     """
 
     value: float
@@ -551,6 +552,45 @@ def _translation_amplitude(s1: QState, s2: QState) -> complex | None:
     return None
 
 
+def _mean_kernel(z: np.ndarray) -> np.ndarray:
+    """int_0^1 exp(z t) dt = expm1(z) / z, with 1 + z/2 for |z| < 1e-8."""
+    small = np.abs(z) < 1e-8
+    return np.where(small, 1.0 + 0.5 * z, np.expm1(z) / np.where(small, 1.0, z))
+
+
+def _first_kernel(z: np.ndarray) -> np.ndarray:
+    """int_0^1 t exp(z t) dt = (exp(z) (z - 1) + 1) / z^2.
+
+    The closed form loses about eps / |z|^2 to cancellation, so for |z| < 1
+    the Taylor series sum_n z^n / (n! (n + 2)) is summed instead; its 18
+    terms leave a tail below 1e-17 there.
+    """
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    series = np.zeros(z.shape, dtype=complex)
+    term = np.ones(z.shape, dtype=complex)
+    for n in range(18):
+        series += term / (n + 2)
+        term = term * zs / (n + 1)
+    zc = np.where(small, 1.0, z)
+    return np.where(small, series, (np.exp(zc) * (zc - 1.0) + 1.0) / zc**2)
+
+
+def _path_moments(ctx: FockContext, rho1: np.ndarray, kappa: complex, kernels) -> list[np.ndarray]:
+    """Moments int_0^1 w(t) rho_t dt of the translation path from rho1 by
+    kappa, rho_t = U(t kappa) rho1 U(t kappa)*, one per kernel.
+
+    With U(t kappa) = V exp(-i t W) V* and R = V* rho1 V, a moment is exact:
+    V (R o K) V* with K_jk = int_0^1 w(t) exp(z t) dt, z = -i (w_j - w_k);
+    ``_mean_kernel`` gives w = 1 and ``_first_kernel`` w = t.  One
+    eigendecomposition serves every kernel.
+    """
+    w, v = _displacement_eigh(ctx, kappa)
+    z = -1j * (w[:, None] - w[None, :])
+    r = v.conj().T @ rho1 @ v
+    return [v @ (r * kernel(z)) @ v.conj().T for kernel in kernels]
+
+
 def _translation_dual(calc: DiracCalculus, rho1: np.ndarray, kappa: complex) -> np.ndarray:
     """The path-mean dual Y = -conj(kappa) crop(int_0^1 rho_t dt) of the
     translation from rho1 by kappa, with rho_t = U(t kappa) rho1 U(t kappa)*.
@@ -559,15 +599,28 @@ def _translation_dual(calc: DiracCalculus, rho1: np.ndarray, kappa: complex) -> 
     built from the same truncated ladder as dz and dzbar, rho_0 - rho_1 =
     Herm(-sqrt(2) dzbar(pad Y)) up to the weight of the path states outside
     the crop, and ||Y||_* <= |kappa| because the path mean is a density
-    matrix.  With U(t kappa) = V exp(-i t W) V* and R = V* rho1 V the mean is
-    exact: V (R o K) V* with K_jk = expm1(z) / z, z = -i (w_j - w_k).
+    matrix.  The mean is exact (``_path_moments``).
     """
-    w, v = _displacement_eigh(calc.ctx, kappa)
-    z = -1j * (w[:, None] - w[None, :])
-    small = np.abs(z) < 1e-8
-    k = np.where(small, 1.0 + 0.5 * z, np.expm1(z) / np.where(small, 1.0, z))
-    mean = v @ ((v.conj().T @ rho1 @ v) * k) @ v.conj().T
+    (mean,) = _path_moments(calc.ctx, rho1, kappa, (_mean_kernel,))
     return -np.conj(kappa) * calc._crop(mean)
+
+
+def _corner_split(
+    calc: DiracCalculus, g: np.ndarray, img: np.ndarray
+) -> tuple[float, float, float, float]:
+    """The corner residual r = corner(g - img) split along the kernel of A.
+
+    With m = interior_dim, r = gamma 1_m + eta |m><m| + r_perp, where 1_m
+    is the identity on levels 0..m-1 and r_perp is orthogonal to both.
+    Returns (gamma, eta, ||r_perp||_F, ||g outside the corner||_F).
+    """
+    m = calc.ctx.interior_dim
+    r = (g - img)[: m + 1, : m + 1]
+    mean = float(np.trace(r[:m, :m]).real) / m
+    r_perp = r - np.diag(np.append(np.full(m, mean), r[m, m]))
+    outside = math.hypot(float(np.linalg.norm(g[m + 1 :])),
+                         float(np.linalg.norm(g[: m + 1, m + 1 :])))
+    return mean, float(r[m, m].real), float(np.linalg.norm(r_perp)), outside
 
 
 def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -577,8 +630,9 @@ def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[f
     0..m, modulo the kernel span{1, |m><m|} of A = sqrt(2) crop dz; the
     seminorm reads nothing else.  The residual r = corner(drho - A* Y), with
     A* Y = Herm(-sqrt(2) dzbar(pad Y)), splits into its kernel component
-    and r_perp.  Then <drho, x> <= ||Y||_* p(x) + <r_perp, x>, and
-    ||x||_F <= sqrt(m) p(x) / s_min for x orthogonal to the kernel, so
+    and r_perp (``_corner_split``).  Then <drho, x> <= ||Y||_* p(x) +
+    <r_perp, x>, and ||x||_F <= sqrt(m) p(x) / s_min for x orthogonal to
+    the kernel, so
 
         upper = ||Y||_* + ||r_perp||_F sqrt(m) / s_min.
 
@@ -587,28 +641,23 @@ def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[f
     """
     m = calc.ctx.interior_dim
     img = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
-    r = (drho - img)[: m + 1, : m + 1]
-    mean = float(np.trace(r[:m, :m]).real) / m
-    kernel = math.hypot(mean * math.sqrt(m), float(r[m, m].real))
-    r_perp = r - np.diag(np.append(np.full(m, mean), r[m, m]))
-    outside = math.hypot(float(np.linalg.norm(drho[m + 1 :])),
-                         float(np.linalg.norm(drho[: m + 1, m + 1 :])))
+    mean, eta, perp, outside = _corner_split(calc, drho, img)
+    kernel = math.hypot(mean * math.sqrt(m), eta)
     nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
-    upper = nuclear + float(np.linalg.norm(r_perp)) * math.sqrt(m) / calc.corner_s_min
+    upper = nuclear + perp * math.sqrt(m) / calc.corner_s_min
     return upper, kernel + outside
 
 
-def _proven_upper(calc: DiracCalculus, drho: np.ndarray, value: float, duals) -> float | None:
-    """The first dual's upper bound that proves ``value`` optimal, or None.
+def _proven_upper(tol: float, value: float, bounds) -> float | None:
+    """The first dual bound that proves ``value`` optimal, or None.
 
-    A dual proves it when its leakage is at most ctx.tol and its upper
-    bound exceeds the value by at most ctx.tol max(1, value).  A dual bound
-    is at least the distance, which is at least the feasible value, so an
-    upper below the value is roundoff and is raised to the value.
+    ``bounds`` yields (upper, leakage) pairs, one per dual, and is read
+    lazily.  A dual proves the value when its leakage is at most tol and its
+    upper bound exceeds the value by at most tol max(1, value).  A dual
+    bound is at least the distance, which is at least the feasible value,
+    so an upper below the value is roundoff and is raised to the value.
     """
-    tol = calc.ctx.tol
-    for y in duals:
-        upper, leakage = _dual_upper(calc, drho, y)
+    for upper, leakage in bounds:
         if leakage <= tol and upper - value <= tol * max(1.0, value):
             return max(upper, value)
     return None
@@ -674,12 +723,14 @@ def distance_solver(
     duals = []
     if (y := _lp_dual(calc, drho)) is not None:
         duals.append(y)
-    if kappa := _translation_amplitude(s1, s2):
+    if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
     upper = None
     if duals:
         best_val, best_mat = _best_candidate(drho, pair, seeded)
-        upper = _proven_upper(calc, drho, best_val, duals)
+        upper = _proven_upper(
+            calc.ctx.tol, best_val, (_dual_upper(calc, drho, y) for y in duals)
+        )
     if upper is None:
         best_val, best_mat = _portfolio_ascent(drho, pair, cfg, (), seeded)
     if best_mat is None:

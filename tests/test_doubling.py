@@ -4,7 +4,9 @@ The internal entry is always fixed from the reference family, so the
 closed forms here are elementary: inter-sheet distance 1/|Lambda|, and
 hypotenuse values sqrt(d^2 + 1/|Lambda|^2).
 """
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +36,12 @@ from moyalmetric.doubling import (
 from moyalmetric.doubling import (
     _chiral_adjoint,
     _chiral_block,
+    _doubled_dual,
     _doubled_pair,
     _doubled_seminorm,
+    _doubled_upper,
 )
-from moyalmetric.spectral import _objective, _top_singular_pair
+from moyalmetric.spectral import _hermitize, _objective, _top_singular_pair
 
 LIGHT = SolverConfig(iterations=120, restarts=2)
 
@@ -195,6 +199,148 @@ class TestChiralBlock:
         assert p == pytest.approx(np.linalg.norm(_doubled_commutator(dd, *x), 2), rel=1e-12)
         assert _objective(sub, x) == pytest.approx(p, rel=1e-10)
         assert _objective(sub, y) <= np.linalg.norm(_doubled_commutator(dd, *y), 2) * (1 + 1e-10)
+
+
+def corner_pair(rng, ctx):
+    """A random Hermitian pair on the corner, levels 0..m, orthogonal to
+    the joint kernel {(c 1_m + b1 |m><m|, c 1_m + b2 |m><m|)}."""
+    n, m = ctx.trunc_dim, ctx.interior_dim
+    x = np.zeros((2, n, n), dtype=complex)
+    for i in range(2):
+        x[i, : m + 1, : m + 1] = hermitian(rng, m + 1)
+        x[i, m, m] = 0.0
+    shift = (np.trace(x[0, :m, :m]) + np.trace(x[1, :m, :m])).real / (2 * m)
+    x[:, np.arange(m), np.arange(m)] -= shift
+    return x
+
+
+def ascent_calls(monkeypatch):
+    """Wrap the pair solver's ascent portfolio to record each call."""
+    from moyalmetric import doubling
+
+    calls = []
+    real = doubling._portfolio_ascent
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(doubling, "_portfolio_ascent", counted)
+    return calls
+
+
+class TestDoubledDual:
+    @pytest.mark.parametrize("n", (8, 16, 24))
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_upper_bounds_every_corner_pair(self, n, seed, lam):
+        # For any W, <g, x> <= upper p(x) on corner pairs off the joint
+        # kernel, whatever g carries outside the corner.  The second g
+        # meets W's constraint up to opposite constants on levels 0..m-1,
+        # which the coupling blocks alone see: the |gamma1 - gamma2| term.
+        ctx = make_context(n, 1.0, 1e-10)
+        dd = make_doubled(DiracCalculus(ctx), lam)
+        rng = np.random.default_rng(seed)
+        m = ctx.interior_dim
+        w = rng.standard_normal((2 * m, 2 * m)) + 1j * rng.standard_normal((2 * m, 2 * m))
+        w = w * rng.uniform(0.0, 2.0) / np.linalg.svd(w, compute_uv=False).sum()
+        split = np.zeros((2, n, n))
+        split[0, np.arange(m), np.arange(m)] = 1.0
+        split[1, np.arange(m), np.arange(m)] = -1.0
+        loaded = _hermitize(np.stack(_chiral_adjoint(dd, w))) + 4.0 * (1.0 + abs(lam)) * split
+        loaded[:, m + 1 :, m + 1 :] += hermitian(rng, n - m - 1)
+        for g in (np.stack([hermitian(rng, n), hermitian(rng, n)]), loaded):
+            upper, leakage = _doubled_upper(dd, g, w)
+            assert leakage > 0
+            for x in [split] + [corner_pair(rng, ctx) for _ in range(8)]:
+                p = _doubled_seminorm(dd, x[0], x[1])
+                assert abs(_objective(g, x)) <= upper * p * (1 + 1e-12)
+
+    @pytest.mark.parametrize("theta", (1.0, 0.7, 2.3))
+    @pytest.mark.parametrize("n", (8, 16, 24))
+    @given(
+        level=st.integers(0, 2),
+        size=st.floats(0.0, 2.0),
+        phase=st.floats(0.0, 2 * math.pi),
+        lam=LAMBDAS,
+    )
+    def test_nuclear_norm_within_the_hypotenuse(self, n, theta, level, size, phase, lam):
+        ctx = make_context(n, theta, 1e-10)
+        dd = make_doubled(DiracCalculus(ctx), lam)
+        kappa = size * cmath.exp(1j * phase)
+        w = _doubled_dual(dd, eigenstate(ctx, level).rho, kappa)
+        nuclear = float(np.linalg.svd(w, compute_uv=False).sum())
+        assert nuclear <= math.hypot(size, dd.internal_distance) + 1e-12
+
+    @pytest.mark.parametrize("phase", (0.0, 0.3, 1.1))
+    def test_zero_shift_is_the_equal_state_dual(self, ctx32, phase):
+        calc = DiracCalculus(ctx32)
+        dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(1j * phase))
+        rho = coherent_state(ctx32, 0.4 - 0.3j).rho
+        m = ctx32.interior_dim
+        want = np.zeros((2 * m, 2 * m), dtype=complex)
+        want[:m, m:] = rho[:m, :m] / (2 * dd.Lambda)
+        want[m:, :m] = rho[:m, :m] / (2 * np.conj(dd.Lambda))
+        w = _doubled_dual(dd, rho, 0.0)
+        assert np.abs(w - want).max() <= 1e-15
+        upper, leakage = _doubled_upper(dd, np.stack([rho, -rho]), w)
+        assert leakage <= 1e-15
+        assert abs(upper - dd.internal_distance) <= 1e-13
+
+    def test_translation_dual_is_tight(self, ctx48):
+        calc = DiracCalculus(ctx48)
+        for level in (0, 1, 2):
+            dd = make_doubled(calc, reference_lambda(calc, level) * cmath.exp(0.3j))
+            base = eigenstate(ctx48, level)
+            for kappa in (1.0, 1 + 0.5j, -0.4 - 0.2j):
+                moved = displace(base, kappa)
+                g = _hermitize(np.stack([base.rho, -moved.rho]))
+                upper, leakage = _doubled_upper(dd, g, _doubled_dual(dd, base.rho, kappa))
+                want = math.hypot(abs(kappa), dd.internal_distance)
+                assert leakage <= ctx48.tol
+                assert 0 <= upper - want <= ctx48.tol
+
+    def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch):
+        from moyalmetric import doubling
+
+        calc = DiracCalculus(ctx48)
+        dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(0.3j))
+        base = eigenstate(ctx48, 1)
+        s1, s2 = displace(base, 0.3), displace(base, 1.3 - 0.4j)
+        calls = ascent_calls(monkeypatch)
+        res = pythagoras_check(dd, s1, s2, LIGHT)
+        rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
+        assert calls == []
+        assert res.lhs <= res.upper <= res.lhs + 3 * ctx48.tol * res.lhs
+        assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
+        monkeypatch.setattr(doubling, "_translation_amplitude", lambda a, b: None)
+        forced = pythagoras_check(dd, s1, s2, LIGHT)
+        forced_rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
+        assert len(calls) == 2
+        assert forced.upper is None and forced_rep.upper is None
+        assert forced == res._replace(upper=None)
+        assert forced_rep == replace(rep, upper=None)
+
+    def test_equal_states_skip_the_ascent(self, dd32, ctx32, monkeypatch):
+        calls = ascent_calls(monkeypatch)
+        s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])
+        res = pythagoras_check(dd32, s, s, LIGHT)
+        assert calls == []
+        assert res.lhs == pytest.approx(2.0, abs=1e-12)
+        assert res.lhs <= res.upper <= res.lhs + 3 * ctx32.tol * res.lhs
+
+    def test_leaking_pair_refuses_the_skip(self, monkeypatch):
+        ctx = make_context(24, 1.0, 1e-10)
+        calc = DiracCalculus(ctx)
+        dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(0.3j))
+        base = eigenstate(ctx, 1)
+        s1, s2 = displace(base, 0.3), displace(base, 1.3)
+        g = _hermitize(np.stack([s1.rho, -s2.rho]))
+        upper, leakage = _doubled_upper(dd, g, _doubled_dual(dd, s1.rho, 1.0))
+        assert upper - math.hypot(1.0, dd.internal_distance) > ctx.tol
+        calls = ascent_calls(monkeypatch)
+        res = pythagoras_check(dd, s1, s2, LIGHT)
+        assert len(calls) == 1
+        assert res.upper is None
 
 
 class TestDoubledDistance:

@@ -42,9 +42,12 @@ from moyalmetric.spectral import (
     _ascend,
     _dual_upper,
     _eigen_sum,
+    _first_kernel,
     _hermitize,
     _lp_dual,
+    _mean_kernel,
     _objective,
+    _path_moments,
     _sheet_pair,
     _single_route,
     _top_singular_pair,
@@ -53,6 +56,7 @@ from moyalmetric.spectral import (
     _translation_seed,
 )
 from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
+from moyalmetric.fock import _displacement_eigh
 
 
 def eigen_distance(m, n, theta=1.0):
@@ -747,6 +751,59 @@ class TestTranslationDual:
         if max(np.linalg.norm(r[:, m:]) for r in (rho1, rho2)) < 1e-14:
             img = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
             assert np.abs(rho1 - rho2 - img).max() <= 1e-13
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    @given(
+        level=st.integers(0, 2),
+        label=st.one_of(st.none(), st.complex_numbers(max_magnitude=0.5)),
+        size=st.one_of(st.floats(1e-9, 1e-3), st.floats(0.05, 2.0)),
+        phase=st.floats(0.0, 2 * math.pi),
+    )
+    def test_first_moment_matches_gauss_legendre(self, n, theta, level, label, size, phase):
+        # int_0^1 t rho_t dt; small shifts put every kernel entry on the
+        # Taylor branch, larger ones mix both branches.
+        ctx = make_context(n, theta, 1e-10)
+        try:
+            base = eigenstate(ctx, level) if label is None else coherent_state(ctx, label)
+        except LeakageError:
+            assume(False)
+        kappa = size * cmath.exp(1j * phase)
+        rho1 = base.rho
+        mean, first = _path_moments(ctx, rho1, kappa, (_mean_kernel, _first_kernel))
+        nodes, weights = leggauss(40)
+        want = np.zeros_like(rho1)
+        for node, weight in zip(nodes, weights):
+            t = 0.5 * (node + 1.0)
+            u = displacement_operator(ctx, t * kappa).mat
+            want += 0.5 * weight * t * (u @ rho1 @ u.conj().T)
+        assert np.abs(first - want).max() <= 1e-13
+        assert np.array_equal(-np.conj(kappa) * mean[: ctx.interior_dim, : ctx.interior_dim],
+                              _translation_dual(DiracCalculus(ctx), rho1, kappa))
+
+    def test_first_kernel_on_both_branches(self):
+        # int_0^1 t exp(z t) dt against Gauss-Legendre across the |z| = 1
+        # switch between the Taylor series and the closed form.
+        mags = np.concatenate(([0.0], np.geomspace(1e-12, 30.0, 60), [1 - 1e-12, 1.0]))
+        z = np.concatenate([mags * cmath.exp(1j * a) for a in (0.0, 0.4, math.pi / 2, 2.5)])
+        nodes, weights = leggauss(40)
+        t = 0.5 * (nodes + 1.0)
+        want = (0.5 * weights * t * np.exp(np.outer(z, t))).sum(axis=1)
+        err = np.abs(_first_kernel(z) - want)
+        assert np.all(err <= 4e-15 * np.maximum(1.0, np.abs(np.exp(z))))
+
+    def test_translation_dual_keeps_its_arithmetic(self, ctx48):
+        # The exact path mean, as written before the first moment joined it.
+        calc = DiracCalculus(ctx48)
+        rho1 = coherent_state(ctx48, 0.3 - 0.2j).rho
+        for kappa in (2.0, 0.7 - 1.1j, 1e-9j):
+            w, v = _displacement_eigh(ctx48, kappa)
+            z = -1j * (w[:, None] - w[None, :])
+            small = np.abs(z) < 1e-8
+            k = np.where(small, 1.0 + 0.5 * z, np.expm1(z) / np.where(small, 1.0, z))
+            mean = v @ ((v.conj().T @ rho1 @ v) * k) @ v.conj().T
+            want = -np.conj(kappa) * mean[: ctx48.interior_dim, : ctx48.interior_dim]
+            assert np.array_equal(_translation_dual(calc, rho1, kappa), want)
 
     def test_amplitude_is_read_from_the_pair(self, ctx32):
         base = eigenstate(ctx32, 1)
