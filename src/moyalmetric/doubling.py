@@ -19,11 +19,17 @@ certificates.
 The grading also means the commutator only joins the odd blocks to the
 even ones, so its chiral block K (``_chiral_block``, 2m x 2m) carries all
 of its singular values and the 4m x 4m commutator is never built; the
-tests keep it as the oracle for K.  The pair solver runs the shared ascent
-core of ``spectral`` on stacked element pairs, with one Gram
-eigendecomposition of K per iteration and the subgradient from its adjoint
-(``_chiral_adjoint``); a full SVD of K (``_doubled_seminorm``) is kept as
-the independent feasibility check.
+tests keep it as the oracle for K.  The pair solver runs the shared
+prove-or-ascend core of ``spectral`` (``_portfolio_ascent``) on stacked
+element pairs, with one Gram eigendecomposition of K per iteration and the
+subgradient from its adjoint (``_chiral_adjoint``); a full SVD of K
+(``_doubled_seminorm``) is kept as the independent feasibility check.
+
+Same-sheet pairs are the single-sheet problem itself, so they take the
+single-sheet route and no pair solve.  The diagonal blocks of K are
+-i A x1 and -i (A x2)* with A = sqrt(2) crop dz, so ||K(x, x)|| = p(x) and
+||K(x1, x2)|| >= max(p(x1), p(x2)): on one sheet the doubled distance is
+the plane's own.
 
 On opposite sheets, equal states and translates by kappa have an explicit
 dual of K (``_doubled_dual``): the single-sheet path mean split along the
@@ -59,7 +65,6 @@ from .spectral import (
     DiracCalculus,
     DistanceReport,
     SolverConfig,
-    _best_candidate,
     _corner_split,
     _eigen_sum,
     _first_kernel,
@@ -68,7 +73,6 @@ from .spectral import (
     _objective,
     _path_moments,
     _portfolio_ascent,
-    _proven_upper,
     _single_route,
     _top_singular_pair,
     _translation_amplitude,
@@ -318,46 +322,6 @@ class _PairBest(NamedTuple):
     upper: float | None = None
 
 
-def _doubled_solver(
-    dd: DoubledDirac,
-    s1: QState,
-    sheet1: int,
-    s2: QState,
-    sheet2: int,
-    cfg: SolverConfig,
-    extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> _PairBest:
-    """Best feasible pair over ascent restarts plus a candidate portfolio.
-
-    For s1 on sheet 1 against s2 on sheet 2, a translate by kappa (read by
-    ``_translation_amplitude``, or 0 for equal states), the restarts are
-    skipped where the doubled path-mean dual (``_doubled_dual``) proves the
-    best seeded pair optimal: leakage at most ctx.tol and the dual's upper
-    bound within ctx.tol max(1, value) of the value.  ``upper`` then
-    carries that bound; it is None wherever the ascent runs.  The
-    feasibility is always the full SVD of ``_doubled_seminorm``.
-    """
-    g = np.stack([
-        _hermitize((sheet1 == 1) * s1.rho - (sheet2 == 1) * s2.rho),
-        _hermitize((sheet1 == 2) * s1.rho - (sheet2 == 2) * s2.rho),
-    ])
-    seeded = [np.stack(p) for p in extra_pairs]
-    pair = partial(_doubled_pair, dd)
-    upper = None
-    if (sheet1, sheet2) == (1, 2):
-        kappa = 0.0 if _identical(s1, s2) else _translation_amplitude(s1, s2)
-        if kappa is not None:
-            best_val, best = _best_candidate(g, pair, seeded)
-            upper = _proven_upper(
-                dd.ctx.tol, best_val, [_doubled_upper(dd, g, _doubled_dual(dd, s1.rho, kappa))]
-            )
-    if upper is None:
-        best_val, best = _portfolio_ascent(g, pair, cfg, (97,), seeded)
-    if best is None:
-        return _PairBest(0.0, 0.0)
-    return _PairBest(best_val, _doubled_seminorm(dd, best[0], best[1]), upper)
-
-
 # ---------------------------------------------------------------------------
 # distances
 
@@ -385,10 +349,28 @@ def _opposite_sheets(
     dd: DoubledDirac, s1: QState, s2: QState, cfg: SolverConfig
 ) -> tuple[DistanceReport, _PairBest]:
     """Single-sheet distance of (s1, s2) and the pair solver's best value
-    for s1 on sheet 1 against s2 on sheet 2, seeded by its hypotenuses."""
+    for s1 on sheet 1 against s2 on sheet 2, seeded by its hypotenuses.
+
+    The pair solver is the shared core ``_portfolio_ascent`` on stacked
+    element pairs, with evaluation pair g = Herm(rho1, -rho2).  Where s2 is
+    a translate of s1 by kappa (read by ``_translation_amplitude``, or 0
+    for equal states), the doubled path-mean dual (``_doubled_dual``) may
+    prove the best hypotenuse seed optimal: leakage at most ctx.tol and its
+    upper bound within ctx.tol max(1, value) of the value.  No ascent runs
+    then and ``upper`` carries that bound; it is None wherever the ascent
+    runs.  The feasibility is always the full SVD of ``_doubled_seminorm``.
+    """
     single = _single_route(dd.calc, s1, s2, cfg)
-    check = _doubled_solver(dd, s1, 1, s2, 2, cfg, _portfolio_pairs(dd, s1, s2, single))
-    return single, check
+    g = _hermitize(np.stack([s1.rho, -s2.rho]))
+    seeded = [np.stack(p) for p in _portfolio_pairs(dd, s1, s2, single)]
+    kappa = 0.0 if _identical(s1, s2) else _translation_amplitude(s1, s2)
+    bounds = None if kappa is None else [_doubled_upper(dd, g, _doubled_dual(dd, s1.rho, kappa))]
+    value, best, upper = _portfolio_ascent(
+        g, partial(_doubled_pair, dd), cfg, (97,), seeded, dd.ctx.tol, bounds
+    )
+    if best is None:
+        return single, _PairBest(0.0, 0.0)
+    return single, _PairBest(value, _doubled_seminorm(dd, best[0], best[1]), upper)
 
 
 def _upper_at(check: _PairBest, value: float) -> float | None:
@@ -405,16 +387,18 @@ def doubled_distance(
 ) -> DistanceReport:
     """Distance between sheet states of the doubled geometry.
 
-    Same-sheet pairs project onto the single-sheet distance.  A state and
-    its copy on the other sheet sit at the internal rung 1/|Lambda|.
+    Same-sheet pairs project onto the single-sheet distance: the report is
+    the single-sheet route's (closed form, LP or solver, with its ``gap``
+    and ``upper``), noted as a projection, and no pair solve runs.  A state
+    and its copy on the other sheet sit at the internal rung 1/|Lambda|.
     Opposite-sheet members of one translation family combine the
-    transverse shift with the rung in quadrature.  Every route is
-    cross-checked (and, for remaining cross-family pairs, produced) by
-    the pair solver, whose value is a certified lower bound.
+    transverse shift with the rung in quadrature.  Every opposite-sheet
+    route is cross-checked (and, for remaining cross-family pairs,
+    produced) by the pair solver, whose value is a certified lower bound.
 
     On opposite sheets the pair solver runs no ascent where the doubled
     path-mean dual proves its best hypotenuse seed optimal (see
-    ``_doubled_solver``): equal states, or a translate read from a
+    ``_opposite_sheets``): equal states, or a translate read from a
     ``translated`` tag or two families at one level.  The report's
     ``upper`` then carries that bound; it is None wherever the ascent ran.
     """
@@ -427,25 +411,7 @@ def doubled_distance(
     sa, sb = ss1.state, ss2.state
 
     if ss1.sheet == ss2.sheet:
-        rep = _single_route(dd.calc, sa, sb, cfg)
-        same_pairs = []
-        if rep.certificate is not None and rep.feasibility > _TINY:
-            unit = rep.certificate.mat / rep.feasibility
-            same_pairs.append((unit, unit))
-        check = _doubled_solver(dd, sa, ss1.sheet, sb, ss2.sheet, cfg, same_pairs)
-        note = f"sheet-{ss1.sheet} projection; pair-solver cross-check at {check.value:.9g}"
-        if rep.method == "convex-solver":
-            # Both values are lower bounds on the same number; keep the better.
-            if check.value > rep.value:
-                return replace(rep, value=check.value, certificate=None,
-                               feasibility=check.feasibility, note=note)
-            return replace(rep, note=note)
-        if check.value > rep.value + 1e-6:
-            raise ArithmeticError(
-                f"pair solver exceeded the exact same-sheet distance: "
-                f"{check.value:.12g} > {rep.value:.12g}"
-            )
-        return replace(rep, gap=abs(rep.value - check.value), note=note)
+        return replace(_single_route(dd.calc, sa, sb, cfg), note=f"sheet-{ss1.sheet} projection")
 
     d_i = dd.internal_distance
     single, check = _opposite_sheets(dd, sa, sb, cfg)

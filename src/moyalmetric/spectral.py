@@ -34,7 +34,8 @@ sqrt(m) / s_min (``_dual_upper``), where s_min is the smallest nonzero
 singular value of the derivative map on the corner
 (``DiracCalculus.corner_s_min``).  The solver runs no ascent where such a
 dual proves its best seeded candidate optimal, with leakage at most tol
-and the bound within tol of the value.  Two duals are tried: the tail dual
+and the bound within tol of the value; that decision is made in one place,
+``_portfolio_ascent``, for both sheets.  Two duals are tried: the tail dual
 of a state difference that is exactly diagonal with no weight at the
 guarded levels, whose nuclear norm is the LP value (``_lp_dual``), and the
 path mean of a translation, -conj(kappa) times the average of the states
@@ -192,7 +193,8 @@ class DistanceReport:
     exists.  ``increments`` carries the diagonal profile of ladder-type
     certificates.  ``upper`` is the proven upper bound of the solver's two
     skip routes (see ``distance_solver``) and of the opposite-sheet skip of
-    ``doubling.doubled_distance``, None elsewhere.
+    ``doubling.doubled_distance``, None elsewhere; a same-sheet
+    ``doubled_distance`` report carries its single-sheet route's ``upper``.
     """
 
     value: float
@@ -496,14 +498,26 @@ def _best_candidate(g: np.ndarray, pair, candidates) -> tuple[float, np.ndarray 
 
 
 def _portfolio_ascent(
-    g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...], seeded
-) -> tuple[float, np.ndarray | None]:
-    """Best evaluation ratio over ascent restarts plus seeded candidates.
+    g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...], seeded, tol: float, bounds
+) -> tuple[float, np.ndarray | None, float | None]:
+    """The one prove-or-ascend core of both sheets' solvers.
 
-    Restart 0 starts from g, restart r from complex Gaussians (one per sheet)
-    seeded [cfg.seed, *key, r].  The ascent results come first in
-    ``_best_candidate``'s order, then the seeded candidates.
+    Returns (value, element, upper): the best evaluation ratio, its unit
+    element with a nonnegative objective (None if every candidate has zero
+    seminorm), and the dual bound that proves it, or None.  ``bounds``
+    yields one (upper, leakage) pair per explicit dual, read lazily, or is
+    None where the pair has no dual.  When ``_proven_upper`` accepts a bound
+    for the best seeded candidate, that candidate is returned and no
+    restart runs.
+    Otherwise restart 0 ascends from g and restart r from complex Gaussians
+    (one per sheet) seeded [cfg.seed, *key, r]; the ascent results come
+    first in ``_best_candidate``'s order, then the seeded candidates.
     """
+    if bounds is not None:
+        best_val, best = _best_candidate(g, pair, seeded)
+        upper = _proven_upper(tol, best_val, bounds)
+        if upper is not None:
+            return best_val, best, upper
     n = g.shape[-1]
     candidates = []
     for r in range(cfg.restarts):
@@ -515,7 +529,7 @@ def _portfolio_ascent(
         x = _ascend(g, pair, start, cfg)
         if x is not None:
             candidates.append(x)
-    return _best_candidate(g, pair, candidates + list(seeded))
+    return (*_best_candidate(g, pair, candidates + list(seeded)), None)
 
 
 def _lp_dual(calc: DiracCalculus, drho: np.ndarray) -> np.ndarray | None:
@@ -719,20 +733,15 @@ def distance_solver(
     if lp_seeded:
         seeded.append(lp.certificate.mat)
 
-    pair = partial(_sheet_pair, calc)
     duals = []
     if (y := _lp_dual(calc, drho)) is not None:
         duals.append(y)
     if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
-    upper = None
-    if duals:
-        best_val, best_mat = _best_candidate(drho, pair, seeded)
-        upper = _proven_upper(
-            calc.ctx.tol, best_val, (_dual_upper(calc, drho, y) for y in duals)
-        )
-    if upper is None:
-        best_val, best_mat = _portfolio_ascent(drho, pair, cfg, (), seeded)
+    bounds = (_dual_upper(calc, drho, y) for y in duals) if duals else None
+    best_val, best_mat, upper = _portfolio_ascent(
+        drho, partial(_sheet_pair, calc), cfg, (), seeded, calc.ctx.tol, bounds
+    )
     if best_mat is None:
         return zero
     cert = Operator(calc.ctx, _hermitize(best_mat), hermitian=True)

@@ -31,3 +31,23 @@ def ctx48():
 @pytest.fixture(scope="session")
 def ctx64():
     return make_context(64, 1.0, 1e-10)
+
+
+@pytest.fixture
+def ascent_calls(monkeypatch):
+    """Record each call of the ascent, ``spectral._ascend``.
+
+    Both sheets' solvers run it once per restart, so an ascended solve
+    adds ``cfg.restarts`` calls and a proven one adds none.
+    """
+    from moyalmetric import spectral
+
+    calls = []
+    real = spectral._ascend
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_ascend", counted)
+    return calls

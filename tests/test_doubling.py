@@ -7,6 +7,7 @@ hypotenuse values sqrt(d^2 + 1/|Lambda|^2).
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 from moyalmetric import (
     DiracCalculus,
+    Operator,
     SolverConfig,
     coherent_state,
     d_L2,
     displace,
     eigenstate,
+    lipschitz_seminorm,
     make_context,
     mixed_state,
     superposition_state,
@@ -41,7 +44,13 @@ from moyalmetric.doubling import (
     _doubled_seminorm,
     _doubled_upper,
 )
-from moyalmetric.spectral import _hermitize, _objective, _top_singular_pair
+from moyalmetric.spectral import (
+    _hermitize,
+    _objective,
+    _portfolio_ascent,
+    _single_route,
+    _top_singular_pair,
+)
 
 LIGHT = SolverConfig(iterations=120, restarts=2)
 
@@ -201,6 +210,55 @@ class TestChiralBlock:
         assert _objective(sub, y) <= np.linalg.norm(_doubled_commutator(dd, *y), 2) * (1 + 1e-10)
 
 
+def same_sheet_pair(ctx, route):
+    """A state pair that the single-sheet route serves by ``route``."""
+    e = [eigenstate(ctx, k) for k in range(3)]
+    if route == "closed-form":
+        return e[0], e[1]
+    if route == "diagonal-lp":
+        return mixed_state([e[0], e[2]], [0.5, 0.5]), e[1]
+    return superposition_state(ctx, [0, 2], [1.0, 1.0j]), e[1]
+
+
+class TestOneSheet:
+    """On one sheet the doubled geometry is the plane's own: the diagonal
+    blocks of K are -i A x1 and -i (A x2)*, so ||K(x, x)|| = p(x) and
+    ||K(x1, x2)|| >= max(p(x1), p(x2)).  This is why a same-sheet
+    ``doubled_distance`` takes the single-sheet route."""
+
+    @pytest.mark.parametrize("theta", (1.0, 0.7, 2.3))
+    @pytest.mark.parametrize("n", (8, 16, 24))
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_doubled_seminorm_restricts_to_the_sheet(self, n, theta, seed, lam):
+        calc = DiracCalculus(make_context(n, theta, 1e-10))
+        dd = make_doubled(calc, lam)
+        rng = np.random.default_rng(seed)
+        x, y = hermitian(rng, n), hermitian(rng, n)
+        px = lipschitz_seminorm(calc, Operator(calc.ctx, x, hermitian=True))
+        py = lipschitz_seminorm(calc, Operator(calc.ctx, y, hermitian=True))
+        assert abs(_doubled_seminorm(dd, x, x) - px) <= 1e-12 * px
+        assert _doubled_seminorm(dd, x, y) >= max(px, py) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("pair", ("closed-form", "diagonal-lp"))
+    def test_doubled_ascent_stays_below_the_exact_value(self, ctx16, pair):
+        # The ascent on (drho, 0) is a lower bound on the single-sheet
+        # distance, so it never exceeds the exact closed-form or LP value.
+        calc = DiracCalculus(ctx16)
+        dd = make_doubled(calc, reference_lambda(calc, 0) * cmath.exp(0.3j))
+        s1, s2 = same_sheet_pair(ctx16, pair)
+        exact = _single_route(calc, s1, s2, LIGHT)
+        assert exact.method == pair
+        drho = _hermitize(s1.rho - s2.rho)
+        g = np.stack([drho, np.zeros_like(drho)])
+        cfg = SolverConfig(iterations=300, restarts=3)
+        value, best, upper = _portfolio_ascent(
+            g, partial(_doubled_pair, dd), cfg, (97,), [], ctx16.tol, None
+        )
+        assert upper is None
+        assert 0.9 * exact.value < value <= exact.value + 1e-9
+        assert _doubled_seminorm(dd, best[0], best[1]) <= 1 + 1e-8
+
+
 def corner_pair(rng, ctx):
     """A random Hermitian pair on the corner, levels 0..m, orthogonal to
     the joint kernel {(c 1_m + b1 |m><m|, c 1_m + b2 |m><m|)}."""
@@ -212,21 +270,6 @@ def corner_pair(rng, ctx):
     shift = (np.trace(x[0, :m, :m]) + np.trace(x[1, :m, :m])).real / (2 * m)
     x[:, np.arange(m), np.arange(m)] -= shift
     return x
-
-
-def ascent_calls(monkeypatch):
-    """Wrap the pair solver's ascent portfolio to record each call."""
-    from moyalmetric import doubling
-
-    calls = []
-    real = doubling._portfolio_ascent
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(doubling, "_portfolio_ascent", counted)
-    return calls
 
 
 class TestDoubledDual:
@@ -299,36 +342,35 @@ class TestDoubledDual:
                 assert leakage <= ctx48.tol
                 assert 0 <= upper - want <= ctx48.tol
 
-    def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch):
+    def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch, ascent_calls):
         from moyalmetric import doubling
 
         calc = DiracCalculus(ctx48)
         dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(0.3j))
         base = eigenstate(ctx48, 1)
         s1, s2 = displace(base, 0.3), displace(base, 1.3 - 0.4j)
-        calls = ascent_calls(monkeypatch)
         res = pythagoras_check(dd, s1, s2, LIGHT)
         rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
-        assert calls == []
+        assert ascent_calls == []
         assert res.lhs <= res.upper <= res.lhs + 3 * ctx48.tol * res.lhs
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
         monkeypatch.setattr(doubling, "_translation_amplitude", lambda a, b: None)
         forced = pythagoras_check(dd, s1, s2, LIGHT)
         forced_rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
-        assert len(calls) == 2
+        # Two ascended doubled solves; the single-sheet route is closed-form.
+        assert len(ascent_calls) == 2 * LIGHT.restarts
         assert forced.upper is None and forced_rep.upper is None
         assert forced == res._replace(upper=None)
         assert forced_rep == replace(rep, upper=None)
 
-    def test_equal_states_skip_the_ascent(self, dd32, ctx32, monkeypatch):
-        calls = ascent_calls(monkeypatch)
+    def test_equal_states_skip_the_ascent(self, dd32, ctx32, ascent_calls):
         s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])
         res = pythagoras_check(dd32, s, s, LIGHT)
-        assert calls == []
+        assert ascent_calls == []
         assert res.lhs == pytest.approx(2.0, abs=1e-12)
         assert res.lhs <= res.upper <= res.lhs + 3 * ctx32.tol * res.lhs
 
-    def test_leaking_pair_refuses_the_skip(self, monkeypatch):
+    def test_leaking_pair_refuses_the_skip(self, ascent_calls):
         ctx = make_context(24, 1.0, 1e-10)
         calc = DiracCalculus(ctx)
         dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(0.3j))
@@ -337,9 +379,8 @@ class TestDoubledDual:
         g = _hermitize(np.stack([s1.rho, -s2.rho]))
         upper, leakage = _doubled_upper(dd, g, _doubled_dual(dd, s1.rho, 1.0))
         assert upper - math.hypot(1.0, dd.internal_distance) > ctx.tol
-        calls = ascent_calls(monkeypatch)
         res = pythagoras_check(dd, s1, s2, LIGHT)
-        assert len(calls) == 1
+        assert len(ascent_calls) == LIGHT.restarts
         assert res.upper is None
 
 
@@ -360,11 +401,21 @@ class TestDoubledDistance:
         rep = doubled_distance(dd32, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
         assert rep.value == pytest.approx(math.sqrt(6.0), abs=1e-8)
 
-    def test_same_sheet_projection(self, dd32, ctx32):
-        rep = doubled_distance(
-            dd32, SheetState(eigenstate(ctx32, 0), 1), SheetState(eigenstate(ctx32, 1), 1), LIGHT
-        )
-        assert rep.value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    @pytest.mark.parametrize("sheet", (1, 2))
+    @pytest.mark.parametrize("route", ("closed-form", "diagonal-lp", "convex-solver"))
+    def test_same_sheet_projection(self, dd32, ctx32, ascent_calls, route, sheet):
+        # One sheet is the single-sheet problem: the report is the single
+        # route's, and no doubled solve runs.
+        s1, s2 = same_sheet_pair(ctx32, route)
+        rep = doubled_distance(dd32, SheetState(s1, sheet), SheetState(s2, sheet), LIGHT)
+        assert len(ascent_calls) == (LIGHT.restarts if route == "convex-solver" else 0)
+        want = _single_route(dd32.calc, s1, s2, LIGHT)
+        assert rep.method == want.method == route
+        assert (rep.value, rep.gap, rep.upper) == (want.value, want.gap, want.upper)
+        assert rep.certificate.mat.tobytes() == want.certificate.mat.tobytes()
+        assert rep.note == f"sheet-{sheet} projection"
+        if route == "closed-form":
+            assert rep.value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_sheet_order_irrelevant(self, dd32, ctx32):
         s1 = eigenstate(ctx32, 0)

@@ -549,21 +549,6 @@ def number_mixture(ctx, rng):
     return mixed_state([eigenstate(ctx, int(k)) for k in levels], weights.tolist())
 
 
-def ascent_calls(monkeypatch):
-    """Wrap the ascent core to record each call."""
-    from moyalmetric import spectral
-
-    calls = []
-    real = spectral._ascend
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(spectral, "_ascend", counted)
-    return calls
-
-
 class TestExactLPSkip:
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("n", ORACLE_DIMS)
@@ -590,8 +575,7 @@ class TestExactLPSkip:
         nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
         assert abs(nuclear - lp) <= 1e-12 * lp
 
-    def test_no_ascent_on_exactly_diagonal_pairs(self, ctx32, monkeypatch):
-        calls = ascent_calls(monkeypatch)
+    def test_no_ascent_on_exactly_diagonal_pairs(self, ctx32, ascent_calls):
         calc = DiracCalculus(ctx32)
         e = [eigenstate(ctx32, k) for k in range(4)]
         pairs = [
@@ -608,9 +592,9 @@ class TestExactLPSkip:
             assert np.abs(rep.certificate.mat - want).max() <= 1e-12
             assert rep.feasibility <= 1 + 1e-8
             assert 0 <= rep.upper - rep.value <= ctx32.tol * max(1.0, rep.value)
-        assert calls == []
+        assert ascent_calls == []
 
-    def test_ascent_runs_unless_exactly_diagonal(self, ctx32, monkeypatch):
+    def test_ascent_runs_unless_exactly_diagonal(self, ctx32, ascent_calls):
         # Both states pass the LP's tol-diagonal test, so the LP is still
         # seeded, but the skip needs the exact property.
         ctx = ctx32
@@ -622,13 +606,12 @@ class TestExactLPSkip:
         calc = DiracCalculus(ctx)
         other = eigenstate(ctx, 2)
         cfg = SolverConfig(iterations=5, restarts=1)
-        calls = ascent_calls(monkeypatch)
         for rho in (off, edge):
             state = QState(ctx, rho, ("test",))
             assert _lp_dual(calc, 0.5 * (rho - other.rho + (rho - other.rho).conj().T)) is None
-            before = len(calls)
+            before = len(ascent_calls)
             rep = distance_solver(calc, state, other, cfg)
-            assert len(calls) - before == cfg.restarts
+            assert len(ascent_calls) - before == cfg.restarts
             assert rep.upper is None
             assert rep.value >= distance_diagonal_lp(calc, state, other).value - 1e-9
 
@@ -817,7 +800,7 @@ class TestTranslationDual:
         assert _translation_amplitude(base, coherent_state(ctx32, 0.3)) is None
 
     @pytest.mark.parametrize("swap", (False, True))
-    def test_no_ascent_on_a_proven_translation(self, ctx48, monkeypatch, swap):
+    def test_no_ascent_on_a_proven_translation(self, ctx48, monkeypatch, ascent_calls, swap):
         from moyalmetric import spectral
 
         calc = DiracCalculus(ctx48)
@@ -825,17 +808,16 @@ class TestTranslationDual:
         pair = (base, displace(base, 2.0))
         if swap:
             pair = pair[::-1]
-        calls = ascent_calls(monkeypatch)
         rep = distance_solver(calc, *pair, QUICK_SOLVER)
-        assert calls == []
+        assert ascent_calls == []
         assert 0 <= rep.upper - rep.value <= ctx48.tol * max(1.0, rep.value)
         monkeypatch.setattr(spectral, "_translation_amplitude", lambda s1, s2: None)
         forced = distance_solver(calc, *pair, QUICK_SOLVER)
-        assert len(calls) == QUICK_SOLVER.restarts
+        assert len(ascent_calls) == QUICK_SOLVER.restarts
         assert forced.upper is None
         assert rep.value == forced.value
 
-    def test_leaking_pair_refuses_the_skip(self, monkeypatch):
+    def test_leaking_pair_refuses_the_skip(self, ascent_calls):
         ctx = make_context(24, 1.0, 1e-10)
         calc = DiracCalculus(ctx)
         base = coherent_state(ctx, 1.0)
@@ -845,9 +827,8 @@ class TestTranslationDual:
         )
         assert upper - 1.0 > ctx.tol
         cfg = SolverConfig(iterations=5, restarts=2)
-        calls = ascent_calls(monkeypatch)
         rep = distance_solver(calc, base, moved, cfg)
-        assert len(calls) == cfg.restarts
+        assert len(ascent_calls) == cfg.restarts
         assert rep.upper is None
 
 
