@@ -4,8 +4,11 @@
 Uses the library directly rather than the CLI, which is the intended way to
 script experiments.  For each truncation the study records the vacuum
 square length, the modified length of a shifted pair, the relative
-identification gap at (0,1), and the bottom of Sp(L^2), which the sector
-decomposition of the length operator makes cheap at every truncation.
+identification gap at (0,1), the bottom of Sp(L^2), which the sector
+decomposition of the length operator makes cheap at every truncation, and
+``corner_s_min``, the smallest nonzero singular value of the derivative map
+on the seminorm's corner: the explicit-dual bounds charge their residual at
+sqrt(m) / s_min, so its decay in N predicts how that charge grows.
 
     python3 scripts/truncation_study.py
     python3 scripts/truncation_study.py --dims 16,32,64,128
@@ -48,17 +51,19 @@ def main() -> int:
         )
         gap01 = length_vs_optimal_discrepancy(calc, 0, 1).rel_gap
         floor = float(build_length(ctx).spectrum[0])
-        rows.append((dim, vacuum_sq, pair_sq, gap01, floor))
+        s_min = calc.corner_s_min
+        rows.append((dim, vacuum_sq, pair_sq, gap01, floor, s_min))
         print(
             f"N={dim:3d}  vacuum d_L2 = {vacuum_sq:.12g}  shifted-pair d_L2 = "
-            f"{pair_sq:.12g}  rel gap(0,1) = {gap01:.12g}  min Sp(L2) = {floor:.12g}"
+            f"{pair_sq:.12g}  rel gap(0,1) = {gap01:.12g}  min Sp(L2) = {floor:.12g}  "
+            f"corner s_min = {s_min:.12g}"
         )
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trunc_dim", "vacuum_d_L2", "shifted_pair_d_L2",
-                         "rel_gap_01", "min_spec_L2"])
+                         "rel_gap_01", "min_spec_L2", "corner_s_min"])
         writer.writerows(rows)
     print(f"wrote {args.out}")
 

@@ -31,17 +31,22 @@ single-sheet route and no pair solve.  The diagonal blocks of K are
 ||K(x1, x2)|| >= max(p(x1), p(x2)): on one sheet the doubled distance is
 the plane's own.
 
-On opposite sheets, equal states and translates by kappa have an explicit
+On opposite sheets every fact about a pair is decided once, in
+``_opposite_sheets``: the translation amplitude kappa (0 for equal states),
+the single-sheet report, and the pair solver's value, feasibility and
+upper bound; ``doubled_distance`` and ``pythagoras_check`` only format
+that record.  The pair solver has one seed, the hypotenuse lift of the
+single-sheet certificate.  Equal states and translates by kappa sit at
+hypot(|kappa|, 1/|Lambda|) by translation covariance, and have an explicit
 dual of K (``_doubled_dual``): the single-sheet path mean split along the
 path, with the rung spread evenly over it, whose nuclear norm is at most
-hypot(|kappa|, 1/|Lambda|).  Where it proves the best hypotenuse seed
-optimal, up to the corner leakage and residual charge of
-``_doubled_upper``, the pair solver runs no ascent and reports that upper
-bound; elsewhere it ascends.
+that hypotenuse.  Where it proves the seed optimal, up to the corner
+leakage and residual charge of ``_doubled_upper``, the pair solver runs no
+ascent and reports that upper bound; elsewhere it ascends.
 
-Single-sheet work (the closed form, LP or solver route and the translation
-seed) comes from ``spectral``; this module only adds what the second sheet
-brings: the rung, the hypotenuse mix and the pair solver.
+Single-sheet work (the closed form, LP or solver route) comes from
+``spectral``; this module only adds what the second sheet brings: the
+rung, the hypotenuse mix and the pair solver.
 """
 from __future__ import annotations
 
@@ -76,7 +81,6 @@ from .spectral import (
     _single_route,
     _top_singular_pair,
     _translation_amplitude,
-    _translation_seed,
 )
 
 __all__ = [
@@ -311,72 +315,57 @@ def _doubled_upper(dd: DoubledDirac, g: np.ndarray, w: np.ndarray) -> tuple[floa
     return upper, leakage
 
 
-def _identical(s1: QState, s2: QState) -> bool:
-    """Whether two states agree entrywise to 1e-12."""
-    return float(np.abs(s1.rho - s2.rho).max()) < 1e-12
-
-
-class _PairBest(NamedTuple):
-    value: float
-    feasibility: float
-    upper: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # distances
 
 
-def _portfolio_pairs(
-    dd: DoubledDirac, s1: QState, s2: QState, single: DistanceReport
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hypotenuse constructions seeded by single-sheet certificates."""
-    drho = _hermitize(s1.rho - s2.rho)
-    zeros = np.zeros((dd.ctx.trunc_dim, dd.ctx.trunc_dim))
-    pairs = [_hypotenuse_pair(dd, zeros, 0.0)]
-    bases: list[np.ndarray] = []
-    if single.certificate is not None and single.feasibility > _TINY:
-        bases.append(single.certificate.mat / single.feasibility)
-    translation = _translation_seed(dd.calc, s1, s2)
-    if translation is not None:
-        bases.append(translation)
-    for base in bases:
-        gap = _objective(drho, base)
-        pairs.append(_hypotenuse_pair(dd, base, gap))
-    return pairs
+class _OppositeSheets(NamedTuple):
+    """What ``_opposite_sheets`` decides about one opposite-sheet pair."""
+
+    single: DistanceReport
+    kappa: complex | None
+    value: float
+    feasibility: float
+    upper: float | None
 
 
 def _opposite_sheets(
     dd: DoubledDirac, s1: QState, s2: QState, cfg: SolverConfig
-) -> tuple[DistanceReport, _PairBest]:
-    """Single-sheet distance of (s1, s2) and the pair solver's best value
-    for s1 on sheet 1 against s2 on sheet 2, seeded by its hypotenuses.
+) -> _OppositeSheets:
+    """Every fact about s1 on sheet 1 against s2 on sheet 2, decided once.
+
+    ``kappa`` is the translation amplitude from s1 to s2: 0 for states equal
+    entrywise to 1e-12, else read by ``_translation_amplitude`` (a
+    ``translated`` tag or two families at one level), and None when neither
+    applies.  ``single`` is the single-sheet route's report of the pair.
 
     The pair solver is the shared core ``_portfolio_ascent`` on stacked
-    element pairs, with evaluation pair g = Herm(rho1, -rho2).  Where s2 is
-    a translate of s1 by kappa (read by ``_translation_amplitude``, or 0
-    for equal states), the doubled path-mean dual (``_doubled_dual``) may
-    prove the best hypotenuse seed optimal: leakage at most ctx.tol and its
-    upper bound within ctx.tol max(1, value) of the value.  No ascent runs
-    then and ``upper`` carries that bound; it is None wherever the ascent
-    runs.  The feasibility is always the full SVD of ``_doubled_seminorm``.
+    element pairs, with evaluation pair g = Herm(rho1, -rho2) and one seed:
+    the hypotenuse lift of the single route's certificate, or the zero-rung
+    pair when the route has none.  The single value is the best ratio over
+    a portfolio that holds every other single-sheet seed, and hypot is
+    monotone in the gap, so that lift dominates their lifts.  Where kappa
+    is known, the doubled path-mean dual (``_doubled_dual``) may prove the
+    seed optimal: leakage at most ctx.tol and its upper bound within ctx.tol
+    max(1, value) of the value.  No ascent runs then and ``upper`` carries
+    that bound; it is None wherever the ascent runs.  ``value`` is the pair
+    solver's, and its ``feasibility`` the full SVD of ``_doubled_seminorm``.
     """
     single = _single_route(dd.calc, s1, s2, cfg)
+    drho = s1.rho - s2.rho
+    base, gap = np.zeros(drho.shape), 0.0
+    if single.certificate is not None and single.feasibility > _TINY:
+        base = single.certificate.mat / single.feasibility
+        gap = _objective(_hermitize(drho), base)
+    seed = np.stack(_hypotenuse_pair(dd, base, gap))
+    kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
     g = _hermitize(np.stack([s1.rho, -s2.rho]))
-    seeded = [np.stack(p) for p in _portfolio_pairs(dd, s1, s2, single)]
-    kappa = 0.0 if _identical(s1, s2) else _translation_amplitude(s1, s2)
     bounds = None if kappa is None else [_doubled_upper(dd, g, _doubled_dual(dd, s1.rho, kappa))]
+    # The seed has doubled seminorm one, so the core always returns an element.
     value, best, upper = _portfolio_ascent(
-        g, partial(_doubled_pair, dd), cfg, (97,), seeded, dd.ctx.tol, bounds
+        g, partial(_doubled_pair, dd), cfg, (97,), [seed], dd.ctx.tol, bounds
     )
-    if best is None:
-        return single, _PairBest(0.0, 0.0)
-    return single, _PairBest(value, _doubled_seminorm(dd, best[0], best[1]), upper)
-
-
-def _upper_at(check: _PairBest, value: float) -> float | None:
-    """The pair solver's proven bound for a reported value, or None; a
-    bound below the value is roundoff and is raised to it."""
-    return None if check.upper is None else max(check.upper, value)
+    return _OppositeSheets(single, kappa, value, _doubled_seminorm(dd, best[0], best[1]), upper)
 
 
 def doubled_distance(
@@ -389,18 +378,19 @@ def doubled_distance(
 
     Same-sheet pairs project onto the single-sheet distance: the report is
     the single-sheet route's (closed form, LP or solver, with its ``gap``
-    and ``upper``), noted as a projection, and no pair solve runs.  A state
-    and its copy on the other sheet sit at the internal rung 1/|Lambda|.
-    Opposite-sheet members of one translation family combine the
-    transverse shift with the rung in quadrature.  Every opposite-sheet
-    route is cross-checked (and, for remaining cross-family pairs,
-    produced) by the pair solver, whose value is a certified lower bound.
+    and ``upper``), its note prefixed by the projection, and no pair solve
+    runs.
 
-    On opposite sheets the pair solver runs no ascent where the doubled
-    path-mean dual proves its best hypotenuse seed optimal (see
-    ``_opposite_sheets``): equal states, or a translate read from a
-    ``translated`` tag or two families at one level.  The report's
-    ``upper`` then carries that bound; it is None wherever the ascent ran.
+    Opposite-sheet pairs only format what ``_opposite_sheets`` decides.  A
+    state and its translate by kappa, equal states included at kappa = 0,
+    are the closed form hypot(|kappa|, 1/|Lambda|), by translation
+    covariance; the pair solver's value cross-checks it, and its excess is
+    an arithmetic failure.  Every other pair reports the larger of the
+    pair solver's certified lower bound and the quadrature ansatz over the
+    single-sheet value.  The pair solver runs no ascent where the doubled
+    path-mean dual proves its seed optimal; ``upper`` then carries that
+    bound, raised to the reported value, and is None wherever the ascent
+    ran.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -411,54 +401,43 @@ def doubled_distance(
     sa, sb = ss1.state, ss2.state
 
     if ss1.sheet == ss2.sheet:
-        return replace(_single_route(dd.calc, sa, sb, cfg), note=f"sheet-{ss1.sheet} projection")
+        route = _single_route(dd.calc, sa, sb, cfg)
+        note = f"sheet-{ss1.sheet} projection" + (f"; {route.note}" if route.note else "")
+        return replace(route, note=note)
 
     d_i = dd.internal_distance
-    single, check = _opposite_sheets(dd, sa, sb, cfg)
-
-    identical = _identical(sa, sb)
-    fa, fb = sa.family, sb.family
-    same_family = fa is not None and fb is not None and fa[0] == fb[0]
-
-    if identical or same_family:
-        if identical:
-            value = d_i
-            note = "opposite sheets, equal surface states: internal rung 1/|Lambda|"
-        else:
-            value = math.hypot(abs(fb[1] - fa[1]), d_i)
-            note = (
-                "opposite sheets, one translation family: transverse shift "
-                "and internal rung combine in quadrature"
-            )
-        if check.value > value + 1e-6:
+    pair = _opposite_sheets(dd, sa, sb, cfg)
+    if pair.kappa is not None:
+        value = math.hypot(abs(pair.kappa), d_i)
+        if pair.value > value + 1e-6:
             raise ArithmeticError(
                 f"pair solver exceeded the closed doubled distance: "
-                f"{check.value:.12g} > {value:.12g}"
+                f"{pair.value:.12g} > {value:.12g}"
             )
-        return DistanceReport(
-            value=value,
-            method="closed-form",
-            certificate=None,
-            feasibility=check.feasibility,
-            gap=abs(value - check.value),
-            note=note + f"; pair-solver cross-check at {check.value:.9g}",
-            upper=_upper_at(check, value),
-        )
-
-    ansatz = math.hypot(single.value, d_i)
-    value = max(check.value, ansatz)
-    return DistanceReport(
-        value=value,
-        method="convex-solver",
-        certificate=None,
-        feasibility=check.feasibility,
-        gap=abs(value - ansatz),
-        upper=_upper_at(check, value),
-        note=(
+        method, gap = "closed-form", abs(value - pair.value)
+        if pair.kappa == 0:
+            note = "opposite sheets, equal surface states: internal rung 1/|Lambda|"
+        else:
+            note = ("opposite sheets, translates: transverse shift and internal "
+                    "rung combine in quadrature")
+        note += f"; pair-solver cross-check at {pair.value:.9g}"
+    else:
+        ansatz = math.hypot(pair.single.value, d_i)
+        value = max(pair.value, ansatz)
+        method, gap = "convex-solver", abs(value - ansatz)
+        note = (
             "opposite sheets, cross family: certified lower bound; the "
             "quadrature ansatz over the single-sheet estimate "
-            f"{single.value:.9g} gives {ansatz:.9g}"
-        ),
+            f"{pair.single.value:.9g} gives {ansatz:.9g}"
+        )
+    return DistanceReport(
+        value=value,
+        method=method,
+        certificate=None,
+        feasibility=pair.feasibility,
+        gap=gap,
+        note=note,
+        upper=None if pair.upper is None else max(pair.upper, value),
     )
 
 
@@ -483,29 +462,30 @@ def pythagoras_check(
     sheet 2); ``rhs_equal`` sums the squared single-sheet distance and the
     squared internal rung.  The bracket [rhs_lo, rhs_hi] spans one to two
     times that sum; leaving it is an arithmetic failure, not a data
-    condition, because the hypotenuse construction realizes rhs_lo exactly
-    and feasible values cannot exceed the doubled supremum.
+    condition, because the pair solver's seed, the hypotenuse lift of the
+    single-sheet certificate, realizes rhs_lo exactly and feasible values
+    cannot exceed the doubled supremum.
 
-    Equal states and translates (see ``doubled_distance``) usually run no
-    doubled ascent: the doubled path-mean dual proves the hypotenuse seed
-    optimal, and ``upper`` records its bound squared.  The constant rhs_hi
-    stays the outer check.
+    Equal states and translates (see ``_opposite_sheets``) usually run no
+    doubled ascent: the doubled path-mean dual proves the seed optimal, and
+    ``upper`` records its bound squared.  The constant rhs_hi stays the
+    outer check.
     """
     if cfg is None:
         cfg = SolverConfig()
     _require_same_ctx(dd.ctx, s1.ctx)
     _require_same_ctx(dd.ctx, s2.ctx)
-    single, check = _opposite_sheets(dd, s1, s2, cfg)
-    rhs_equal = single.value**2 + dd.internal_distance**2
+    pair = _opposite_sheets(dd, s1, s2, cfg)
+    rhs_equal = pair.single.value**2 + dd.internal_distance**2
     rhs_lo, rhs_hi = rhs_equal, 2.0 * rhs_equal
-    lhs = check.value**2
+    lhs = pair.value**2
     tol = 1e-6 * max(1.0, rhs_equal)
     if lhs < rhs_lo - tol or lhs > rhs_hi + tol:
         raise ArithmeticError(
             f"squared doubled distance {lhs:.12g} left its bracket "
             f"[{rhs_lo:.12g}, {rhs_hi:.12g}]"
         )
-    upper = None if check.upper is None else check.upper**2
+    upper = None if pair.upper is None else pair.upper**2
     return PythagorasResult(lhs=lhs, rhs_equal=rhs_equal, rhs_lo=rhs_lo, rhs_hi=rhs_hi,
                             upper=upper)
 

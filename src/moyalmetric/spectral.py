@@ -64,6 +64,7 @@ from .fock import (
     _displacement_eigh,
     _require_same_ctx,
     annihilation,
+    displacement_operator,
 )
 
 __all__ = [
@@ -340,16 +341,16 @@ def closed_form_for(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceRepo
     """The closed-form distance with its certificate, or None.
 
     Translates of a common level are certified by the translation element
-    at the phase of nu - mu, and number states at a common translation by
-    the ladder element up to the larger level, which pairs with the
-    untranslated states.
+    at the phase of nu - mu, and number states at a common translation mu
+    by the ladder element L up to the larger level, carried along by the
+    translation: U(mu) L U(mu)*, which pairs with the translated states as
+    L does with the untranslated ones.
     """
     _require_same_ctx(s1.ctx, s2.ctx)
     value = _closed_value(s1, s2)
     if value is None:
         return None
     (m, mu), (n, nu) = s1.family, s2.family
-    note = ""
     if m == n:
         kappa = nu - mu
         cert = optimal_element_translation(
@@ -358,13 +359,13 @@ def closed_form_for(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceRepo
     else:
         cert = optimal_element_eigenstates(calc, upto=max(m, n))
         if abs(mu) > 1e-12:
-            note = "value by translation covariance; certificate for the untranslated pair"
+            u = displacement_operator(calc.ctx, mu).mat
+            cert = Operator(calc.ctx, _hermitize(u @ cert.mat @ u.conj().T), hermitian=True)
     return DistanceReport(
         value=value,
         method="closed-form",
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
-        note=note,
     )
 
 

@@ -354,7 +354,9 @@ class TestDoubledDual:
         assert ascent_calls == []
         assert res.lhs <= res.upper <= res.lhs + 3 * ctx48.tol * res.lhs
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
-        monkeypatch.setattr(doubling, "_translation_amplitude", lambda a, b: None)
+        # A dual that refuses forces the ascent; kappa, and with it the
+        # closed branch of doubled_distance, stays as it was.
+        monkeypatch.setattr(doubling, "_doubled_upper", lambda *args: (math.inf, math.inf))
         forced = pythagoras_check(dd, s1, s2, LIGHT)
         forced_rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
         # Two ascended doubled solves; the single-sheet route is closed-form.
@@ -362,6 +364,37 @@ class TestDoubledDual:
         assert forced.upper is None and forced_rep.upper is None
         assert forced == res._replace(upper=None)
         assert forced_rep == replace(rep, upper=None)
+
+    def test_tagged_translate_is_closed_form(self, ctx48, ascent_calls):
+        # A state that is no family member still sits at the hypotenuse
+        # of its tagged translate on the other sheet.
+        calc = DiracCalculus(ctx48)
+        dd = make_doubled(calc, reference_lambda(calc, 0))
+        base = superposition_state(ctx48, [0, 2], [1.0, 1.0j])
+        kappa = 0.7 + 0.3j
+        rep = doubled_distance(dd, SheetState(base, 1), SheetState(displace(base, kappa), 2), LIGHT)
+        assert ascent_calls == []
+        assert rep.method == "closed-form"
+        assert rep.value == math.hypot(abs(kappa), dd.internal_distance)
+        assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
+
+    def test_proven_family_pair_scores_one_seed(self, ctx48, monkeypatch):
+        from moyalmetric import doubling
+
+        calc = DiracCalculus(ctx48)
+        dd = make_doubled(calc, reference_lambda(calc, 1))
+        calls = []
+        real = doubling._doubled_pair
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(doubling, "_doubled_pair", counted)
+        base = eigenstate(ctx48, 1)
+        res = pythagoras_check(dd, displace(base, 0.3), displace(base, 1.3 - 0.4j), LIGHT)
+        assert res.upper is not None
+        assert len(calls) == 1
 
     def test_equal_states_skip_the_ascent(self, dd32, ctx32, ascent_calls):
         s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])
@@ -413,7 +446,10 @@ class TestDoubledDistance:
         assert rep.method == want.method == route
         assert (rep.value, rep.gap, rep.upper) == (want.value, want.gap, want.upper)
         assert rep.certificate.mat.tobytes() == want.certificate.mat.tobytes()
-        assert rep.note == f"sheet-{sheet} projection"
+        assert rep.note == f"sheet-{sheet} projection" + (f"; {want.note}" if want.note else "")
+        if route == "convex-solver":
+            assert rep.note.endswith("; lower bound; certificate optimal up to "
+                                     "regularization at infinity")
         if route == "closed-form":
             assert rep.value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
@@ -439,6 +475,16 @@ class TestDoubledDistance:
 
 
 class TestPythagoras:
+    @pytest.mark.parametrize("mu", (0.5, 1.0, 1.5 + 0.5j))
+    def test_number_states_at_a_common_shift(self, ctx48, mu):
+        # The closed-form certificate certifies the translated pair itself
+        # (see test_spectral), so its hypotenuse lift meets rhs_lo.
+        calc = DiracCalculus(ctx48)
+        dd = make_doubled(calc, reference_lambda(calc, 0))
+        s1, s2 = displace(eigenstate(ctx48, 0), mu), displace(eigenstate(ctx48, 1), mu)
+        res = pythagoras_check(dd, s1, s2, LIGHT)
+        assert abs(res.lhs - res.rhs_lo) <= 1e-12
+
     def test_same_family_equality(self, dd32, ctx32):
         s1 = eigenstate(ctx32, 0)
         s2 = displace(s1, 1.0)

@@ -187,6 +187,17 @@ class TestClosedForm:
         )
         assert abs(gap) == pytest.approx(rep.value, abs=1e-12)
 
+    @pytest.mark.parametrize("levels", ((0, 1), (0, 3), (2, 5)))
+    @pytest.mark.parametrize("mu", (0.5, 1.0, 1.5 + 0.5j, -2.0 + 1.0j))
+    def test_common_shift_certificate_pairs_the_translated_states(self, ctx48, levels, mu):
+        calc = DiracCalculus(ctx48)
+        s1, s2 = (displace(eigenstate(ctx48, k), mu) for k in levels)
+        rep = closed_form_for(calc, s1, s2)
+        assert rep.value == pytest.approx(eigen_distance(*levels), abs=1e-12)
+        assert rep.feasibility <= 1 + 1e-12
+        gap = evaluate(s1, rep.certificate) - evaluate(s2, rep.certificate)
+        assert abs(abs(gap) - rep.value) <= 1e-12
+
     def test_family_dispatch(self, ctx32):
         calc = DiracCalculus(ctx32)
         s1 = eigenstate(ctx32, 2)
