@@ -20,9 +20,11 @@ The grading also means the commutator only joins the odd blocks to the
 even ones, so its chiral block K (``_chiral_block``, 2m x 2m) carries all
 of its singular values and the 4m x 4m commutator is never built; the
 tests keep it as the oracle for K.  The pair solver runs the shared
-prove-or-ascend core of ``spectral`` (``_portfolio_ascent``) on stacked
-element pairs, with one Gram eigendecomposition of K per iteration and the
-subgradient from its adjoint (``_chiral_adjoint``); a full SVD of K
+prove-or-search core of ``spectral`` (``_portfolio_ascent``) on stacked
+element pairs; its search is the restarted ascent (``_restarted_ascent``),
+with one Gram eigendecomposition of K per iteration and the subgradient
+from its adjoint (``_chiral_adjoint``), until K has a projection of its own
+for the splitting loop that the single sheet runs.  A full SVD of K
 (``_doubled_seminorm``) is kept as the independent feasibility check.
 
 Same-sheet pairs are the single-sheet problem itself, so they take the
@@ -78,6 +80,7 @@ from .spectral import (
     _objective,
     _path_moments,
     _portfolio_ascent,
+    _restarted_ascent,
     _single_route,
     _top_singular_pair,
     _translation_amplitude,
@@ -362,8 +365,9 @@ def _opposite_sheets(
     g = _hermitize(np.stack([s1.rho, -s2.rho]))
     bounds = None if kappa is None else [_doubled_upper(dd, g, _doubled_dual(dd, s1.rho, kappa))]
     # The seed has doubled seminorm one, so the core always returns an element.
+    pair = partial(_doubled_pair, dd)
     value, best, upper = _portfolio_ascent(
-        g, partial(_doubled_pair, dd), cfg, (97,), [seed], dd.ctx.tol, bounds
+        g, pair, [seed], dd.ctx.tol, bounds, partial(_restarted_ascent, g, pair, cfg, (97,))
     )
     return _OppositeSheets(single, kappa, value, _doubled_seminorm(dd, best[0], best[1]), upper)
 

@@ -136,7 +136,9 @@ class Operator:
 
 
 def _require_same_ctx(a: FockContext, b: FockContext) -> None:
-    if a != b:
+    # Identity first: the dataclass __eq__ compares four fields, and most
+    # calls pass one shared context.
+    if a is not b and a != b:
         raise ContextMismatchError(f"context mismatch: {a} vs {b}")
 
 

@@ -12,35 +12,45 @@ O(N^2), equal to the dense commutators exactly.  The spectral distance
 between two states is the supremum of the evaluation gap over Hermitian
 elements whose commutator seminorm is at most one; this module provides
 closed forms where they exist, an exact linear-program reduction for
-diagonal states, and a certified lower-bound solver for everything else;
+diagonal states, and a bracketing solver for everything else;
 ``_single_route`` takes the first of the three that covers a pair.  One
 function, ``_closed_value``, decides the closed-form value of a pair; the
 LP and the solver read their gaps from it, and only ``closed_form_for``,
 whose report carries the optimal element, builds a certificate for it.
 
-The solver is one projected-subgradient core, shared with the two-sheet
-geometry, with the fixed step 1 / (|grad| sqrt(k + 1)) at iteration k.  It
-makes one exact top-singular-pair solve per iteration (an eigh of a small
-Gram matrix) for both the rescale and the next subgradient; SVDs are left
-to the final-certificate check ``lipschitz_seminorm``.
-
 The seminorm reads an element only on the corner, levels 0..m with
 m = interior_dim, and is blind there to span{1, |m><m|}; the truncated
 distance is therefore taken over corner elements modulo that kernel, and
 what this drops, the state difference outside the corner and on the
-kernel, is reported as leakage rather than ignored.  An explicit dual Y
-bounds that distance by ||Y||_* plus its residual charged at
-sqrt(m) / s_min (``_dual_upper``), where s_min is the smallest nonzero
-singular value of the derivative map on the corner
-(``DiracCalculus.corner_s_min``).  The solver runs no ascent where such a
-dual proves its best seeded candidate optimal, with leakage at most tol
-and the bound within tol of the value; that decision is made in one place,
-``_portfolio_ascent``, for both sheets.  Two duals are tried: the tail dual
-of a state difference that is exactly diagonal with no weight at the
-guarded levels, whose nuclear norm is the LP value (``_lp_dual``), and the
-path mean of a translation, -conj(kappa) times the average of the states
-along the path, whose nuclear norm is at most |kappa|
-(``_translation_dual``).
+kernel, is reported as leakage rather than ignored.  With A = sqrt(2) crop
+dz on the corner, that distance is the dual problem min ||Y||_* subject to
+A* Y = corner drho, off the kernel.  A maps diagonal offset d to offsets
+d - 1 and -d - 1 only, so it splits into small real blocks by offset
+(``DiracCalculus._offset_blocks``), which give both its smallest nonzero
+singular value s_min (``DiracCalculus.corner_s_min``) and the exact
+projection Pi onto the dual constraint (``_project``): one gather, one
+batched product with the blocks' pseudo-inverses and one scatter.  A dual
+Y bounds the distance by ||Y||_* plus its residual charged at
+sqrt(m) / s_min (``_dual_upper``).
+
+One prove-or-search core, ``_portfolio_ascent``, serves both sheets.  It
+first compares the seeded candidates, and runs no search where an
+explicit dual proves the best of them optimal, with leakage at most tol
+and the bound within tol of the value.  Two duals are tried, each as given
+and then projected (``_dual_bounds``): the tail dual of a state difference
+that is exactly diagonal with no weight at the guarded levels, whose
+nuclear norm is the LP value (``_lp_dual``), and the path mean of a
+translation, -conj(kappa) times the average of the states along the path,
+whose nuclear norm is at most |kappa| (``_translation_dual``).  Elsewhere
+the one-sheet search is a deterministic splitting loop, scaled ADMM on the
+dual problem (``_splitting_loop``): each iteration is one projection and
+one singular value thresholding from one Gram eigh, and every 25
+iterations it takes a proven upper bound from its dual iterate and a
+certified lower bound from its multiplier, so the report brackets the
+distance.  The two-sheet search is still the projected-subgradient ascent
+(``_ascend``, fixed step 1 / (|grad| sqrt(k + 1)), one top-singular-pair
+eigh per iteration) with seeded restarts (``_restarted_ascent``).  SVDs are
+left to the final-certificate check ``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -53,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -136,21 +146,21 @@ class DiracCalculus:
         out[:m, :m] = block
         return out
 
-    @cached_property
-    def corner_s_min(self) -> float:
-        """Smallest nonzero singular value of A = sqrt(2) crop dz on Hermitian
-        elements of the corner, levels 0..m with m = interior_dim, under the
-        Frobenius norms; A's kernel there is span{1, |m><m|}.
+    def _offset_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """A = sqrt(2) crop dz on Hermitian elements of the corner, levels
+        0..m with m = interior_dim, split by diagonal offset: yields one
+        (block, rows, cols) per offset d = 0..m in turn, where the real block maps the
+        entries x_d[i] = x[i, i+d] to the image entries at (rows, cols) of
+        the m x m A x, up to the sqrt(2), conjugated at offsets below -1.
 
         dz maps diagonal offset d of x to offset d - 1, so A splits into one
         block per offset pair (d, -d).  The real diagonal feeds output offset
         -1 alone, (k, k-1) -> l_k (x_kk - x_{k-1,k-1}) for k = 1..m-1: an
-        (m-1) x (m+1) block B_0 whose two spare columns are the kernel.  For
-        d >= 1 the entries x_d[i] = x[i, i+d] feed output offset d - 1 and,
+        (m-1) x (m+1) block B_0 whose two spare columns are A's kernel there,
+        span{1, |m><m|}.  For d >= 1, x_d feeds output offset d - 1 and,
         conjugated, offset -d - 1: a real stacked block [B_d; C_d] acting on
-        the real and imaginary parts alike.  x_d enters the Frobenius norm
-        twice, once per triangle, which scales that block's singular values
-        by 1/sqrt(2).
+        the real and imaginary parts alike.  Every image entry belongs to
+        exactly one block.
         """
         m = self.ctx.interior_dim
         ell = np.concatenate(([0.0], self._ladder[:m])) / self.ctx.theta  # l_0..l_m
@@ -158,7 +168,7 @@ class DiracCalculus:
         b0 = np.zeros((m - 1, m + 1))
         b0[k - 1, k] = ell[k]
         b0[k - 1, k - 1] = -ell[k]
-        smallest = np.linalg.svd(b0, compute_uv=False)[-1]
+        yield b0, k, k - 1
         for d in range(1, m + 1):
             n = m + 1 - d
             i = np.arange(n)
@@ -171,8 +181,97 @@ class DiracCalculus:
             # l_{r+1} conj x_d[r+1] - l_{r+d+1} conj x_d[r]
             block[n + r, r + 1] = ell[r + 1]
             block[n + r, r] = -ell[r + d + 1]
+            yield block, np.concatenate((i, r + d + 1)), np.concatenate((i + d - 1, r))
+
+    @cached_property
+    def corner_s_min(self) -> float:
+        """Smallest nonzero singular value of A = sqrt(2) crop dz on Hermitian
+        elements of the corner under the Frobenius norms, from the offset
+        blocks (``_offset_blocks``).  x_d enters the Frobenius norm twice,
+        once per triangle, which scales the singular values of the blocks
+        with d >= 1 by 1/sqrt(2).
+        """
+        blocks = self._offset_blocks()
+        b0, _, _ = next(blocks)
+        smallest = np.linalg.svd(b0, compute_uv=False)[-1]
+        for block, _, _ in blocks:
             smallest = min(smallest, np.linalg.svd(block, compute_uv=False)[-1] / math.sqrt(2.0))
         return math.sqrt(2.0) * float(smallest)
+
+    @cached_property
+    def _offset_pinv(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The offset blocks' pseudo-inverses over sqrt(2), stacked, and the
+        flat positions of both of their sides.
+
+        pinv(block_d) / sqrt(2) is an n x r array with n = m+1-d (r = 2n-2,
+        or 1 at n = 1).  Blocks d and m+1-d share slice min(d, m+1-d) of the
+        stack P, one after the other along both axes; their sizes add up to
+        at most (m+1) x (2m-1), and zeros fill the rest, so P has shape
+        ((m+1)//2 + 1, m+1, 2m-1) and takes 0.6 MB at N=48.
+        The positions are, for the entries x[i, i+d] of a corner element
+        (d-major, so the diagonal comes first), their slot in a packed array
+        of P's first two axes and their index in the flattened N x N upper
+        and lower triangles; and, for the rows of each block, their slot in
+        a packed array of P's first and last axes and their index in the
+        flattened m x m image, split by whether the image entry is read
+        directly or conjugated (offsets below -1).
+        """
+        m, n = self.ctx.interior_dim, self.ctx.trunc_dim
+        width = 2 * m - 1
+        stack = np.zeros(((m + 1) // 2 + 1, m + 1, width))
+        xslot, xup, xlo, xscale, yslot, yflat, yconj = ([] for _ in range(7))
+        for d, (block, rows, cols) in enumerate(self._offset_blocks()):
+            t = min(d, m + 1 - d)
+            r0, c0 = (0, 0) if d == t else (d, 2 * d - 2)  # after block t, d x (2d - 2)
+            pinv = np.linalg.pinv(block) / math.sqrt(2.0)
+            stack[t, r0 : r0 + pinv.shape[0], c0 : c0 + pinv.shape[1]] = pinv
+            i = np.arange(m + 1 - d)
+            xslot.append(t * (m + 1) + r0 + i)
+            xup.append(i * n + i + d)
+            xlo.append((i + d) * n + i)
+            xscale.append(np.full(i.size, 1.0 if d == 0 else 2.0))
+            yslot.append(t * width + c0 + np.arange(rows.size))
+            yflat.append(rows * m + cols)
+            yconj.append(cols - rows <= -2)
+        xslot, xup, xlo, xscale, yslot, yflat, yconj = map(
+            np.concatenate, (xslot, xup, xlo, xscale, yslot, yflat, yconj))
+        return stack, (xslot, xup, xlo, xscale, yslot[~yconj], yflat[~yconj],
+                       yslot[yconj], yflat[yconj])
+
+    def _least_squares(self, y: np.ndarray) -> np.ndarray:
+        """A^+ Y: the corner element x orthogonal to A's kernel that minimizes
+        ||A x - Y||_F for an m x m Y, as an N x N Hermitian matrix that is
+        zero off the corner.  Offset by offset, x_d = P_d Y_d with Y_d the
+        image entries of block d; the diagonal reads Re Y at offset -1."""
+        stack, (xslot, xup, xlo, _, yslot, yflat, cslot, cflat) = self._offset_pinv
+        m = self.ctx.interior_dim
+        packed = np.zeros(stack.shape[::2], dtype=complex)
+        packed.reshape(-1)[yslot] = y.reshape(-1)[yflat]
+        packed.reshape(-1)[cslot] = y.reshape(-1)[cflat].conj()
+        parts = stack @ packed.view(float).reshape(*packed.shape, 2)
+        x = parts.view(complex).reshape(-1)[xslot]
+        x[: m + 1] = x[: m + 1].real
+        out = np.zeros((self.ctx.trunc_dim,) * 2, dtype=complex)
+        out.reshape(-1)[xlo] = x.conj()
+        out.reshape(-1)[xup] = x
+        return out
+
+    def _least_norm(self, r: np.ndarray) -> np.ndarray:
+        """(A*)^+ r: the m x m Y of least Frobenius norm whose A* Y is the part
+        of a Hermitian r, read on the corner, orthogonal to A's kernel.
+        Offset by offset, Y_d = c_d P_d^T r_d, where c_d = 2 for d >= 1,
+        whose entries the Frobenius pairing counts in both triangles, and
+        c_0 = 1 on the diagonal."""
+        stack, (xslot, xup, _, scale, yslot, yflat, cslot, cflat) = self._offset_pinv
+        m = self.ctx.interior_dim
+        packed = np.zeros(stack.shape[:2], dtype=complex)
+        packed.reshape(-1)[xslot] = scale * r.reshape(-1)[xup]
+        parts = packed.view(float).reshape(*packed.shape, 2).transpose(0, 2, 1) @ stack
+        vals = (parts[:, 0] + 1j * parts[:, 1]).reshape(-1)
+        out = np.zeros((m, m), dtype=complex)
+        out.reshape(-1)[yflat] = vals[yslot]
+        out.reshape(-1)[cflat] = vals[cslot].conj()
+        return out
 
     def dz(self, f: Operator) -> Operator:
         _require_same_ctx(self.ctx, f.ctx)
@@ -192,10 +291,13 @@ class DistanceReport:
     certified lower bound on the distance.  ``gap`` is filled when an
     independent cross-check (closed form, or the LP on diagonal pairs)
     exists.  ``increments`` carries the diagonal profile of ladder-type
-    certificates.  ``upper`` is the proven upper bound of the solver's two
-    skip routes (see ``distance_solver``) and of the opposite-sheet skip of
-    ``doubling.doubled_distance``, None elsewhere; a same-sheet
-    ``doubled_distance`` report carries its single-sheet route's ``upper``.
+    certificates.  ``upper`` is a proven upper bound on the distance over
+    corner elements, set by the solver on every pair whose leakage is at
+    most ctx.tol (from an explicit dual where one proves the value, else
+    from the splitting loop, see ``distance_solver``) and by the
+    opposite-sheet skip of ``doubling.doubled_distance``; it is None
+    elsewhere, and a same-sheet ``doubled_distance`` report carries its
+    single-sheet route's ``upper``.
     """
 
     value: float
@@ -210,7 +312,13 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget and seeding for the subgradient lower-bound solver."""
+    """Budget and seeding of the solvers.
+
+    On one sheet ``iterations`` counts splitting-loop iterations and the
+    loop is deterministic; ``restarts`` and ``seed`` are read only by the
+    doubled pair solver's restarted ascent, which runs ``iterations``
+    steps per restart.
+    """
 
     iterations: int = 2000
     restarts: int = 8
@@ -438,12 +546,18 @@ def _top_singular_pair(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return sigma, xv / sigma, v
 
 
+def _corner_adjoint(calc: DiracCalculus, y: np.ndarray) -> np.ndarray:
+    """A* Y = Herm(-sqrt(2) dzbar(pad Y)), the adjoint of A = sqrt(2) crop dz
+    on Hermitian elements under <P, Q> = Re tr(P* Q); it is zero off the
+    corner and orthogonal to A's kernel there."""
+    return _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
+
+
 def _sheet_pair(calc: DiracCalculus, mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Seminorm sqrt(2) sigma of a Hermitian element, from the top pair X v =
-    sigma u of X = crop(dz(mat)), with the subgradient sqrt(2) Herm(dz*(pad(u v*)))."""
+    sigma u of X = crop(dz(mat)), with the subgradient A*(u v*)."""
     sigma, u, v = _top_singular_pair(calc._crop(calc._dz(mat)))
-    grad = -math.sqrt(2.0) * calc._dzbar(calc._pad(np.outer(u, v.conj())))
-    return math.sqrt(2.0) * sigma, _hermitize(grad)
+    return math.sqrt(2.0) * sigma, _corner_adjoint(calc, np.outer(u, v.conj()))
 
 
 def _ascend(g: np.ndarray, pair, start: np.ndarray, cfg: SolverConfig) -> np.ndarray | None:
@@ -498,29 +612,14 @@ def _best_candidate(g: np.ndarray, pair, candidates) -> tuple[float, np.ndarray 
     return best_val, best
 
 
-def _portfolio_ascent(
-    g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...], seeded, tol: float, bounds
-) -> tuple[float, np.ndarray | None, float | None]:
-    """The one prove-or-ascend core of both sheets' solvers.
-
-    Returns (value, element, upper): the best evaluation ratio, its unit
-    element with a nonnegative objective (None if every candidate has zero
-    seminorm), and the dual bound that proves it, or None.  ``bounds``
-    yields one (upper, leakage) pair per explicit dual, read lazily, or is
-    None where the pair has no dual.  When ``_proven_upper`` accepts a bound
-    for the best seeded candidate, that candidate is returned and no
-    restart runs.
-    Otherwise restart 0 ascends from g and restart r from complex Gaussians
-    (one per sheet) seeded [cfg.seed, *key, r]; the ascent results come
-    first in ``_best_candidate``'s order, then the seeded candidates.
-    """
-    if bounds is not None:
-        best_val, best = _best_candidate(g, pair, seeded)
-        upper = _proven_upper(tol, best_val, bounds)
-        if upper is not None:
-            return best_val, best, upper
+def _restarted_ascent(
+    g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...]
+) -> tuple[list[np.ndarray], None]:
+    """The doubled sheet's search for ``_portfolio_ascent``: restart 0 ascends
+    from g and restart r from complex Gaussians (one per sheet) seeded
+    [cfg.seed, *key, r].  An ascent proves no bound, so the upper is None."""
     n = g.shape[-1]
-    candidates = []
+    found = []
     for r in range(cfg.restarts):
         start = g
         if r > 0:
@@ -529,8 +628,36 @@ def _portfolio_ascent(
                                 for _ in range(g.size // (n * n))], g.shape)
         x = _ascend(g, pair, start, cfg)
         if x is not None:
-            candidates.append(x)
-    return (*_best_candidate(g, pair, candidates + list(seeded)), None)
+            found.append(x)
+    return found, None
+
+
+def _portfolio_ascent(
+    g: np.ndarray, pair, seeded, tol: float, bounds, search
+) -> tuple[float, np.ndarray | None, float | None]:
+    """The one prove-or-search core of both sheets' solvers.
+
+    Returns (value, element, upper): the best evaluation ratio, its unit
+    element with a nonnegative objective (None if every candidate has zero
+    seminorm), and a proven upper bound on the distance, or None.
+    ``bounds`` yields one (upper, leakage) pair per explicit dual, read
+    lazily, or is None where the pair has no dual.  When ``_proven_upper``
+    accepts a bound for the best seeded candidate, that candidate is
+    returned and no search runs.  Otherwise ``search()`` returns (elements,
+    upper): the splitting loop on one sheet (``_splitting_loop``), the
+    restarted ascent on two (``_restarted_ascent``).  Its elements come
+    first in ``_best_candidate``'s order, then the seeded candidates, and
+    its upper, if any, is raised to the value, since a bound below a
+    feasible value is roundoff.
+    """
+    if bounds is not None:
+        best_val, best = _best_candidate(g, pair, seeded)
+        upper = _proven_upper(tol, best_val, bounds)
+        if upper is not None:
+            return best_val, best, upper
+    found, upper = search()
+    best_val, best = _best_candidate(g, pair, found + list(seeded))
+    return best_val, best, None if upper is None else max(upper, best_val)
 
 
 def _lp_dual(calc: DiracCalculus, drho: np.ndarray) -> np.ndarray | None:
@@ -638,29 +765,110 @@ def _corner_split(
     return mean, float(r[m, m].real), float(np.linalg.norm(r_perp)), outside
 
 
+def _project(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pi(Y) = Y - A (A* A)^+ (A* Y - drho), the nearest m x m Y in Frobenius
+    norm with A* Y = b, where b is the corner of drho minus its component on
+    A's kernel (the pseudo-inverse drops that component; ``_corner_split``
+    names it).  (A*)^+ = A (A* A)^+ is applied offset by offset
+    (``DiracCalculus._least_norm``)."""
+    return y - calc._least_norm(_corner_adjoint(calc, y) - drho)
+
+
 def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(upper, leakage) of a dual Y for the state difference drho.
 
     The distance is taken over Hermitian elements x of the corner, levels
     0..m, modulo the kernel span{1, |m><m|} of A = sqrt(2) crop dz; the
-    seminorm reads nothing else.  The residual r = corner(drho - A* Y), with
-    A* Y = Herm(-sqrt(2) dzbar(pad Y)), splits into its kernel component
-    and r_perp (``_corner_split``).  Then <drho, x> <= ||Y||_* p(x) +
-    <r_perp, x>, and ||x||_F <= sqrt(m) p(x) / s_min for x orthogonal to
-    the kernel, so
+    seminorm reads nothing else.  The residual r = corner(drho - A* Y)
+    splits into its kernel component and r_perp (``_corner_split``).  Then
+    <drho, x> <= ||Y||_* p(x) + <r_perp, x>, and ||x||_F <= sqrt(m) p(x) /
+    s_min for x orthogonal to the kernel, so
 
         upper = ||Y||_* + ||r_perp||_F sqrt(m) / s_min.
 
     ``leakage`` is what the definition drops: the Frobenius norms of r's
-    kernel component and of drho outside the corner.
+    kernel component and of drho outside the corner.  The charge on r_perp
+    is roundoff for a Y that meets the constraint, such as a projection
+    Pi(Y) (``_project``).
     """
     m = calc.ctx.interior_dim
-    img = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
-    mean, eta, perp, outside = _corner_split(calc, drho, img)
+    mean, eta, perp, outside = _corner_split(calc, drho, _corner_adjoint(calc, y))
     kernel = math.hypot(mean * math.sqrt(m), eta)
     nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
     upper = nuclear + perp * math.sqrt(m) / calc.corner_s_min
     return upper, kernel + outside
+
+
+def _dual_bounds(calc: DiracCalculus, drho: np.ndarray, duals):
+    """(upper, leakage) of each explicit dual Y, read lazily: first of Y as
+    given, then of its projection Pi(Y) (``_project``).  The projection
+    repairs a dual that meets the constraint only approximately, such as a
+    path mean whose path states reach past the crop, where the residual
+    charge of Y itself would refuse a proof; a Y that already meets it keeps
+    its own bound."""
+    for y in duals:
+        yield _dual_upper(calc, drho, y)
+        yield _dual_upper(calc, drho, _project(calc, drho, y))
+
+
+_PENALTY = 2.0  # the fixed ADMM penalty of ``_splitting_loop``
+_CHECK_EVERY = 25  # iterations between two bracket checks
+
+
+def _shrink(w: np.ndarray, tau: float) -> np.ndarray:
+    """Singular value thresholding, sum_k max(s_k - tau, 0) u_k v_k*, from
+    one eigh of the Gram matrix w* w: w v_k = s_k u_k, so each kept term is
+    (1 - tau / s_k) w v_k v_k*."""
+    lam, v = np.linalg.eigh(w.conj().T @ w)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    keep = s > tau
+    v = v[:, keep]
+    return ((w @ v) * (1.0 - tau / s[keep])) @ v.conj().T
+
+
+def _splitting_loop(
+    calc: DiracCalculus, drho: np.ndarray, cfg: SolverConfig
+) -> tuple[list[np.ndarray], float | None]:
+    """The one-sheet search for ``_portfolio_ascent``: scaled ADMM on the
+    dual problem min ||Y||_* subject to A* Y = b, with b the corner of drho
+    minus its kernel component.
+
+    Each of the cfg.iterations steps is the exact projection Y = Pi(Z - U)
+    (``_project``), the thresholding Z = shrink(Y + U, 1 / rho) at the fixed
+    penalty rho = 2, and U += Y - Z.  rho U tends to a subgradient of the
+    nuclear norm at Z, of operator norm at most one, in the range of A, so
+    the least-squares x = A^+ U (``DiracCalculus._least_squares``) tends
+    to an optimal element; its ratio |<drho, x>| / p(x) is a lower bound
+    at every step.  Every 25 iterations and at the last one both sides are
+    taken: the lower from x, the upper from ``_dual_upper`` of Y, keeping
+    the best of each; the loop stops early once upper - lower <= tol
+    max(1, lower).  It is deterministic and reads neither cfg.restarts nor
+    cfg.seed.
+
+    Returns ([x], upper) with the best x, or no element if every x has
+    zero seminorm; upper is None when the leakage exceeds ctx.tol.
+    """
+    m = calc.ctx.interior_dim
+    tol = calc.ctx.tol
+    z = np.zeros((m, m), dtype=complex)
+    u = np.zeros((m, m), dtype=complex)
+    best, best_val, upper = None, 0.0, math.inf
+    for k in range(1, cfg.iterations + 1):
+        y = _project(calc, drho, z - u)
+        z = _shrink(y + u, 1.0 / _PENALTY)
+        u = u + y - z
+        if k % _CHECK_EVERY and k < cfg.iterations:
+            continue
+        bound, leakage = _dual_upper(calc, drho, y)
+        upper = min(upper, bound)
+        x = calc._least_squares(u)
+        s = _sheet_pair(calc, x)[0]
+        val = abs(_objective(drho, x)) / s if s >= _TINY else 0.0
+        if val > best_val:
+            best, best_val = x, val
+        if upper - best_val <= tol * max(1.0, best_val):
+            break
+    return ([] if best is None else [best]), (upper if leakage <= tol else None)
 
 
 def _proven_upper(tol: float, value: float, bounds) -> float | None:
@@ -690,26 +898,26 @@ def _translation_seed(calc: DiracCalculus, s1: QState, s2: QState) -> np.ndarray
 def distance_solver(
     calc: DiracCalculus, s1: QState, s2: QState, cfg: SolverConfig | None = None
 ) -> DistanceReport:
-    """Certified lower bound on the spectral distance for arbitrary states.
+    """Certified bracket on the spectral distance for arbitrary states.
 
-    Maximizes the evaluation gap over a portfolio: seeded subgradient
-    restarts (the first starts from the state difference, the rest from
-    random Hermitian matrices), a phase-aligned translation element when
+    Maximizes the evaluation gap over a portfolio: the splitting loop's
+    element (``_splitting_loop``), a phase-aligned translation element when
     the ladder means separate, and the exact LP optimizer when both states
     are diagonal.  The best element is rescaled to seminorm one, so the
     reported value is always achieved by a feasible certificate.
 
-    The restarts are skipped, and the seeded candidates alone compared,
-    where an explicit dual proves the best of them optimal: the LP's tail
-    dual when the state difference is exactly diagonal with no weight at
-    the guarded levels, or the translation path mean when the pair is a
-    translate by kappa, read from a ``translated`` tag or from two families
-    at one level.  The proof holds for the distance over corner elements,
-    levels 0..interior_dim, modulo the seminorm's kernel there; it needs the
-    leakage, the state difference outside the corner and on the kernel, at
-    most ctx.tol, and the dual's upper bound within ctx.tol max(1, value)
-    of the value.  ``upper`` then carries that bound; it is None wherever
-    the ascent runs.
+    The loop is skipped, and the seeded candidates alone compared, where an
+    explicit dual proves the best of them optimal: the LP's tail dual when
+    the state difference is exactly diagonal with no weight at the guarded
+    levels, or the translation path mean when the pair is a translate by
+    kappa, read from a ``translated`` tag or from two families at one
+    level.  The proof needs the leakage, the state difference outside the
+    corner and on the kernel, at most ctx.tol, and the dual's upper bound
+    within ctx.tol max(1, value) of the value; ``upper`` then carries that
+    bound.  Where the loop runs, ``upper`` carries its best dual bound,
+    raised to the value, when the leakage is at most ctx.tol, and is None
+    otherwise.  Both bounds hold for the distance over corner elements,
+    levels 0..interior_dim, modulo the seminorm's kernel there.
     """
     _require_same_ctx(calc.ctx, s1.ctx)
     _require_same_ctx(s1.ctx, s2.ctx)
@@ -739,9 +947,10 @@ def distance_solver(
         duals.append(y)
     if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
-    bounds = (_dual_upper(calc, drho, y) for y in duals) if duals else None
+    bounds = _dual_bounds(calc, drho, duals) if duals else None
     best_val, best_mat, upper = _portfolio_ascent(
-        drho, partial(_sheet_pair, calc), cfg, (), seeded, calc.ctx.tol, bounds
+        drho, partial(_sheet_pair, calc), seeded, calc.ctx.tol, bounds,
+        partial(_splitting_loop, calc, drho, cfg),
     )
     if best_mat is None:
         return zero
@@ -763,7 +972,7 @@ def _single_route(
     calc: DiracCalculus, s1: QState, s2: QState, cfg: SolverConfig
 ) -> DistanceReport:
     """One-sheet distance by the best route that covers the pair: the
-    closed form, else the diagonal LP, else the solver's lower bound."""
+    closed form, else the diagonal LP, else the solver's bracket."""
     rep = closed_form_for(calc, s1, s2)
     if rep is not None:
         return rep

@@ -33,21 +33,33 @@ def ctx64():
     return make_context(64, 1.0, 1e-10)
 
 
-@pytest.fixture
-def ascent_calls(monkeypatch):
-    """Record each call of the ascent, ``spectral._ascend``.
-
-    Both sheets' solvers run it once per restart, so an ascended solve
-    adds ``cfg.restarts`` calls and a proven one adds none.
-    """
+def _count_calls(monkeypatch, name):
     from moyalmetric import spectral
 
     calls = []
-    real = spectral._ascend
+    real = getattr(spectral, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(spectral, "_ascend", counted)
+    monkeypatch.setattr(spectral, name, counted)
     return calls
+
+
+@pytest.fixture
+def ascent_calls(monkeypatch):
+    """Record each call of the ascent, ``spectral._ascend``.
+
+    The doubled pair solver runs it once per restart, so an ascended pair
+    adds ``cfg.restarts`` calls and a proven one adds none.
+    """
+    return _count_calls(monkeypatch, "_ascend")
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Record each call of the single-sheet splitting loop,
+    ``spectral._splitting_loop``: one per searched solve, none for a proven
+    one."""
+    return _count_calls(monkeypatch, "_splitting_loop")

@@ -267,6 +267,18 @@ class TestEvaluate:
         with pytest.raises(ContextMismatchError):
             evaluate(eigenstate(ctx16, 0), hamiltonian(ctx32))
 
+    def test_equal_contexts_match_by_value(self, ctx16):
+        # The identity fast path must not turn the check into an identity
+        # check: an equal context built separately passes, and one that
+        # differs in a single field raises.
+        twin = make_context(16, 1.0, 1e-10)
+        assert twin is not ctx16 and twin == ctx16
+        assert evaluate(eigenstate(twin, 4), hamiltonian(ctx16)).real == pytest.approx(4.5)
+        for other in (FockContext(16, 1.0, 1e-10, leakage_bound=1e-9),
+                      make_context(16, 1.0, 1e-9), make_context(16, 2.0, 1e-10)):
+            with pytest.raises(ContextMismatchError):
+                evaluate(eigenstate(other, 0), hamiltonian(ctx16))
+
     def test_mixture_linearity(self, ctx16):
         s = mixed_state([eigenstate(ctx16, 0), eigenstate(ctx16, 2)], [0.5, 0.5])
         assert evaluate(s, hamiltonian(ctx16)).real == pytest.approx(1.5)
