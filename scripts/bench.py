@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Time the solver layers and record them with the machine in a JSON file.
+"""Time the solver and square-length layers and record them with the
+machine in a JSON file.
 
 Micro-timings at N=48, theta=1 of the layers that ``perfbench --trace 1``
 does not report: one ``DiracCalculus._dz``, one single-sheet top pair
-(``_sheet_pair``) and one two-sheet top pair (``doubling._doubled_pair``).
-BLAS is held at one thread.  Each figure is the median and quartiles of
-``ROUNDS`` timed rounds, per call.
+(``_sheet_pair``) and one two-sheet top pair (``doubling._doubled_pair``);
+and, over the square-length grid (levels 0..6 displaced over a 5x5 lattice
+of amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
+the state moments already cached, and the first touch of both moments
+(``mean_energy``, ``mean_ladder``) of one displaced state.  BLAS is held at
+one thread.  Each figure is the median and quartiles of ``ROUNDS`` timed
+rounds, per call.
 
 Runs of different source trees go into one file under their labels, so
 a parent commit and a change can be recorded side by side:
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import statistics
@@ -58,25 +64,34 @@ def machine_info() -> dict:
     }
 
 
-def timed(fn, calls: int) -> dict:
+def timed(fn, calls: int, per: int = 1, reset=None) -> dict:
     """Median and quartiles, in microseconds per call, of ``ROUNDS`` rounds
-    of ``calls`` calls each, after one untimed warm-up call."""
+    of ``calls`` calls each, after one untimed warm-up call.  One ``fn()``
+    makes ``per`` calls; ``reset``, if given, runs untimed before each."""
+    if reset is not None:
+        reset()
     fn()
     per_call = []
     for _ in range(ROUNDS):
-        start = perf_counter()
+        busy = 0.0
         for _ in range(calls):
+            if reset is not None:
+                reset()
+            start = perf_counter()
             fn()
-        per_call.append((perf_counter() - start) / calls * 1e6)
+            busy += perf_counter() - start
+        per_call.append(busy / (calls * per) * 1e6)
     q1, med, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
-    return {"median_us": med, "q1_us": q1, "q3_us": q3, "rounds": ROUNDS, "calls": calls}
+    return {"median_us": med, "q1_us": q1, "q3_us": q3, "rounds": ROUNDS,
+            "calls": calls * per}
 
 
 def measure() -> dict:
     import numpy as np
 
-    from moyalmetric import make_context
+    from moyalmetric import displace, eigenstate, make_context
     from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
+    from moyalmetric.lengthop import d_L2, modified_length
     from moyalmetric.spectral import DiracCalculus, _sheet_pair
 
     ctx = make_context(N, THETA)
@@ -85,10 +100,31 @@ def measure() -> dict:
     raw = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
     herm = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
     dd = make_doubled(calc, reference_lambda(calc, 0))
+
+    shifts = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
+    grid = [displace(eigenstate(ctx, m), complex(x, y))
+            for m in range(7) for x in shifts for y in shifts]
+    pairs = len(grid) ** 2
+
+    def sweep(length):
+        return lambda: [length(s1, s2) for s1 in grid for s2 in grid]
+
+    def touch_moments():
+        for s in grid:
+            s.mean_energy, s.mean_ladder
+
+    def forget_moments():
+        for s in grid:  # the moments are cached_property values
+            s.__dict__.pop("mean_energy", None)
+            s.__dict__.pop("mean_ladder", None)
+
     return {
         "dz": timed(lambda: calc._dz(herm[0]), 200),
         "sheet_pair": timed(lambda: _sheet_pair(calc, herm[0]), 20),
         "doubled_pair": timed(lambda: _doubled_pair(dd, herm), 5),
+        "d_L2": timed(sweep(d_L2), 1, per=pairs),
+        "modified_length": timed(sweep(modified_length), 1, per=pairs),
+        "moments_first_touch": timed(touch_moments, 1, per=len(grid), reset=forget_moments),
     }
 
 
@@ -109,7 +145,7 @@ def main() -> int:
     data.setdefault("runs", {})[args.label] = record
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name, t in record["timings"].items():
-        print(f"{name:32s} {t['median_us']:12.1f} us  (q1 {t['q1_us']:.1f}, q3 {t['q3_us']:.1f})")
+        print(f"{name:32s} {t['median_us']:12.2f} us  (q1 {t['q1_us']:.2f}, q3 {t['q3_us']:.2f})")
     print(f"wrote {args.out}")
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,6 +44,11 @@ __all__ = [
     "uncertainty_product",
     "vacuum_projector",
 ]
+
+
+# Operators of the most recently used contexts stay cached; the bound keeps
+# a run over many truncations from holding every one of them.
+_CACHE_SIZE = 8
 
 
 class LeakageError(ValueError):
@@ -142,8 +147,13 @@ def _require_same_ctx(a: FockContext, b: FockContext) -> None:
         raise ContextMismatchError(f"context mismatch: {a} vs {b}")
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def annihilation(ctx: FockContext) -> Operator:
-    """Ladder operator a with a|n> = lambda_p*sqrt(n)|n-1>."""
+    """Ladder operator a with a|n> = lambda_p*sqrt(n)|n-1>.
+
+    Built once per context and shared by every caller; its matrix is
+    read-only, as every ``Operator``'s is.
+    """
     n = ctx.trunc_dim
     sub = ctx.lambda_p * np.sqrt(np.arange(1, n))
     return Operator(ctx, np.diag(sub, k=1))
@@ -175,12 +185,13 @@ def quadratures(ctx: FockContext) -> tuple[Operator, Operator]:
     return (Operator(ctx, q1, hermitian=True), Operator(ctx, q2, hermitian=True))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def hamiltonian(ctx: FockContext) -> Operator:
     """Oscillator energy (q1^2 + q2^2)/2, assembled as a*a + (theta/2) I.
 
     The assembled form keeps the diagonal exactly theta*(m + 1/2) for every
     level m < trunc_dim; squaring the quadratures instead would corrupt the
-    top entry.
+    top entry.  Built once per context and shared, like ``annihilation``.
     """
     a = annihilation(ctx).mat
     mat = a.conj().T @ a + (ctx.theta / 2) * np.eye(ctx.trunc_dim)

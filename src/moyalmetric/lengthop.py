@@ -21,6 +21,11 @@ held block by block, with work growing like N^4 rather than the N^6 of
 the pair-space matrix, and pair traces run sector by sector without
 forming any N^2 x N^2 matrix or N^4 tensor.
 
+The square length itself needs none of this: on a product of states the
+trace of L2 reduces to each state's energy and ladder moment, which are
+computed once per state and cached on it, so ``d_L2`` and
+``modified_length`` cost a few scalar float operations per pair.
+
 A subtracted "modified" square length can be computed state-by-state, but
 no single operator reproduces it; `counterexample_L2prime` quantifies the
 obstruction on superpositions of well-separated levels.
@@ -35,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (
+    _CACHE_SIZE,
     FockContext,
     QState,
     _require_same_ctx,
@@ -54,11 +60,6 @@ __all__ = [
     "d_L2",
     "modified_length",
 ]
-
-# Operators of the most recently used contexts stay cached; the bound keeps
-# a run over many truncations from holding every one of them.
-_CACHE_SIZE = 8
-
 
 @dataclass(frozen=True, eq=False)
 class SectorOperator:
@@ -147,6 +148,11 @@ def build_length(ctx: FockContext) -> LengthOperator:
     )
 
 
+def _square_length(e1: float, l1: complex, e2: float, l2: complex) -> float:
+    """2*(e1 + e2 - 2*Re(l1 conj(l2))) in Python float arithmetic."""
+    return 2.0 * (e1 + e2 - 2.0 * (l1 * l2.conjugate()).real)
+
+
 def d_L2(s1: QState, s2: QState) -> float:
     """Quantum square length trace((rho1 (x) rho2) L2).
 
@@ -155,12 +161,12 @@ def d_L2(s1: QState, s2: QState) -> float:
         d_L2 = 2*(E1 + E2 - 2*Re(<a>_1 conj(<a>_2))),
 
     which is the same tensor trace with the product structure carried out
-    exactly; it needs no pair-space matrix and is O(N^2) per state with
-    the moments cached on the states.
+    exactly; it needs no pair-space matrix.  The moments E = Tr(rho H) and
+    <a> = Tr(rho a) are computed once per state, O(N^2), and cached on it,
+    so each pair costs a few scalar operations on Python floats.
     """
     _require_same_ctx(s1.ctx, s2.ctx)
-    cross = (s1.mean_ladder * np.conj(s2.mean_ladder)).real
-    return 2.0 * (s1.mean_energy + s2.mean_energy - 2.0 * cross)
+    return _square_length(s1.mean_energy, s1.mean_ladder, s2.mean_energy, s2.mean_ladder)
 
 
 def _family_square_length(theta: float, m: int, n: int, delta: float) -> float:
@@ -177,18 +183,18 @@ def d_L(s1: QState, s2: QState) -> float:
     return build_length(s1.ctx).L.pair_trace(s1, s2)
 
 
-def _lambda_inverse_sq(s1: QState, s2: QState) -> float:
-    return math.sqrt(d_L2(s1, s1) * d_L2(s2, s2))
-
-
 def modified_length(s1: QState, s2: QState) -> float:
     """Square root of the square length with its diagonal floor removed.
 
     Subtracting sqrt(d_L2(s1,s1)*d_L2(s2,s2)) makes the diagonal vanish;
     the absolute value guards roundoff when the subtraction is balanced.
+    The three square lengths share each state's moments, read once.
     """
     _require_same_ctx(s1.ctx, s2.ctx)
-    return math.sqrt(abs(d_L2(s1, s2) - _lambda_inverse_sq(s1, s2)))
+    e1, l1 = s1.mean_energy, s1.mean_ladder
+    e2, l2 = s2.mean_energy, s2.mean_ladder
+    floor = math.sqrt(_square_length(e1, l1, e1, l1) * _square_length(e2, l2, e2, l2))
+    return math.sqrt(abs(_square_length(e1, l1, e2, l2) - floor))
 
 
 class CounterexampleResult(NamedTuple):

@@ -118,6 +118,13 @@ class DiracCalculus:
         """The superdiagonal l_1..l_{N-1} of a."""
         return np.diagonal(self._a, 1).real
 
+    @cached_property
+    def _ladder_element(self) -> tuple[Operator, float]:
+        """The number-state ladder element, built and checked once, with its
+        seminorm (see ``optimal_element_eigenstates``)."""
+        element = _checked_ladder_element(self)
+        return element, lipschitz_seminorm(self, element)
+
     def _dz(self, mat: np.ndarray) -> np.ndarray:
         ell = self._ladder
         ad_mat = np.zeros(mat.shape, dtype=complex)
@@ -388,18 +395,23 @@ def optimal_element_eigenstates(calc: DiracCalculus, upto: int) -> Operator:
 
     Pairing it with two number states telescopes the increments, which is
     the additive closed-form distance.  ``upto`` is the largest index the
-    caller intends to pair; it must stay below the guarded edge.  The
-    returned matrix carries the increments at every level, which makes two
-    structural identities exact and they are verified before returning:
-    the derivative defect reproduces the ground projector, and the
-    derivative transported along the ladder squares to half the number
-    operator.
+    caller intends to pair; it is only validated, and must stay below the
+    guarded edge: the matrix carries the increments at every level, so
+    one element serves every ``upto`` and it is built once per calculus.
+    Carrying every level makes two structural identities exact, and they
+    are verified when it is built: the derivative defect reproduces the
+    ground projector, and the derivative transported along the ladder
+    squares to half the number operator.
     """
+    m = calc.ctx.interior_dim
+    if int(upto) != upto or not 0 <= upto < m:
+        raise ValueError(f"upto must satisfy 0 <= upto < {m}, got {upto}")
+    return calc._ladder_element[0]
+
+
+def _checked_ladder_element(calc: DiracCalculus) -> Operator:
+    """Build the ladder element and verify its two identities."""
     ctx = calc.ctx
-    if int(upto) != upto or not 0 <= upto < ctx.interior_dim:
-        raise ValueError(
-            f"upto must satisfy 0 <= upto < {ctx.interior_dim}, got {upto}"
-        )
     ks = np.arange(1, ctx.trunc_dim)
     alpha = np.concatenate(([0.0], np.cumsum(ctx.lambda_p / np.sqrt(2.0 * ks))))
     mat = np.diag(alpha)
@@ -464,16 +476,19 @@ def closed_form_for(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceRepo
         cert = optimal_element_translation(
             calc, math.atan2(kappa.imag, kappa.real) if value > 0 else 0.0
         )
+        feasibility = lipschitz_seminorm(calc, cert)
     else:
         cert = optimal_element_eigenstates(calc, upto=max(m, n))
+        feasibility = calc._ladder_element[1]
         if abs(mu) > 1e-12:
             u = displacement_operator(calc.ctx, mu).mat
             cert = Operator(calc.ctx, _hermitize(u @ cert.mat @ u.conj().T), hermitian=True)
+            feasibility = lipschitz_seminorm(calc, cert)
     return DistanceReport(
         value=value,
         method="closed-form",
         certificate=cert,
-        feasibility=lipschitz_seminorm(calc, cert),
+        feasibility=feasibility,
     )
 
 

@@ -63,3 +63,10 @@ def loop_calls(monkeypatch):
     ``spectral._splitting_loop``: one per searched solve, none for a proven
     one."""
     return _count_calls(monkeypatch, "_splitting_loop")
+
+
+@pytest.fixture
+def ladder_defect_calls(monkeypatch):
+    """Record each call of ``spectral._ladder_defect``: one per ladder element
+    built and checked."""
+    return _count_calls(monkeypatch, "_ladder_defect")

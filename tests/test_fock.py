@@ -131,6 +131,25 @@ class TestHamiltonian:
             assert abs(val.imag) < 1e-14
 
 
+@pytest.mark.parametrize("build", [annihilation, hamiltonian])
+class TestOperatorCache:
+    def test_equal_contexts_share_one_operator(self, build):
+        assert build(make_context(24, 0.5, 1e-10)) is build(make_context(24, 0.5, 1e-10))
+
+    def test_shared_matrix_is_read_only(self, build):
+        op = build(make_context(24, 0.5, 1e-10))
+        with pytest.raises(ValueError):
+            op.mat[0, 1] = 0.0
+
+    def test_cache_is_bounded(self, build):
+        assert build.cache_info().maxsize == 8
+        first = build(make_context(8, 0.25, 1e-10))
+        for k in range(8):
+            build(make_context(9 + k, 0.25, 1e-10))
+        assert build.cache_info().currsize == 8
+        assert build(make_context(8, 0.25, 1e-10)) is not first
+
+
 class TestEigenstate:
     def test_vacuum_rho(self, ctx16):
         rho = eigenstate(ctx16, 0).rho

@@ -332,6 +332,38 @@ class TestModifiedLength:
         assert modified_length(w0, moved) == pytest.approx(abs(kap), abs=1e-9)
 
 
+def numpy_d_L2(s1, s2):
+    """The moment identity in numpy-scalar arithmetic: the oracle that the
+    Python-float d_L2 must equal bit for bit."""
+    cross = (s1.mean_ladder * np.conj(s2.mean_ladder)).real
+    return 2.0 * (s1.mean_energy + s2.mean_energy - 2.0 * cross)
+
+
+def numpy_modified_length(s1, s2):
+    floor = math.sqrt(numpy_d_L2(s1, s1) * numpy_d_L2(s2, s2))
+    return math.sqrt(abs(numpy_d_L2(s1, s2) - floor))
+
+
+class TestScalarArithmetic:
+    def test_displaced_grid_matches_numpy_scalars(self, ctx32):
+        vals = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
+        states = [displace(eigenstate(ctx32, m), complex(x, y))
+                  for m in range(7) for x in vals for y in vals]
+        for s1 in states:
+            for s2 in states:
+                assert d_L2(s1, s2) == numpy_d_L2(s1, s2)
+                assert modified_length(s1, s2) == numpy_modified_length(s1, s2)
+
+    @given(st.data())
+    def test_drawn_states_match_numpy_scalars(self, data):
+        s1, s2 = data.draw(pair_states(16)), data.draw(pair_states(16))
+        for a, b in ((s1, s2), (s2, s1), (s1, s1)):
+            assert d_L2(a, b) == numpy_d_L2(a, b)
+            assert modified_length(a, b) == numpy_modified_length(a, b)
+        assert modified_length(s1, s1) == 0.0
+        assert modified_length(s2, s2) == 0.0
+
+
 class TestCounterexample:
     @staticmethod
     def closed_forms(i, j, k, l, theta=1.0):

@@ -1078,6 +1078,27 @@ class TestOptimalElements:
         with pytest.raises(ValueError):
             optimal_element_eigenstates(calc, upto=ctx32.interior_dim)
 
+    def test_ladder_element_is_one_object_for_every_upto(self, ctx32):
+        calc = DiracCalculus(ctx32)
+        first = optimal_element_eigenstates(calc, upto=0)
+        for k in range(ctx32.interior_dim):
+            assert optimal_element_eigenstates(calc, upto=k) is first
+        for bad in (-1, ctx32.interior_dim, 2.5):
+            with pytest.raises(ValueError):
+                optimal_element_eigenstates(calc, upto=bad)
+
+    def test_number_state_closed_forms_check_the_ladder_element_once(
+        self, ctx48, ladder_defect_calls
+    ):
+        calc = DiracCalculus(ctx48)
+        pairs = [(m, n) for m in range(12) for n in range(m + 1, 12)]
+        assert len(pairs) == 66
+        for m, n in pairs:
+            rep = closed_form_for(calc, eigenstate(ctx48, m), eigenstate(ctx48, n))
+            assert rep.value == pytest.approx(eigen_distance(m, n), abs=1e-12)
+            assert rep.feasibility == lipschitz_seminorm(calc, rep.certificate)
+        assert len(ladder_defect_calls) == 1
+
 
 class TestDiscrepancy:
     def test_adjacent_pair(self, ctx64):
