@@ -8,9 +8,16 @@ does not report: one ``DiracCalculus._dz``, one single-sheet top pair
 and, over the square-length grid (levels 0..6 displaced over a 5x5 lattice
 of amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
 the state moments already cached, and the first touch of both moments
-(``mean_energy``, ``mean_ladder``) of one displaced state.  BLAS is held at
-one thread.  Each figure is the median and quartiles of ``ROUNDS`` timed
-rounds, per call.
+(``mean_energy``, ``mean_ladder``) of one displaced state.  The translation
+layers: one ``fock._displacement_eigh`` (the eigenpairs of one amplitude),
+one ``displace`` of a pure state and one ``spectral._translation_dual`` at
+N=48, and one pure ``displace`` at N=128; each context's generator
+eigendecomposition is built before the timing starts, as a run builds it
+once.  BLAS is held at one thread.  Each figure is the median and quartiles
+of ``ROUNDS`` timed rounds, per call.  ``generator_eighs`` counts the dense
+``eigh`` calls made in ``fock`` while a fresh context proves
+``TRANSLATION_PAIRS`` translation pairs with ``distance_solver`` at the
+``suite --quick`` budget.
 
 Runs of different source trees go into one file under their labels, so
 a parent commit and a change can be recorded side by side:
@@ -35,8 +42,10 @@ from pathlib import Path
 from time import perf_counter
 
 N = 48
+N_LARGE = 128
 THETA = 1.0
 ROUNDS = 30
+TRANSLATION_PAIRS = 8
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -86,13 +95,44 @@ def timed(fn, calls: int, per: int = 1, reset=None) -> dict:
             "calls": calls * per}
 
 
+def generator_eighs() -> dict:
+    """Dense eigh calls made in ``fock`` while a fresh context builds and
+    proves ``TRANSLATION_PAIRS`` translation pairs."""
+    import numpy as np
+
+    from moyalmetric import displace, eigenstate, make_context
+    from moyalmetric.spectral import DiracCalculus, SolverConfig, distance_solver
+
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "moyalmetric.fock":
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    ctx = make_context(N, THETA, tol=1.1e-10)  # a context no other layer has built
+    calc = DiracCalculus(ctx)
+    cfg = SolverConfig(iterations=300, restarts=2, seed=0)
+    np.linalg.eigh = counted
+    try:
+        for k in range(TRANSLATION_PAIRS):
+            base = eigenstate(ctx, k % 3)
+            kappa = (0.5 + 0.15 * k) * complex(math.cos(0.7 * k), math.sin(0.7 * k))
+            distance_solver(calc, base, displace(base, kappa), cfg)
+    finally:
+        np.linalg.eigh = real
+    return {"contexts": 1, "pairs": TRANSLATION_PAIRS, "calls": len(calls)}
+
+
 def measure() -> dict:
     import numpy as np
 
     from moyalmetric import displace, eigenstate, make_context
     from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
+    from moyalmetric.fock import _displacement_eigh
     from moyalmetric.lengthop import d_L2, modified_length
-    from moyalmetric.spectral import DiracCalculus, _sheet_pair
+    from moyalmetric.spectral import DiracCalculus, _sheet_pair, _translation_dual
 
     ctx = make_context(N, THETA)
     calc = DiracCalculus(ctx)
@@ -118,7 +158,16 @@ def measure() -> dict:
             s.__dict__.pop("mean_energy", None)
             s.__dict__.pop("mean_ladder", None)
 
+    kappa = 0.9 + 0.6j
+    level_one = eigenstate(ctx, 1)
+    ctx_large = make_context(N_LARGE, THETA)
+    level_one_large = eigenstate(ctx_large, 1)
+
     return {
+        "displacement_eigh": timed(lambda: _displacement_eigh(ctx, kappa), 200),
+        "displace_pure": timed(lambda: displace(level_one, kappa), 50),
+        "translation_dual": timed(lambda: _translation_dual(calc, level_one.rho, kappa), 50),
+        "displace_pure_N128": timed(lambda: displace(level_one_large, kappa), 10),
         "dz": timed(lambda: calc._dz(herm[0]), 200),
         "sheet_pair": timed(lambda: _sheet_pair(calc, herm[0]), 20),
         "doubled_pair": timed(lambda: _doubled_pair(dd, herm), 5),
@@ -139,13 +188,14 @@ def main() -> int:
     for var in BLAS_ENV:
         os.environ[var] = "1"
     record = {"machine": machine_info(), "N": N, "theta": THETA,
-              "timings": measure()}
+              "generator_eighs": generator_eighs(), "timings": measure()}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name, t in record["timings"].items():
         print(f"{name:32s} {t['median_us']:12.2f} us  (q1 {t['q1_us']:.2f}, q3 {t['q3_us']:.2f})")
+    print(f"generator_eighs                  {record['generator_eighs']}")
     print(f"wrote {args.out}")
     return 0
 

@@ -338,9 +338,10 @@ def _opposite_sheets(
     """Every fact about s1 on sheet 1 against s2 on sheet 2, decided once.
 
     ``kappa`` is the translation amplitude from s1 to s2: 0 for states equal
-    entrywise to 1e-12, else read by ``_translation_amplitude`` (a
-    ``translated`` tag or two families at one level), and None when neither
-    applies.  ``single`` is the single-sheet route's report of the pair.
+    entrywise to 1e-12, else read by ``_translation_amplitude`` (a common
+    ancestor of the two ``translated`` tag chains, or two families at one
+    level), and None when neither applies.  ``single`` is the single-sheet
+    route's report of the pair.
 
     The pair solver is the shared core ``_portfolio_ascent`` on stacked
     element pairs, with evaluation pair g = Herm(rho1, -rho2) and one seed:

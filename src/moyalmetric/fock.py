@@ -212,6 +212,9 @@ def displacement_operator(ctx: FockContext, kappa: complex) -> Operator:
     translation amplitude: conjugating by U(kappa) shifts <q1> by Re kappa
     and <q2> by Im kappa, and the ground state displaced by
     sqrt(2)*lambda_p*kappa is the coherent state of label kappa.
+
+    U = v exp(-i w) v* from the rotated eigenpairs of ``_displacement_eigh``,
+    so no amplitude pays for an eigendecomposition; U(0) is the identity.
     """
     kappa = _finite_kappa(kappa, "translation amplitude")
     n = ctx.trunc_dim
@@ -222,17 +225,38 @@ def displacement_operator(ctx: FockContext, kappa: complex) -> Operator:
     return Operator(ctx, u)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _displacement_base(ctx: FockContext) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w0, v0) of H0 = i*gen(1), the Hermitian generator of
+    U(1), read-only.  Built once per context and shared, like
+    ``annihilation``; ``_displacement_eigh`` rotates them to every other
+    amplitude."""
+    a = annihilation(ctx).mat
+    w, v = np.linalg.eigh(1j * (a.conj().T - a) / (math.sqrt(2) * ctx.theta))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
 def _displacement_eigh(ctx: FockContext, kappa: complex) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, v) of the Hermitian matrix i*gen, where gen is the
     anti-Hermitian generator of U(kappa).
 
-    Exponentiating through i*gen keeps U exactly unitary (up to roundoff),
-    and since the eigenvectors do not depend on the amplitude,
+    The number rotation R = diag(exp(i phi k)) turns a into R a R* =
+    exp(-i phi) a exactly in the truncation, so for kappa = |kappa|
+    exp(i phi), i*gen(kappa) = |kappa| R H0 R* and the eigenpairs are
+    (|kappa| w0, R v0) from the one ``_displacement_base`` of the context,
+    in O(N^2).  At kappa = 0 they are (zeros, identity), as for the zero
+    generator.  Exponentiating through i*gen keeps U exactly unitary (up to
+    roundoff), and since the eigenvectors depend only on the phase,
     U(t kappa) = v exp(-i t w) v* for every real t.
     """
-    a = annihilation(ctx).mat
-    gen = (kappa * a.conj().T - np.conj(kappa) * a) / (math.sqrt(2) * ctx.theta)
-    return np.linalg.eigh(1j * gen)
+    n = ctx.trunc_dim
+    if kappa == 0:
+        return np.zeros(n), np.eye(n, dtype=complex)
+    w0, v0 = _displacement_base(ctx)
+    rotation = np.exp(1j * cmath.phase(kappa) * np.arange(n))
+    return abs(kappa) * w0, rotation[:, None] * v0
 
 
 class QState:
@@ -391,18 +415,24 @@ def displace(state: QState, kappa: complex) -> QState:
     """Translate a state by kappa (length units): rho -> U rho U*.
 
     The translated ground state with kappa = sqrt(2)*lambda_p*k reproduces
-    coherent_state(k) in trace distance up to leakage.
+    coherent_state(k) in trace distance up to leakage.  A pure state's
+    vector is moved as v exp(-i w) v* times the vector, with the rotated
+    eigenpairs of ``_displacement_eigh``, in O(N^2) and without forming U;
+    a mixed state is conjugated by ``displacement_operator``.  kappa = 0
+    keeps the state's matrix as it is.
     """
-    kappa = complex(kappa)
-    if kappa == 0:
-        u = None
-    else:
-        u = displacement_operator(state.ctx, kappa).mat
+    kappa = _finite_kappa(kappa, "translation amplitude")
     tag = ("translated", state.tag, kappa)
     if state.vector is not None:
-        v = state.vector if u is None else u @ state.vector
-        return _pure_state(state.ctx, v, tag)
-    rho = state.rho if u is None else u @ state.rho @ u.conj().T
+        vec = state.vector
+        if kappa != 0:
+            w, v = _displacement_eigh(state.ctx, kappa)
+            vec = v @ (np.exp(-1j * w) * (v.conj().T @ vec))
+        return _pure_state(state.ctx, vec, tag)
+    rho = state.rho
+    if kappa != 0:
+        u = displacement_operator(state.ctx, kappa).mat
+        rho = u @ rho @ u.conj().T
     return QState(state.ctx, rho, tag)
 
 

@@ -695,14 +695,35 @@ def _lp_dual(calc: DiracCalculus, drho: np.ndarray) -> np.ndarray | None:
     return y
 
 
+def _translation_chain(tag: tuple) -> list[tuple[tuple, complex | None]]:
+    """The tag and each tag it is a translate of, nested ``translated``
+    levels down, each with the summed amplitude from it up to ``tag`` (None
+    for the tag itself)."""
+    chain = [(tag, None)]
+    shift = None
+    while tag[0] == "translated":
+        step = complex(tag[2])
+        shift = step if shift is None else shift + step
+        tag = tag[1]
+        chain.append((tag, shift))
+    return chain
+
+
 def _translation_amplitude(s1: QState, s2: QState) -> complex | None:
-    """kappa with s2 = U(kappa) s1 U(kappa)*, read from the pair: one state
-    is tagged as the other's translate, or both are translates of one level
-    (the families that ``_closed_value`` reads); None otherwise."""
-    if s2.tag[0] == "translated" and s2.tag[1] == s1.tag:
-        return complex(s2.tag[2])
-    if s1.tag[0] == "translated" and s1.tag[1] == s2.tag:
-        return -complex(s1.tag[2])
+    """kappa with s2 = U(kappa) s1 U(kappa)*, read from the pair: the tags
+    share an ancestor along their ``translated`` chains, and kappa is the
+    difference of the amplitudes summed up to each state, or both are
+    translates of one level (the families that ``_closed_value`` reads);
+    None otherwise.  The truncated translations compose only up to the
+    leakage, which the dual's bounds charge, so a wrong kappa can cost a
+    proof but never fake one."""
+    chain2 = _translation_chain(s2.tag)
+    for tag1, k1 in _translation_chain(s1.tag):
+        for tag2, k2 in chain2:
+            if (k1 is not None or k2 is not None) and tag1 == tag2:
+                if k1 is None:
+                    return k2
+                return -k1 if k2 is None else k2 - k1
     f1, f2 = s1.family, s2.family
     if f1 is not None and f2 is not None and f1[0] == f2[0]:
         return f2[1] - f1[1]
@@ -739,8 +760,11 @@ def _path_moments(ctx: FockContext, rho1: np.ndarray, kappa: complex, kernels) -
 
     With U(t kappa) = V exp(-i t W) V* and R = V* rho1 V, a moment is exact:
     V (R o K) V* with K_jk = int_0^1 w(t) exp(z t) dt, z = -i (w_j - w_k);
-    ``_mean_kernel`` gives w = 1 and ``_first_kernel`` w = t.  One
-    eigendecomposition serves every kernel.
+    ``_mean_kernel`` gives w = 1 and ``_first_kernel`` w = t.  The
+    eigenpairs are the context's one generator eigendecomposition rotated to
+    the phase of kappa (``_displacement_eigh``), so no amplitude pays for an
+    eigensolve; at kappa = 0 they are (zeros, identity), so each moment is
+    rho1 times the integral of its weight.
     """
     w, v = _displacement_eigh(ctx, kappa)
     z = -1j * (w[:, None] - w[None, :])
@@ -925,14 +949,15 @@ def distance_solver(
     explicit dual proves the best of them optimal: the LP's tail dual when
     the state difference is exactly diagonal with no weight at the guarded
     levels, or the translation path mean when the pair is a translate by
-    kappa, read from a ``translated`` tag or from two families at one
-    level.  The proof needs the leakage, the state difference outside the
-    corner and on the kernel, at most ctx.tol, and the dual's upper bound
-    within ctx.tol max(1, value) of the value; ``upper`` then carries that
-    bound.  Where the loop runs, ``upper`` carries its best dual bound,
-    raised to the value, when the leakage is at most ctx.tol, and is None
-    otherwise.  Both bounds hold for the distance over corner elements,
-    levels 0..interior_dim, modulo the seminorm's kernel there.
+    kappa, read from a common ancestor of the two ``translated`` tag chains
+    or from two families at one level.  The proof needs the leakage, the
+    state difference outside the corner and on the kernel, at most ctx.tol,
+    and the dual's upper bound within ctx.tol max(1, value) of the value;
+    ``upper`` then carries that bound.  Where the loop runs, ``upper``
+    carries its best dual bound, raised to the value, when the leakage is at
+    most ctx.tol, and is None otherwise.  Both bounds hold for the distance
+    over corner elements, levels 0..interior_dim, modulo the seminorm's
+    kernel there.
     """
     _require_same_ctx(calc.ctx, s1.ctx)
     _require_same_ctx(s1.ctx, s2.ctx)

@@ -6,11 +6,12 @@ criterion.  A criterion failing here means a certified quantity of the
 library is off at its stated tolerance; the ratio printed is worst observed
 residual over tolerance, so anything above 1 is a real miss, not noise.
 
-The whole gate takes about 70 s, dominated by the 200 random bracket checks
-of criterion 5.  Criterion 2 is no longer a long pole: an explicit dual
-proves the translation element optimal on eight of its nine pairs, so only
-the ninth, whose path states leak past the seminorm's corner, runs the
-full-budget ascent.
+The battery takes about 40 s on two shared cores (the whole Tier-1 suite
+about 60 s), dominated by the 200 random bracket checks of criterion 5.
+Criterion 2 is no longer a long pole: an explicit dual proves the
+translation element optimal on all nine of its pairs, the ninth, whose path
+states leak past the seminorm's corner, through its exact projection, so
+no pair runs the splitting loop.
 """
 
 from __future__ import annotations

@@ -380,6 +380,21 @@ class TestDoubledDual:
         assert rep.value == math.hypot(abs(kappa), dd.internal_distance)
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
 
+    @pytest.mark.parametrize("nested", (True, False))
+    def test_nested_translates_are_closed_form(self, ctx48, ascent_calls, nested):
+        calc = DiracCalculus(ctx48)
+        dd = make_doubled(calc, reference_lambda(calc, 0))
+        base = superposition_state(ctx48, [0, 2], [1.0, 1.0j])
+        if nested:
+            s1, s2, kappa = base, displace(displace(base, 0.3), 0.2j), 0.3 + 0.2j
+        else:
+            s1, s2, kappa = displace(base, 0.3), displace(base, 0.2j), 0.2j - 0.3
+        rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
+        assert ascent_calls == []
+        assert rep.method == "closed-form"
+        assert rep.value == math.hypot(abs(kappa), dd.internal_distance)
+        assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
+
     def test_proven_family_pair_scores_one_seed(self, ctx48, monkeypatch):
         from moyalmetric import doubling
 
@@ -397,6 +412,25 @@ class TestDoubledDual:
         res = pythagoras_check(dd, displace(base, 0.3), displace(base, 1.3 - 0.4j), LIGHT)
         assert res.upper is not None
         assert len(calls) == 1
+
+    def test_equal_states_need_no_eigenpairs(self, dd32, ctx32, monkeypatch):
+        # At kappa = 0 the eigenpairs are (zeros, identity), so the doubled
+        # dual is the explicit equal-state dual bit for bit, and so is the
+        # report built on it.
+        from moyalmetric import doubling
+
+        rho = superposition_state(ctx32, [0, 2], [1.0, 1.0j]).rho
+        m = ctx32.interior_dim
+        mean = rho[:m, :m]
+        coupling = 0.5 * dd32.internal_distance**2
+        want = np.zeros((2 * m, 2 * m), dtype=complex)
+        want[:m, m:] = np.conj(dd32.Lambda) * coupling * mean
+        want[m:, :m] = dd32.Lambda * coupling * mean
+        assert np.array_equal(_doubled_dual(dd32, rho, 0.0), want)
+        s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])
+        rep = doubled_distance(dd32, SheetState(s, 1), SheetState(s, 2), LIGHT)
+        monkeypatch.setattr(doubling, "_doubled_dual", lambda *args: want)
+        assert doubled_distance(dd32, SheetState(s, 1), SheetState(s, 2), LIGHT) == rep
 
     def test_equal_states_skip_the_ascent(self, dd32, ctx32, ascent_calls):
         s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])

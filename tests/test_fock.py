@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moyalmetric import (
     ContextMismatchError,
@@ -24,6 +27,8 @@ from moyalmetric import (
     superposition_state,
     uncertainty_product,
 )
+from moyalmetric.fock import _displacement_base, _displacement_eigh
+from moyalmetric.spectral import _first_kernel, _mean_kernel, _path_moments
 
 
 def trace_distance(s1, s2):
@@ -131,15 +136,19 @@ class TestHamiltonian:
             assert abs(val.imag) < 1e-14
 
 
-@pytest.mark.parametrize("build", [annihilation, hamiltonian])
+def _cached_arrays(obj):
+    return (obj.mat,) if isinstance(obj, Operator) else obj
+
+
+@pytest.mark.parametrize("build", [annihilation, hamiltonian, _displacement_base])
 class TestOperatorCache:
     def test_equal_contexts_share_one_operator(self, build):
         assert build(make_context(24, 0.5, 1e-10)) is build(make_context(24, 0.5, 1e-10))
 
     def test_shared_matrix_is_read_only(self, build):
-        op = build(make_context(24, 0.5, 1e-10))
-        with pytest.raises(ValueError):
-            op.mat[0, 1] = 0.0
+        for arr in _cached_arrays(build(make_context(24, 0.5, 1e-10))):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.0
 
     def test_cache_is_bounded(self, build):
         assert build.cache_info().maxsize == 8
@@ -316,3 +325,56 @@ class TestUncertainty:
     def test_scales_with_theta(self):
         ctx = make_context(16, 2.0, 1e-10)
         assert uncertainty_product(eigenstate(ctx, 0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_eigh(ctx, kappa):
+    """The slow oracle: a dense eigendecomposition of i*gen at this kappa."""
+    a = annihilation(ctx).mat
+    gen = (kappa * a.conj().T - np.conj(kappa) * a) / (math.sqrt(2) * ctx.theta)
+    return np.linalg.eigh(1j * gen)
+
+
+_KAPPA_SIZES = st.floats(1e-9, 3.0)
+_KAPPAS = st.one_of(
+    _KAPPA_SIZES.map(lambda r: complex(-r)),
+    st.tuples(_KAPPA_SIZES, st.sampled_from((1.0, -1.0))).map(lambda rs: 1j * rs[0] * rs[1]),
+    st.tuples(_KAPPA_SIZES, st.floats(0.0, 2 * math.pi)).map(
+        lambda rp: rp[0] * cmath.exp(1j * rp[1])),
+)
+
+
+class TestRotatedEigenpairs:
+    """The eigenpairs of every amplitude are the context's one generator
+    eigendecomposition rotated by diag(exp(i phi k)); the dense eigh of
+    i*gen at each amplitude is the slow oracle."""
+
+    @pytest.mark.parametrize("theta", (1.0, 0.7, 2.3))
+    @pytest.mark.parametrize("n", (8, 16, 24, 48))
+    @given(kappa=_KAPPAS)
+    def test_against_the_dense_oracle(self, n, theta, kappa):
+        # Large shifts push the states past the guarded edge, so the
+        # leakage bound is lifted: the check is on the arithmetic.
+        ctx = FockContext(n, theta, leakage_bound=1.0)
+        w, v = _dense_eigh(ctx, kappa)
+        want = (v * np.exp(-1j * w)) @ v.conj().T
+        u = displacement_operator(ctx, kappa).mat
+        assert np.abs(u - want).max() <= 1e-13
+        assert np.abs(u @ u.conj().T - np.eye(n)).max() <= 1e-13
+        pure = superposition_state(ctx, [0, 2], [1.0, 1.0j])
+        mixed = mixed_state([eigenstate(ctx, 1), pure], [0.3, 0.7])
+        for state in (pure, mixed):
+            moved = QState(ctx, want @ state.rho @ want.conj().T, ("oracle",))
+            assert trace_distance(displace(state, kappa), moved) <= 1e-13
+        z = -1j * (w[:, None] - w[None, :])
+        r = v.conj().T @ mixed.rho @ v
+        kernels = (_mean_kernel, _first_kernel)
+        got = _path_moments(ctx, mixed.rho, kappa, kernels)
+        for moment, kernel in zip(got, kernels):
+            assert np.abs(moment - v @ (r * kernel(z)) @ v.conj().T).max() <= 1e-13
+
+    def test_zero_amplitude_is_the_zero_generator(self, ctx16):
+        w, v = _displacement_eigh(ctx16, 0)
+        want_w, want_v = _dense_eigh(ctx16, 0j)
+        assert w.dtype == want_w.dtype and v.dtype == want_v.dtype
+        assert np.array_equal(w, np.zeros(16)) and np.array_equal(w, want_w)
+        assert np.array_equal(v, np.eye(16)) and np.array_equal(v, want_v)

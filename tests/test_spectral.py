@@ -961,6 +961,23 @@ class TestTranslationDual:
         assert _translation_amplitude(base, eigenstate(ctx32, 2)) is None
         assert _translation_amplitude(base, coherent_state(ctx32, 0.3)) is None
 
+    @pytest.mark.parametrize("nested", (True, False))
+    def test_nested_translates_are_proven(self, ctx48, loop_calls, nested):
+        # A translate of a translate, or two translates of one state: the
+        # amplitudes summed along the tag chains name the path-mean dual.
+        calc = DiracCalculus(ctx48)
+        base = superposition_state(ctx48, [0, 2], [1.0, 1.0j])
+        if nested:
+            s1, s2, kappa = base, displace(displace(base, 0.3), 0.2j), 0.3 + 0.2j
+        else:
+            s1, s2, kappa = displace(base, 0.3), displace(base, 0.2j), 0.2j - 0.3
+        assert _translation_amplitude(s1, s2) == kappa
+        assert _translation_amplitude(s2, s1) == -kappa
+        rep = distance_solver(calc, s1, s2, QUICK_SOLVER)
+        assert loop_calls == []
+        assert 0 <= rep.upper - rep.value <= ctx48.tol * max(1.0, rep.value)
+        assert rep.value == pytest.approx(abs(kappa), abs=1e-12)
+
     @pytest.mark.parametrize("swap", (False, True))
     def test_no_ascent_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls, swap):
         from moyalmetric import spectral
