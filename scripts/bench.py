@@ -3,9 +3,10 @@
 machine in a JSON file.
 
 Micro-timings at N=48, theta=1 of the layers that ``perfbench --trace 1``
-does not report: one ``DiracCalculus._dz``, one single-sheet top pair
-(``_sheet_pair``) and one two-sheet top pair (``doubling._doubled_pair``);
-and, over the square-length grid (levels 0..6 displaced over a 5x5 lattice
+does not report: one ``DiracCalculus._dz``; one splitting-loop iteration on
+one sheet and on two (the sheet's projection, then the singular value
+thresholding ``spectral._shrink``), and the two-sheet projection alone
+(``doubling._doubled_project``); and, over the square-length grid (levels 0..6 displaced over a 5x5 lattice
 of amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
 the state moments already cached, and the first touch of both moments
 (``mean_energy``, ``mean_ladder``) of one displaced state.  The translation
@@ -113,7 +114,7 @@ def generator_eighs() -> dict:
 
     ctx = make_context(N, THETA, tol=1.1e-10)  # a context no other layer has built
     calc = DiracCalculus(ctx)
-    cfg = SolverConfig(iterations=300, restarts=2, seed=0)
+    cfg = SolverConfig(iterations=300)
     np.linalg.eigh = counted
     try:
         for k in range(TRANSLATION_PAIRS):
@@ -129,10 +130,10 @@ def measure() -> dict:
     import numpy as np
 
     from moyalmetric import displace, eigenstate, make_context
-    from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
+    from moyalmetric.doubling import _doubled_project, _two_sheets, make_doubled, reference_lambda
     from moyalmetric.fock import _displacement_eigh
     from moyalmetric.lengthop import d_L2, modified_length
-    from moyalmetric.spectral import DiracCalculus, _sheet_pair, _translation_dual
+    from moyalmetric.spectral import DiracCalculus, _one_sheet, _shrink, _translation_dual
 
     ctx = make_context(N, THETA)
     calc = DiracCalculus(ctx)
@@ -140,6 +141,14 @@ def measure() -> dict:
     raw = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
     herm = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
     dd = make_doubled(calc, reference_lambda(calc, 0))
+    m = ctx.interior_dim
+    duals = rng.standard_normal((2, 2 * m, 2 * m)) + 1j * rng.standard_normal((2, 2 * m, 2 * m))
+
+    def loop_iteration(sheet):
+        """One splitting-loop step from the dual pair (z, u)."""
+        size = sheet.size
+        z, u = duals[0, :size, :size], duals[1, :size, :size]
+        return lambda: _shrink(sheet.project(z - u) + u, 0.5)
 
     shifts = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
     grid = [displace(eigenstate(ctx, m), complex(x, y))
@@ -169,8 +178,9 @@ def measure() -> dict:
         "translation_dual": timed(lambda: _translation_dual(calc, level_one.rho, kappa), 50),
         "displace_pure_N128": timed(lambda: displace(level_one_large, kappa), 10),
         "dz": timed(lambda: calc._dz(herm[0]), 200),
-        "sheet_pair": timed(lambda: _sheet_pair(calc, herm[0]), 20),
-        "doubled_pair": timed(lambda: _doubled_pair(dd, herm), 5),
+        "loop_iteration": timed(loop_iteration(_one_sheet(calc, herm[0])), 20),
+        "doubled_loop_iteration": timed(loop_iteration(_two_sheets(dd, herm)), 5),
+        "doubled_project": timed(lambda: _doubled_project(dd, herm, duals[0]), 20),
         "d_L2": timed(sweep(d_L2), 1, per=pairs),
         "modified_length": timed(sweep(modified_length), 1, per=pairs),
         "moments_first_touch": timed(touch_moments, 1, per=len(grid), reset=forget_moments),

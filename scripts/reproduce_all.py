@@ -3,9 +3,9 @@
 
 Drives the batch CLI in-process so the whole pipeline shares one operator
 cache, then finishes with the verification battery.  Full settings take
-about 35 s on two cores, nearly all of it the battery's doubled ascents on
-the pairs no explicit dual covers; --quick drops truncations and solver
-budgets for a pass of a few seconds over the same commands.
+about 45 s on two cores, nearly all of it the battery's doubled splitting
+loops on the pairs no explicit dual covers; --quick drops truncations and
+solver budgets for a pass of a few seconds over the same commands.
 
     python3 scripts/reproduce_all.py
     python3 scripts/reproduce_all.py --quick --output-dir out-quick
@@ -22,7 +22,7 @@ from moyalmetric import cli
 
 def build_plan(quick: bool) -> list[list[str]]:
     scale = (
-        ["--trunc-dim", "32", "--solver-iterations", "300", "--solver-restarts", "2"]
+        ["--trunc-dim", "32", "--solver-iterations", "300"]
         if quick
         else []
     )

@@ -767,10 +767,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--trunc-dim", type=int, help="truncation size N")
     group.add_argument("--theta", type=float, help="deformation scale")
     group.add_argument("--tol", type=float, help="numerical tolerance")
-    group.add_argument("--solver-seed", type=int, help="doubled-ascent restart seed")
     group.add_argument("--solver-iterations", type=int,
-                       help="solver iterations (per restart on two sheets)")
-    group.add_argument("--solver-restarts", type=int, help="doubled-ascent restarts")
+                       help="splitting-loop iterations, on either sheet")
     group.add_argument("--leakage-bound", type=float, help="allowed edge leakage")
     group.add_argument("--output-dir", help="directory for CSV/JSON/SVG results")
 

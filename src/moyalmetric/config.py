@@ -44,9 +44,7 @@ class RunConfig:
     trunc_dim: int = 64
     theta: float = 1.0
     tol: float = 1e-10
-    solver_seed: int = 0
     solver_iterations: int = 2000
-    solver_restarts: int = 8
     leakage_bound: float = 1e-10
     output_dir: str = "out"
 
@@ -70,11 +68,7 @@ class RunConfig:
         )
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            iterations=self.solver_iterations,
-            restarts=self.solver_restarts,
-            seed=self.solver_seed,
-        )
+        return SolverConfig(iterations=self.solver_iterations)
 
     def as_dict(self) -> dict[str, object]:
         """Field values in declaration order (the header/echo order)."""

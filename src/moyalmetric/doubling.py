@@ -18,33 +18,26 @@ certificates.
 
 The grading also means the commutator only joins the odd blocks to the
 even ones, so its chiral block K (``_chiral_block``, 2m x 2m) carries all
-of its singular values and the 4m x 4m commutator is never built; the
-tests keep it as the oracle for K.  The pair solver runs the shared
-prove-or-search core of ``spectral`` (``_portfolio_ascent``) on stacked
-element pairs; its search is the restarted ascent (``_restarted_ascent``),
-with one Gram eigendecomposition of K per iteration and the subgradient
-from its adjoint (``_chiral_adjoint``), until K has a projection of its own
-for the splitting loop that the single sheet runs.  A full SVD of K
-(``_doubled_seminorm``) is kept as the independent feasibility check.
-
-Same-sheet pairs are the single-sheet problem itself, so they take the
-single-sheet route and no pair solve.  The diagonal blocks of K are
--i A x1 and -i (A x2)* with A = sqrt(2) crop dz, so ||K(x, x)|| = p(x) and
-||K(x1, x2)|| >= max(p(x1), p(x2)): on one sheet the doubled distance is
-the plane's own.
+of its singular values; the tests keep the 4m x 4m commutator as the
+oracle for K.  The pair solver is the prove-or-search core of ``spectral``
+on stacked element pairs, with one seed, the hypotenuse lift of the
+single-sheet certificate, and this module's operations for the splitting
+loop (``_two_sheets``): the projection onto the dual constraint and the
+least-squares element, both through the normal operator K* K, which splits
+into a sheet-sum and a sheet-difference half, each block diagonal by
+offset (``_normal_solve``); a Gram eigendecomposition of K for the search
+seminorm; and the dual bound ``_doubled_upper``.  A full SVD of K
+(``_doubled_seminorm``) is the independent feasibility check.  On one
+sheet ||K(x, x)|| = p(x) and ||K(x1, x2)|| >= max(p(x1), p(x2)), so
+same-sheet pairs take the single-sheet route and no pair solve.
 
 On opposite sheets every fact about a pair is decided once, in
-``_opposite_sheets``: the translation amplitude kappa (0 for equal states),
-the single-sheet report, and the pair solver's value, feasibility and
-upper bound; ``doubled_distance`` and ``pythagoras_check`` only format
-that record.  The pair solver has one seed, the hypotenuse lift of the
-single-sheet certificate.  Equal states and translates by kappa sit at
-hypot(|kappa|, 1/|Lambda|) by translation covariance, and have an explicit
-dual of K (``_doubled_dual``): the single-sheet path mean split along the
-path, with the rung spread evenly over it, whose nuclear norm is at most
-that hypotenuse.  Where it proves the seed optimal, up to the corner
-leakage and residual charge of ``_doubled_upper``, the pair solver runs no
-ascent and reports that upper bound; elsewhere it ascends.
+``_opposite_sheets``, and ``doubled_distance`` and ``pythagoras_check``
+only format that record.  Equal states and translates by kappa sit at
+hypot(|kappa|, 1/|Lambda|) by translation covariance, and an explicit dual
+of K (``_doubled_dual``: the single-sheet path mean split along the path,
+with the rung spread evenly over it) usually proves the seed optimal, so
+no search runs; elsewhere the splitting loop brackets the pair.
 
 Single-sheet work (the closed form, LP or solver route) comes from
 ``spectral``; this module only adds what the second sheet brings: the
@@ -54,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,6 +65,7 @@ from .spectral import (
     DiracCalculus,
     DistanceReport,
     SolverConfig,
+    _bound_note,
     _corner_split,
     _eigen_sum,
     _first_kernel,
@@ -79,10 +73,10 @@ from .spectral import (
     _mean_kernel,
     _objective,
     _path_moments,
-    _portfolio_ascent,
-    _restarted_ascent,
+    _prove_or_search,
+    _Sheet,
     _single_route,
-    _top_singular_pair,
+    _top_singular_value,
     _translation_amplitude,
 )
 
@@ -130,6 +124,32 @@ class DoubledDirac:
         """Distance between the two copies of one state: 1/|Lambda|."""
         return 1.0 / abs(self.Lambda)
 
+    @cached_property
+    def _transverse_inverse(self) -> np.ndarray:
+        """The sheet-difference half of N = K* K, inverted offset by offset.
+
+        With s = (x1 + x2)/sqrt(2) and t = (x2 - x1)/sqrt(2), ||K x||_F^2 =
+        ||A s||^2 + ||A t||^2 + 4 |Lambda|^2 ||crop t||^2 for A = sqrt(2) crop
+        dz, so N is A* A on s and A* A + 4 |Lambda|^2 P on t, P the crop to
+        levels 0..m-1.  On the entries t_d of offset d its form is t_d^T M_d
+        t_d, M_d = 2 B_d^T B_d + 4 |Lambda|^2 c_d P_d, with B_d the offset
+        block (``DiracCalculus._offset_blocks``), c_d = 2 for d >= 1 and 1
+        on the diagonal, and P_d dropping the entry at level m.  The stack
+        holds each M_d^-1, off its kernel E = |m><m| at d = 0, laid out as
+        ``DiracCalculus._offset_pinv``: 0.33 MB at N=48, per Lambda.
+        """
+        m = self.ctx.interior_dim
+        weight = 4.0 * abs(self.Lambda) ** 2
+        stack = np.zeros(((m + 1) // 2 + 1, m + 1, m + 1))
+        for d, (block, _, _) in enumerate(self.calc._offset_blocks()):
+            t = min(d, m + 1 - d)
+            r0, n = (0 if d == t else d), m + 1 - d
+            normal = 2.0 * block.T @ block
+            normal[np.arange(n - 1), np.arange(n - 1)] += weight * (1.0 if d == 0 else 2.0)
+            keep = n - 1 if d == 0 else n
+            stack[t, r0 : r0 + keep, r0 : r0 + keep] = np.linalg.inv(normal[:keep, :keep])
+        return stack
+
 
 def make_doubled(calc: DiracCalculus, Lambda: complex) -> DoubledDirac:
     """Couple two copies of the plane through a constant internal entry."""
@@ -173,54 +193,90 @@ def _chiral_block(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarra
     part is K and its even-row, odd-column part is -K* for Hermitian
     elements, where C is anti-Hermitian.  Hence sigma_max(C) = sigma_max(K),
     with K of size 2m x 2m.
+
+    Both K and its adjoint read the corner directly, so that a projection
+    of the doubled splitting loop stays a small part of its iteration: for
+    Hermitian elements crop(dzbar a2) = crop(dz a2)*, and crop(dz a)[i, j] =
+    (a[i, j+1] l_{j+1} - l_i a[i-1, j]) / theta with l_0 = 0.
     """
-    calc = dd.calc
     mc = dd.ctx.interior_dim
-    root2 = math.sqrt(2.0)
-    lam = dd.Lambda
-    delta = calc._crop(a2 - a1)
+    ell = dd.calc._ladder[:mc]
+    x = np.stack([a1, a2])
+    d = x[:, :mc, 1 : mc + 1] * ell
+    d[:, 1:] -= ell[:-1, None] * x[:, : mc - 1, :mc]
+    d = d * (_ROOT / dd.ctx.theta)
+    delta = x[1, :mc, :mc] - x[0, :mc, :mc]
     out = np.empty((2 * mc, 2 * mc), dtype=complex)
-    out[:mc, :mc] = -1j * root2 * calc._crop(calc._dz(a1))
-    out[:mc, mc:] = -np.conj(lam) * delta
-    out[mc:, :mc] = -lam * delta
-    out[mc:, mc:] = -1j * root2 * calc._crop(calc._dzbar(a2))
+    out[:mc, :mc] = d[0]
+    out[:mc, mc:] = -np.conj(dd.Lambda) * delta
+    out[mc:, :mc] = -dd.Lambda * delta
+    out[mc:, mc:] = -d[1].T.conj()
     return out
 
 
-def _chiral_adjoint(dd: DoubledDirac, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of the chiral block: <W, K(X1, X2)> = <g1, X1> + <g2, X2>.
+_ROOT = -1j * math.sqrt(2.0)  # the factor of both derivative blocks of K
+_TWIST = np.array([_ROOT, np.conj(_ROOT)])[:, None, None]
 
-    W is 2m x 2m in the block layout of K; the adjoints of dz and dzbar are
-    -dzbar and -dz, and the crop adjoint pads with zeros.  Used for the
-    seminorm subgradient of the pair solver.
+
+def _chiral_adjoint(dd: DoubledDirac, w: np.ndarray) -> np.ndarray:
+    """Herm K* W: the stacked Hermitian pair g with <W, K x> = <g1, x1> +
+    <g2, x2> for every Hermitian pair x.  The adjoint of dz is -dzbar, so
+    sheet 1 reads -i sqrt(2) dzbar(pad W11) and, up to Herm, sheet 2 its
+    conjugate times dzbar(pad W22*), where dzbar(pad Y)[i, j] = (l_{i+1}
+    Y[i+1, j] - Y[i, j-1] l_j) / theta; the coupling blocks add the rest.
     """
-    calc = dd.calc
-    mc = dd.ctx.interior_dim
-    root2 = math.sqrt(2.0)
-    lam = dd.Lambda
-    g1 = -1j * root2 * calc._dzbar(calc._pad(w[:mc, :mc]))
-    g2 = -1j * root2 * calc._dz(calc._pad(w[mc:, mc:]))
-    g_delta = -lam * w[:mc, mc:] - np.conj(lam) * w[mc:, :mc]
-    g1[:mc, :mc] -= g_delta
-    g2[:mc, :mc] += g_delta
-    return g1, g2
+    mc, n = dd.ctx.interior_dim, dd.ctx.trunc_dim
+    ell = dd.calc._ladder[:mc]
+    y = np.stack([w[:mc, :mc], w[mc:, mc:].T.conj()])
+    g = np.zeros((2, n, n), dtype=complex)
+    g[:, : mc - 1, :mc] = ell[:-1, None] * y[:, 1:]
+    g[:, :mc, 1 : mc + 1] -= y * ell
+    g *= _TWIST / dd.ctx.theta
+    coupling = dd.Lambda * w[:mc, mc:] + np.conj(dd.Lambda) * w[mc:, :mc]
+    g[0, :mc, :mc] += coupling
+    g[1, :mc, :mc] -= coupling
+    return _hermitize(g)
 
 
 def _doubled_seminorm(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> float:
     """Doubled seminorm by a full SVD of the chiral block, independent of
-    the Gram eigendecomposition the ascent uses."""
+    the Gram eigendecomposition the search uses."""
     return float(np.linalg.svd(_chiral_block(dd, a1, a2), compute_uv=False)[0])
 
 
-def _doubled_pair(dd: DoubledDirac, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Doubled seminorm of a stacked Hermitian pair and a subgradient there.
-
-    The top pair K v = sigma u of the chiral block is a top singular pair
-    of the whole commutator, so u v* through the chiral adjoint is a
-    subgradient.
+def _normal_solve(dd: DoubledDirac, r: np.ndarray) -> np.ndarray:
+    """N^+ r for N = K* K and a stacked Hermitian pair r read on the corner:
+    the corner pair x off the joint kernel of K with N x = r off it.  N is
+    A* A on r_s = (r1 + r2)/sqrt(2), whose pseudo-inverse is P_d P_d^T for
+    the stacked P_d of ``DiracCalculus._offset_pinv``, and the t-half
+    ``DoubledDirac._transverse_inverse`` on r_t = (r2 - r1)/sqrt(2); then
+    x = ((x_s - x_t), (x_s + x_t))/sqrt(2), all square roots folded into 1/2.
     """
-    sigma, u, v = _top_singular_pair(_chiral_block(dd, x[0], x[1]))
-    return sigma, _hermitize(np.stack(_chiral_adjoint(dd, np.outer(u, v.conj()))))
+    calc = dd.calc
+    pinv = calc._offset_pinv[0]
+    r1, r2 = calc._offset_gather(r[0]), calc._offset_gather(r[1])
+    s, t = (c.view(float).reshape(*c.shape, 2) for c in (r1 + r2, r2 - r1))
+    s = pinv @ (pinv.transpose(0, 2, 1) @ s)
+    t = dd._transverse_inverse @ t
+    return np.stack([calc._offset_scatter(0.5 * (s - t)), calc._offset_scatter(0.5 * (s + t))])
+
+
+def _doubled_project(dd: DoubledDirac, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pi(W) = W - K N^+ (Herm K* W - g): the nearest 2m x 2m W in Frobenius
+    norm whose Herm K* W is the corner of the stacked pairing g minus its
+    joint-kernel component, which N^+ drops (``_normal_solve``)."""
+    x = _normal_solve(dd, _chiral_adjoint(dd, w) - g)
+    return w - _chiral_block(dd, x[0], x[1])
+
+
+def _two_sheets(dd: DoubledDirac, g: np.ndarray) -> _Sheet:
+    """The splitting loop's operations on the doubled geometry, for the
+    stacked pairing g: the least squares K^+ U = N^+ Herm K* U, and the
+    search seminorm from one Gram eigendecomposition of K."""
+    return _Sheet(g, 2 * dd.ctx.interior_dim, partial(_doubled_project, dd, g),
+                  lambda u: _normal_solve(dd, _chiral_adjoint(dd, u)),
+                  lambda x: _top_singular_value(_chiral_block(dd, *x)),
+                  partial(_doubled_upper, dd, g))
 
 
 def _hypotenuse_pair(
@@ -307,7 +363,7 @@ def _doubled_upper(dd: DoubledDirac, g: np.ndarray, w: np.ndarray) -> tuple[floa
     """
     calc = dd.calc
     m = dd.ctx.interior_dim
-    img = _hermitize(np.stack(_chiral_adjoint(dd, w)))
+    img = _chiral_adjoint(dd, w)
     (gam1, eta1, perp1, out1), (gam2, eta2, perp2, out2) = (
         _corner_split(calc, gi, ii) for gi, ii in zip(g, img))
     charge = math.sqrt(m) / calc.corner_s_min
@@ -343,17 +399,17 @@ def _opposite_sheets(
     level), and None when neither applies.  ``single`` is the single-sheet
     route's report of the pair.
 
-    The pair solver is the shared core ``_portfolio_ascent`` on stacked
-    element pairs, with evaluation pair g = Herm(rho1, -rho2) and one seed:
-    the hypotenuse lift of the single route's certificate, or the zero-rung
-    pair when the route has none.  The single value is the best ratio over
-    a portfolio that holds every other single-sheet seed, and hypot is
-    monotone in the gap, so that lift dominates their lifts.  Where kappa
-    is known, the doubled path-mean dual (``_doubled_dual``) may prove the
-    seed optimal: leakage at most ctx.tol and its upper bound within ctx.tol
-    max(1, value) of the value.  No ascent runs then and ``upper`` carries
-    that bound; it is None wherever the ascent runs.  ``value`` is the pair
-    solver's, and its ``feasibility`` the full SVD of ``_doubled_seminorm``.
+    The pair solver is ``_prove_or_search`` on stacked element pairs, with
+    pairing g = Herm(rho1, -rho2) and one seed: the hypotenuse lift of the
+    single route's certificate, or the zero-rung pair when the route has
+    none.  The single value is the best ratio over a portfolio that holds
+    every other single-sheet seed, and hypot is monotone in the gap, so that
+    lift dominates theirs and no value falls below it.  Where kappa is
+    known, the doubled path-mean dual (``_doubled_dual``) may prove the seed
+    optimal and no search runs; elsewhere the splitting loop runs.  ``upper``
+    is the proven bound, over corner pairs modulo the joint kernel of K, or
+    None where the leakage exceeds ctx.tol; ``feasibility`` is the full SVD
+    of ``_doubled_seminorm``.
     """
     single = _single_route(dd.calc, s1, s2, cfg)
     drho = s1.rho - s2.rho
@@ -364,12 +420,9 @@ def _opposite_sheets(
     seed = np.stack(_hypotenuse_pair(dd, base, gap))
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
     g = _hermitize(np.stack([s1.rho, -s2.rho]))
-    bounds = None if kappa is None else [_doubled_upper(dd, g, _doubled_dual(dd, s1.rho, kappa))]
+    duals = [] if kappa is None else [_doubled_dual(dd, s1.rho, kappa)]
     # The seed has doubled seminorm one, so the core always returns an element.
-    pair = partial(_doubled_pair, dd)
-    value, best, upper = _portfolio_ascent(
-        g, pair, [seed], dd.ctx.tol, bounds, partial(_restarted_ascent, g, pair, cfg, (97,))
-    )
+    value, best, upper = _prove_or_search(_two_sheets(dd, g), [seed], duals, cfg, dd.ctx.tol)
     return _OppositeSheets(single, kappa, value, _doubled_seminorm(dd, best[0], best[1]), upper)
 
 
@@ -392,10 +445,10 @@ def doubled_distance(
     covariance; the pair solver's value cross-checks it, and its excess is
     an arithmetic failure.  Every other pair reports the larger of the
     pair solver's certified lower bound and the quadrature ansatz over the
-    single-sheet value.  The pair solver runs no ascent where the doubled
-    path-mean dual proves its seed optimal; ``upper`` then carries that
-    bound, raised to the reported value, and is None wherever the ascent
-    ran.
+    single-sheet value.  ``upper`` carries the pair solver's proven bound,
+    from the doubled path-mean dual or the splitting loop, raised to the
+    reported value, wherever the leakage is at most ctx.tol, and ``note``
+    names the corner definition it holds for.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -430,8 +483,9 @@ def doubled_distance(
         ansatz = math.hypot(pair.single.value, d_i)
         value = max(pair.value, ansatz)
         method, gap = "convex-solver", abs(value - ansatz)
+        domain = f"corner pairs, levels 0..{dd.ctx.interior_dim}, modulo the joint kernel"
         note = (
-            "opposite sheets, cross family: certified lower bound; the "
+            f"opposite sheets, cross family: {_bound_note(pair.upper, domain)}; the "
             "quadrature ansatz over the single-sheet estimate "
             f"{pair.single.value:.9g} gives {ansatz:.9g}"
         )
@@ -448,8 +502,9 @@ def doubled_distance(
 
 class PythagorasResult(NamedTuple):
     """Squared opposite-sheet distance and its quadrature bracket; ``upper``
-    is the square of the doubled dual's proven bound, or None where the
-    ascent ran."""
+    is the square of the pair solver's proven bound, from the doubled dual
+    or the splitting loop, over corner pairs modulo the joint kernel, or
+    None where the leakage exceeds ctx.tol."""
 
     lhs: float
     rhs_equal: float
@@ -472,9 +527,10 @@ def pythagoras_check(
     cannot exceed the doubled supremum.
 
     Equal states and translates (see ``_opposite_sheets``) usually run no
-    doubled ascent: the doubled path-mean dual proves the seed optimal, and
-    ``upper`` records its bound squared.  The constant rhs_hi stays the
-    outer check.
+    doubled search: the doubled path-mean dual proves the seed optimal.
+    Elsewhere the doubled splitting loop runs, and may raise ``lhs`` above
+    rhs_lo.  ``upper`` records the squared proven bound wherever the leakage
+    is at most ctx.tol.  The constant rhs_hi stays the outer check.
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -33,24 +33,16 @@ batched product with the blocks' pseudo-inverses and one scatter.  A dual
 Y bounds the distance by ||Y||_* plus its residual charged at
 sqrt(m) / s_min (``_dual_upper``).
 
-One prove-or-search core, ``_portfolio_ascent``, serves both sheets.  It
-first compares the seeded candidates, and runs no search where an
-explicit dual proves the best of them optimal, with leakage at most tol
-and the bound within tol of the value.  Two duals are tried, each as given
-and then projected (``_dual_bounds``): the tail dual of a state difference
-that is exactly diagonal with no weight at the guarded levels, whose
-nuclear norm is the LP value (``_lp_dual``), and the path mean of a
-translation, -conj(kappa) times the average of the states along the path,
-whose nuclear norm is at most |kappa| (``_translation_dual``).  Elsewhere
-the one-sheet search is a deterministic splitting loop, scaled ADMM on the
-dual problem (``_splitting_loop``): each iteration is one projection and
-one singular value thresholding from one Gram eigh, and every 25
-iterations it takes a proven upper bound from its dual iterate and a
-certified lower bound from its multiplier, so the report brackets the
-distance.  The two-sheet search is still the projected-subgradient ascent
-(``_ascend``, fixed step 1 / (|grad| sqrt(k + 1)), one top-singular-pair
-eigh per iteration) with seeded restarts (``_restarted_ascent``).  SVDs are
-left to the final-certificate check ``lipschitz_seminorm``.
+One prove-or-search core, ``_prove_or_search``, serves both sheets: no
+search runs where an explicit dual, as given or projected, proves the best
+seeded candidate optimal, with leakage at most tol and the bound within
+tol of the value.  On one sheet the duals are the tail dual of a state difference that is exactly diagonal with no
+weight at the guarded levels (``_lp_dual``) and the path mean of a
+translation (``_translation_dual``).  Elsewhere one deterministic
+splitting loop, scaled ADMM on the dual problem (``_splitting_loop``),
+runs on a sheet's four operations (``_Sheet``; ``doubling`` supplies the
+two-sheet ones) and brackets the distance.  SVDs are left to the
+final-certificate check ``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -63,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -245,17 +237,20 @@ class DiracCalculus:
         return stack, (xslot, xup, xlo, xscale, yslot[~yconj], yflat[~yconj],
                        yslot[yconj], yflat[yconj])
 
-    def _least_squares(self, y: np.ndarray) -> np.ndarray:
-        """A^+ Y: the corner element x orthogonal to A's kernel that minimizes
-        ||A x - Y||_F for an m x m Y, as an N x N Hermitian matrix that is
-        zero off the corner.  Offset by offset, x_d = P_d Y_d with Y_d the
-        image entries of block d; the diagonal reads Re Y at offset -1."""
-        stack, (xslot, xup, xlo, _, yslot, yflat, cslot, cflat) = self._offset_pinv
+    def _offset_gather(self, r: np.ndarray) -> np.ndarray:
+        """The entries r[i, i+d] of a Hermitian r on the corner, in the slots
+        of ``_offset_pinv``'s first two axes, times c_d: 2 for d >= 1, which
+        the Frobenius pairing counts in both triangles, 1 on the diagonal."""
+        stack, (xslot, xup, _, scale, *_) = self._offset_pinv
+        packed = np.zeros(stack.shape[:2], dtype=complex)
+        packed.reshape(-1)[xslot] = scale * r.reshape(-1)[xup]
+        return packed
+
+    def _offset_scatter(self, parts: np.ndarray) -> np.ndarray:
+        """The Hermitian corner element whose entries x[i, i+d] sit in the
+        slots of ``parts``, real and imaginary parts along its last axis."""
+        _, (xslot, xup, xlo, *_) = self._offset_pinv
         m = self.ctx.interior_dim
-        packed = np.zeros(stack.shape[::2], dtype=complex)
-        packed.reshape(-1)[yslot] = y.reshape(-1)[yflat]
-        packed.reshape(-1)[cslot] = y.reshape(-1)[cflat].conj()
-        parts = stack @ packed.view(float).reshape(*packed.shape, 2)
         x = parts.view(complex).reshape(-1)[xslot]
         x[: m + 1] = x[: m + 1].real
         out = np.zeros((self.ctx.trunc_dim,) * 2, dtype=complex)
@@ -263,16 +258,24 @@ class DiracCalculus:
         out.reshape(-1)[xup] = x
         return out
 
+    def _least_squares(self, y: np.ndarray) -> np.ndarray:
+        """A^+ Y: the corner element x orthogonal to A's kernel that minimizes
+        ||A x - Y||_F for an m x m Y, as an N x N Hermitian matrix that is
+        zero off the corner.  Offset by offset, x_d = P_d Y_d with Y_d the
+        image entries of block d; the diagonal reads Re Y at offset -1."""
+        stack, (*_, yslot, yflat, cslot, cflat) = self._offset_pinv
+        packed = np.zeros(stack.shape[::2], dtype=complex)
+        packed.reshape(-1)[yslot] = y.reshape(-1)[yflat]
+        packed.reshape(-1)[cslot] = y.reshape(-1)[cflat].conj()
+        return self._offset_scatter(stack @ packed.view(float).reshape(*packed.shape, 2))
+
     def _least_norm(self, r: np.ndarray) -> np.ndarray:
         """(A*)^+ r: the m x m Y of least Frobenius norm whose A* Y is the part
         of a Hermitian r, read on the corner, orthogonal to A's kernel.
-        Offset by offset, Y_d = c_d P_d^T r_d, where c_d = 2 for d >= 1,
-        whose entries the Frobenius pairing counts in both triangles, and
-        c_0 = 1 on the diagonal."""
-        stack, (xslot, xup, _, scale, yslot, yflat, cslot, cflat) = self._offset_pinv
+        Offset by offset, Y_d = c_d P_d^T r_d (``_offset_gather``)."""
+        stack, (*_, yslot, yflat, cslot, cflat) = self._offset_pinv
         m = self.ctx.interior_dim
-        packed = np.zeros(stack.shape[:2], dtype=complex)
-        packed.reshape(-1)[xslot] = scale * r.reshape(-1)[xup]
+        packed = self._offset_gather(r)
         parts = packed.view(float).reshape(*packed.shape, 2).transpose(0, 2, 1) @ stack
         vals = (parts[:, 0] + 1j * parts[:, 1]).reshape(-1)
         out = np.zeros((m, m), dtype=complex)
@@ -301,10 +304,10 @@ class DistanceReport:
     certificates.  ``upper`` is a proven upper bound on the distance over
     corner elements, set by the solver on every pair whose leakage is at
     most ctx.tol (from an explicit dual where one proves the value, else
-    from the splitting loop, see ``distance_solver``) and by the
-    opposite-sheet skip of ``doubling.doubled_distance``; it is None
-    elsewhere, and a same-sheet ``doubled_distance`` report carries its
-    single-sheet route's ``upper``.
+    from the splitting loop, see ``distance_solver``) and likewise on every
+    opposite-sheet ``doubling.doubled_distance`` report, over corner pairs;
+    it is None elsewhere, and a same-sheet ``doubled_distance`` report
+    carries its single-sheet route's ``upper``.
     """
 
     value: float
@@ -319,12 +322,10 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget and seeding of the solvers.
-
-    On one sheet ``iterations`` counts splitting-loop iterations and the
-    loop is deterministic; ``restarts`` and ``seed`` are read only by the
-    doubled pair solver's restarted ascent, which runs ``iterations``
-    steps per restart.
+    """Budget of the solvers: ``iterations`` counts splitting-loop
+    iterations on either sheet, and the loop is deterministic.  ``restarts``
+    and ``seed`` are read by nothing; the benchmark harness in ``perfbench/``
+    still passes them, and they go with its refresh (see ROADMAP).
     """
 
     iterations: int = 2000
@@ -332,8 +333,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.restarts < 1:
-            raise ValueError("iterations and restarts must be positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be positive")
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -547,18 +548,11 @@ def _objective(g: np.ndarray, x: np.ndarray) -> float:
     return float(np.einsum("...ij,...ji->...", g, x).sum().real)
 
 
-def _top_singular_pair(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest singular value of x with unit vectors u, v and x v = sigma u.
-
-    One eigh of the Gram matrix x* x: its top eigenvector is v, sigma =
-    |x v| and u = x v / sigma (the first basis vector when x is zero).
-    """
+def _top_singular_value(x: np.ndarray) -> float:
+    """Largest singular value of x from one eigh of the Gram matrix x* x: with
+    v its top eigenvector, sigma = |x v|."""
     v = np.linalg.eigh(x.conj().T @ x)[1][:, -1]
-    xv = x @ v
-    sigma = float(np.linalg.norm(xv))
-    if sigma == 0:
-        return 0.0, np.eye(x.shape[0], dtype=xv.dtype)[0], v
-    return sigma, xv / sigma, v
+    return float(np.linalg.norm(x @ v))
 
 
 def _corner_adjoint(calc: DiracCalculus, y: np.ndarray) -> np.ndarray:
@@ -568,55 +562,20 @@ def _corner_adjoint(calc: DiracCalculus, y: np.ndarray) -> np.ndarray:
     return _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
 
 
-def _sheet_pair(calc: DiracCalculus, mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Seminorm sqrt(2) sigma of a Hermitian element, from the top pair X v =
-    sigma u of X = crop(dz(mat)), with the subgradient A*(u v*)."""
-    sigma, u, v = _top_singular_pair(calc._crop(calc._dz(mat)))
-    return math.sqrt(2.0) * sigma, _corner_adjoint(calc, np.outer(u, v.conj()))
+def _sheet_seminorm(calc: DiracCalculus, mat: np.ndarray) -> float:
+    """The search seminorm of a Hermitian element, sqrt(2) sigma_max of
+    crop(dz(mat)) from a Gram eigh (``_top_singular_value``)."""
+    return math.sqrt(2.0) * _top_singular_value(calc._crop(calc._dz(mat)))
 
 
-def _ascend(g: np.ndarray, pair, start: np.ndarray, cfg: SolverConfig) -> np.ndarray | None:
-    """Projected subgradient ascent of <g, x> on the unit seminorm ball.
-
-    ``pair(x)`` gives the seminorm of x (one Hermitian matrix or a stack)
-    and a subgradient there.  The start is turned to a nonnegative objective
-    before its pair is taken; each of the iterations + 1 iterates is rescaled
-    to seminorm one, and the step is 1 / (|grad| sqrt(k + 1)).
-    Returns the best feasible iterate, or None if the start has seminorm 0.
-    """
-    x = _hermitize(np.asarray(start, dtype=complex))
-    if _objective(g, x) < 0:
-        x = -x
-    best, best_val = None, 0.0
-    for k in range(cfg.iterations + 1):
-        s, sub = pair(x)
-        if s < _TINY:
-            if abs(_objective(g, x)) > 1e-10:
-                raise ArithmeticError("seminorm vanished along a direction with nonzero "
-                                      "evaluation gap; the ratio is unbounded")
-            break
-        x = x / s
-        val = _objective(g, x)
-        if best is None or val > best_val:
-            best, best_val = x, val
-        if k == cfg.iterations:
-            break
-        grad = g - val * sub
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < _TINY:
-            break
-        x = x + (1.0 / (gnorm * math.sqrt(k + 1.0))) * grad
-    return best
-
-
-def _best_candidate(g: np.ndarray, pair, candidates) -> tuple[float, np.ndarray | None]:
+def _best_candidate(g: np.ndarray, seminorm, candidates) -> tuple[float, np.ndarray | None]:
     """Largest evaluation ratio |<g, x>| / p(x) over the candidates, with its
     element rescaled to a unit one with a nonnegative objective; the first
     of equal ratios wins.  Returns (0, None) if every candidate has zero
     seminorm."""
     best, best_val = None, 0.0
     for x in candidates:
-        s = pair(x)[0]
+        s = seminorm(x)
         if s < _TINY:
             continue
         val = abs(_objective(g, x)) / s
@@ -627,51 +586,46 @@ def _best_candidate(g: np.ndarray, pair, candidates) -> tuple[float, np.ndarray 
     return best_val, best
 
 
-def _restarted_ascent(
-    g: np.ndarray, pair, cfg: SolverConfig, key: tuple[int, ...]
-) -> tuple[list[np.ndarray], None]:
-    """The doubled sheet's search for ``_portfolio_ascent``: restart 0 ascends
-    from g and restart r from complex Gaussians (one per sheet) seeded
-    [cfg.seed, *key, r].  An ascent proves no bound, so the upper is None."""
-    n = g.shape[-1]
-    found = []
-    for r in range(cfg.restarts):
-        start = g
-        if r > 0:
-            rng = np.random.default_rng([cfg.seed, *key, r])
-            start = np.reshape([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                                for _ in range(g.size // (n * n))], g.shape)
-        x = _ascend(g, pair, start, cfg)
-        if x is not None:
-            found.append(x)
-    return found, None
+class _Sheet(NamedTuple):
+    """A sheet's pairing g (a stacked pair on two sheets), the side of its
+    dual W, and its operations for the splitting loop and the dual proofs:
+    the nearest W that meets the dual constraint, the element K^+ U off the
+    kernel of its map K, the search seminorm ||K x||, and (upper, leakage)
+    of a dual W."""
+
+    g: np.ndarray
+    size: int
+    project: Callable[[np.ndarray], np.ndarray]
+    least_squares: Callable[[np.ndarray], np.ndarray]
+    seminorm: Callable[[np.ndarray], float]
+    upper: Callable[[np.ndarray], tuple[float, float]]
 
 
-def _portfolio_ascent(
-    g: np.ndarray, pair, seeded, tol: float, bounds, search
+def _prove_or_search(
+    sheet: _Sheet, seeded, duals, cfg: SolverConfig, tol: float
 ) -> tuple[float, np.ndarray | None, float | None]:
     """The one prove-or-search core of both sheets' solvers.
 
     Returns (value, element, upper): the best evaluation ratio, its unit
     element with a nonnegative objective (None if every candidate has zero
-    seminorm), and a proven upper bound on the distance, or None.
-    ``bounds`` yields one (upper, leakage) pair per explicit dual, read
-    lazily, or is None where the pair has no dual.  When ``_proven_upper``
-    accepts a bound for the best seeded candidate, that candidate is
-    returned and no search runs.  Otherwise ``search()`` returns (elements,
-    upper): the splitting loop on one sheet (``_splitting_loop``), the
-    restarted ascent on two (``_restarted_ascent``).  Its elements come
-    first in ``_best_candidate``'s order, then the seeded candidates, and
-    its upper, if any, is raised to the value, since a bound below a
-    feasible value is roundoff.
+    seminorm), and a proven upper bound on the distance, or None.  No search
+    runs where an explicit dual, as given or else projected, proves the best
+    seeded candidate optimal: leakage at most tol and its bound within tol
+    max(1, value) of the value.  The projection repairs a dual that meets
+    the constraint only approximately, such as a path mean whose path states
+    reach past the crop.  Otherwise the splitting loop's element wins unless
+    a seeded candidate beats it.  A bound below a feasible value is
+    roundoff, so every upper is raised to the value.
     """
-    if bounds is not None:
-        best_val, best = _best_candidate(g, pair, seeded)
-        upper = _proven_upper(tol, best_val, bounds)
-        if upper is not None:
-            return best_val, best, upper
-    found, upper = search()
-    best_val, best = _best_candidate(g, pair, found + list(seeded))
+    best_val, best = _best_candidate(sheet.g, sheet.seminorm, seeded)
+    for y in duals:
+        for projected in (False, True):
+            upper, leakage = sheet.upper(sheet.project(y) if projected else y)
+            if leakage <= tol and upper - best_val <= tol * max(1.0, best_val):
+                return best_val, best, max(upper, best_val)
+    found_val, found, upper = _splitting_loop(sheet, cfg, tol)
+    if found is not None and found_val >= best_val:
+        best_val, best = found_val, found
     return best_val, best, None if upper is None else max(upper, best_val)
 
 
@@ -838,18 +792,6 @@ def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[f
     return upper, kernel + outside
 
 
-def _dual_bounds(calc: DiracCalculus, drho: np.ndarray, duals):
-    """(upper, leakage) of each explicit dual Y, read lazily: first of Y as
-    given, then of its projection Pi(Y) (``_project``).  The projection
-    repairs a dual that meets the constraint only approximately, such as a
-    path mean whose path states reach past the crop, where the residual
-    charge of Y itself would refuse a proof; a Y that already meets it keeps
-    its own bound."""
-    for y in duals:
-        yield _dual_upper(calc, drho, y)
-        yield _dual_upper(calc, drho, _project(calc, drho, y))
-
-
 _PENALTY = 2.0  # the fixed ADMM penalty of ``_splitting_loop``
 _CHECK_EVERY = 25  # iterations between two bracket checks
 
@@ -866,63 +808,59 @@ def _shrink(w: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _splitting_loop(
-    calc: DiracCalculus, drho: np.ndarray, cfg: SolverConfig
-) -> tuple[list[np.ndarray], float | None]:
-    """The one-sheet search for ``_portfolio_ascent``: scaled ADMM on the
-    dual problem min ||Y||_* subject to A* Y = b, with b the corner of drho
-    minus its kernel component.
+    sheet: _Sheet, cfg: SolverConfig, tol: float
+) -> tuple[float, np.ndarray | None, float | None]:
+    """Scaled ADMM on the dual problem min ||W||_* subject to Herm K* W = b,
+    with K the sheet's map and b the corner of its pairing g off the kernel.
 
-    Each of the cfg.iterations steps is the exact projection Y = Pi(Z - U)
-    (``_project``), the thresholding Z = shrink(Y + U, 1 / rho) at the fixed
-    penalty rho = 2, and U += Y - Z.  rho U tends to a subgradient of the
-    nuclear norm at Z, of operator norm at most one, in the range of A, so
-    the least-squares x = A^+ U (``DiracCalculus._least_squares``) tends
-    to an optimal element; its ratio |<drho, x>| / p(x) is a lower bound
-    at every step.  Every 25 iterations and at the last one both sides are
-    taken: the lower from x, the upper from ``_dual_upper`` of Y, keeping
-    the best of each; the loop stops early once upper - lower <= tol
-    max(1, lower).  It is deterministic and reads neither cfg.restarts nor
-    cfg.seed.
-
-    Returns ([x], upper) with the best x, or no element if every x has
-    zero seminorm; upper is None when the leakage exceeds ctx.tol.
+    Each of the cfg.iterations steps is the exact projection W = Pi(Z - U),
+    the thresholding Z = shrink(W + U, 1 / rho) at the fixed penalty rho =
+    2, and U += W - Z.  rho U tends to a subgradient of the nuclear norm at
+    Z in the range of K, so x = K^+ U tends to an optimal element, and its
+    ratio |<g, x>| / p(x) is a lower bound at every step.  Every 25
+    iterations and at the last one the loop takes that lower bound and the
+    upper bound of W, keeps the best of each, and stops once upper - lower
+    <= tol max(1, lower).  Returns (value, unit element with a nonnegative
+    objective, upper), (0, None, upper) if every x has zero seminorm, and
+    upper None when the leakage exceeds tol.
     """
-    m = calc.ctx.interior_dim
-    tol = calc.ctx.tol
-    z = np.zeros((m, m), dtype=complex)
-    u = np.zeros((m, m), dtype=complex)
+    z = np.zeros((sheet.size,) * 2, dtype=complex)
+    u = np.zeros((sheet.size,) * 2, dtype=complex)
     best, best_val, upper = None, 0.0, math.inf
     for k in range(1, cfg.iterations + 1):
-        y = _project(calc, drho, z - u)
-        z = _shrink(y + u, 1.0 / _PENALTY)
-        u = u + y - z
+        w = sheet.project(z - u)
+        v = w + u
+        z = _shrink(v, 1.0 / _PENALTY)
+        u = v - z
         if k % _CHECK_EVERY and k < cfg.iterations:
             continue
-        bound, leakage = _dual_upper(calc, drho, y)
+        bound, leakage = sheet.upper(w)
         upper = min(upper, bound)
-        x = calc._least_squares(u)
-        s = _sheet_pair(calc, x)[0]
-        val = abs(_objective(drho, x)) / s if s >= _TINY else 0.0
+        x = sheet.least_squares(u)
+        s = sheet.seminorm(x)
+        val = abs(_objective(sheet.g, x)) / s if s >= _TINY else 0.0
         if val > best_val:
-            best, best_val = x, val
+            best, best_val = x / s, val
         if upper - best_val <= tol * max(1.0, best_val):
             break
-    return ([] if best is None else [best]), (upper if leakage <= tol else None)
+    if best is not None and _objective(sheet.g, best) < 0:
+        best = -best
+    return best_val, best, (upper if leakage <= tol else None)
 
 
-def _proven_upper(tol: float, value: float, bounds) -> float | None:
-    """The first dual bound that proves ``value`` optimal, or None.
+def _one_sheet(calc: DiracCalculus, drho: np.ndarray) -> _Sheet:
+    """The splitting loop's operations on one sheet, for the pairing drho."""
+    return _Sheet(drho, calc.ctx.interior_dim, partial(_project, calc, drho),
+                  calc._least_squares, partial(_sheet_seminorm, calc),
+                  partial(_dual_upper, calc, drho))
 
-    ``bounds`` yields (upper, leakage) pairs, one per dual, and is read
-    lazily.  A dual proves the value when its leakage is at most tol and its
-    upper bound exceeds the value by at most tol max(1, value).  A dual
-    bound is at least the distance, which is at least the feasible value,
-    so an upper below the value is roundoff and is raised to the value.
-    """
-    for upper, leakage in bounds:
-        if leakage <= tol and upper - value <= tol * max(1.0, value):
-            return max(upper, value)
-    return None
+
+def _bound_note(upper: float | None, domain: str) -> str:
+    """The note of a searched value: the bounds it carries, and the
+    definition of the distance that the upper bound holds for."""
+    if upper is None:
+        return f"lower bound; no upper bound over {domain}, whose leakage exceeds tol"
+    return f"lower bound, and upper bound over {domain}"
 
 
 def _translation_seed(calc: DiracCalculus, s1: QState, s2: QState) -> np.ndarray | None:
@@ -957,16 +895,15 @@ def distance_solver(
     carries its best dual bound, raised to the value, when the leakage is at
     most ctx.tol, and is None otherwise.  Both bounds hold for the distance
     over corner elements, levels 0..interior_dim, modulo the seminorm's
-    kernel there.
+    kernel there, and ``note`` names that definition.
     """
     _require_same_ctx(calc.ctx, s1.ctx)
     _require_same_ctx(s1.ctx, s2.ctx)
     if cfg is None:
         cfg = SolverConfig()
-    note = "lower bound; certificate optimal up to regularization at infinity"
     drho = _hermitize(s1.rho - s2.rho)
     ref = _closed_value(s1, s2)
-    zero = DistanceReport(0.0, "convex-solver", None, 0.0, gap=ref, note=note)
+    zero = DistanceReport(0.0, "convex-solver", None, 0.0, gap=ref, note="equal states")
     if float(np.abs(drho).max()) < _TINY:
         return zero
 
@@ -987,11 +924,8 @@ def distance_solver(
         duals.append(y)
     if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
-    bounds = _dual_bounds(calc, drho, duals) if duals else None
-    best_val, best_mat, upper = _portfolio_ascent(
-        drho, partial(_sheet_pair, calc), seeded, calc.ctx.tol, bounds,
-        partial(_splitting_loop, calc, drho, cfg),
-    )
+    best_val, best_mat, upper = _prove_or_search(
+        _one_sheet(calc, drho), seeded, duals, cfg, calc.ctx.tol)
     if best_mat is None:
         return zero
     cert = Operator(calc.ctx, _hermitize(best_mat), hermitian=True)
@@ -1003,7 +937,8 @@ def distance_solver(
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
         gap=None if ref is None else abs(best_val - ref),
-        note=note,
+        note=_bound_note(upper, f"corner elements, levels 0..{calc.ctx.interior_dim}, "
+                                "modulo the seminorm's kernel (the regularization at infinity)"),
         upper=upper,
     )
 

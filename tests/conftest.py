@@ -48,20 +48,11 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.fixture
-def ascent_calls(monkeypatch):
-    """Record each call of the ascent, ``spectral._ascend``.
-
-    The doubled pair solver runs it once per restart, so an ascended pair
-    adds ``cfg.restarts`` calls and a proven one adds none.
-    """
-    return _count_calls(monkeypatch, "_ascend")
-
-
-@pytest.fixture
 def loop_calls(monkeypatch):
-    """Record each call of the single-sheet splitting loop,
-    ``spectral._splitting_loop``: one per searched solve, none for a proven
-    one."""
+    """Record each call of the splitting loop, ``spectral._splitting_loop``:
+    one per searched solve on either sheet, none for a proven one.  A call's
+    first argument is the sheet, whose pairing ``g`` is a stacked pair on
+    two sheets."""
     return _count_calls(monkeypatch, "_splitting_loop")
 
 

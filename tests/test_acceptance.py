@@ -6,8 +6,10 @@ criterion.  A criterion failing here means a certified quantity of the
 library is off at its stated tolerance; the ratio printed is worst observed
 residual over tolerance, so anything above 1 is a real miss, not noise.
 
-The battery takes about 40 s on two shared cores (the whole Tier-1 suite
-about 60 s), dominated by the 200 random bracket checks of criterion 5.
+The battery takes about 50 s on two shared cores (the whole Tier-1 suite
+about 75 s), dominated by the 200 random bracket checks of criterion 5,
+whose doubled splitting loops bracket every pair that no explicit dual
+proves.
 Criterion 2 is no longer a long pole: an explicit dual proves the
 translation element optimal on all nine of its pairs, the ninth, whose path
 states leak past the seminorm's corner, through its exact projection, so

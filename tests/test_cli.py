@@ -32,7 +32,7 @@ def read_json(path):
 # only the solver route applies to it.
 GENERAL_PAIR = (
     "distance", "super:0,2:1,1", "eigen:1", "--trunc-dim", "16",
-    "--solver-iterations", "5", "--solver-restarts", "1",
+    "--solver-iterations", "5",
 )
 
 
@@ -41,7 +41,7 @@ class TestWorkedExamples:
         rc = run_cli(
             "distance", "eigen:0", "eigen:1", "--method", "all",
             "--trunc-dim", "16", "--solver-iterations", "80",
-            "--solver-restarts", "2", "--output-dir", str(tmp_path),
+            "--output-dir", str(tmp_path),
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -51,7 +51,7 @@ class TestWorkedExamples:
         want = 1.0 / math.sqrt(2.0)
         assert values["closed-form"] == pytest.approx(want, abs=1e-9)
         assert values["diagonal-lp"] == pytest.approx(want, abs=1e-9)
-        # The ascent route only certifies a lower bound at a tiny budget.
+        # The solver route certifies its value as a lower bound.
         assert values["convex-solver"] >= 0.98 * want
         # Only the solver's proven skip routes carry an upper bound.
         uppers = {r["method"]: r["upper"] for r in payload["reports"]}
@@ -150,7 +150,7 @@ class TestWorkedExamples:
         rc = run_cli(
             "pythagoras", "--family", "0", "--kappa", "0,0.5",
             "--trunc-dim", "16", "--solver-iterations", "60",
-            "--solver-restarts", "1", "--output-dir", str(tmp_path),
+            "--output-dir", str(tmp_path),
         )
         assert rc == 0
         assert "worst relative equality residual" in capsys.readouterr().out
@@ -278,6 +278,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 65
 
+    @pytest.mark.parametrize("key", ("solver_restarts", "solver_seed"))
+    def test_removed_solver_keys_give_65(self, tmp_path, capsys, key):
+        # Neither is a configuration key: a config file that sets one is a
+        # data error, not a silent no-op.
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = 2\n", encoding="utf-8")
+        rc = run_cli("spectrum", "--config", str(cfgfile), "--output-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 65
+        assert f"unknown configuration key '{key}'" in err
+
     def test_missing_config_file_gives_65(self, tmp_path, capsys):
         rc = run_cli(
             "spectrum", "--config", str(tmp_path / "nope.cfg"),
@@ -309,13 +320,12 @@ class TestConfigLayering:
         capsys.readouterr()
 
     def test_every_field_has_its_flag(self, tmp_path):
-        want = RunConfig(trunc_dim=12, theta=0.5, tol=1e-9, solver_seed=3,
-                         solver_iterations=7, solver_restarts=2, leakage_bound=1e-9,
-                         output_dir=str(tmp_path))
+        want = RunConfig(trunc_dim=12, theta=0.5, tol=1e-9, solver_iterations=7,
+                         leakage_bound=1e-9, output_dir=str(tmp_path))
         args = cli.build_parser().parse_args([
             "spectrum", "--trunc-dim", "12", "--theta", "0.5", "--tol", "1e-9",
-            "--solver-seed", "3", "--solver-iterations", "7", "--solver-restarts", "2",
-            "--leakage-bound", "1e-9", "--output-dir", str(tmp_path),
+            "--solver-iterations", "7", "--leakage-bound", "1e-9",
+            "--output-dir", str(tmp_path),
         ])
         assert cli.resolve_config(overrides=cli._overrides(args)) == want
 
@@ -343,9 +353,9 @@ class TestOutputContract:
         assert rc == 0
         lines = (tmp_path / "asymptotics.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# trunc_dim = 16"
-        assert all(lines[i].startswith("# ") for i in range(8))
-        assert lines[8] == "label,d_D,d_L,d_L2,d_L_mod,rel_gap,feasibility"
-        labels = [line.split(",")[0] for line in lines[9:]]
+        assert all(lines[i].startswith("# ") for i in range(6))
+        assert lines[6] == "label,d_D,d_L,d_L2,d_L_mod,rel_gap,feasibility"
+        labels = [line.split(",")[0] for line in lines[7:]]
         assert labels == [
             "same-family m=0 |dk|=0",
             "same-family m=0 |dk|=1",
@@ -371,7 +381,7 @@ class TestOutputContract:
     def test_rerun_is_byte_identical(self, tmp_path, capsys, argv, name):
         argv = (
             *argv, "--trunc-dim", "16", "--solver-iterations", "40",
-            "--solver-restarts", "2", "--output-dir", str(tmp_path),
+            "--output-dir", str(tmp_path),
         )
         path = tmp_path / name
         assert run_cli(*argv) == 0
@@ -445,14 +455,14 @@ class TestSuiteCommand:
         assert "broken" in out
         assert "suite: 1/2 criteria passed" in out
         lines = (tmp_path / "suite_quick.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[9] == "criterion 1: first check,,,,,0.25,1"
-        assert lines[10] == "criterion 2: second check,,,,,3.5,0"
+        assert lines[7] == "criterion 1: first check,,,,,0.25,1"
+        assert lines[8] == "criterion 2: second check,,,,,3.5,0"
 
     @pytest.mark.parametrize("quick, dims", [(True, (32, 32)), (False, (64, 48))])
     def test_battery_runs_at_the_echoed_configuration(self, quick, dims):
-        cfg = RunConfig(tol=1e-6, leakage_bound=1e-4, theta=0.5, solver_seed=9)
+        cfg = RunConfig(tol=1e-6, leakage_bound=1e-4, theta=0.5)
         st = settings_from(cfg, quick)
         assert (st.ctx.trunc_dim, st.solver_ctx.trunc_dim) == dims
         for ctx in (st.ctx, st.solver_ctx):
             assert (ctx.theta, ctx.tol, ctx.leakage_bound) == (0.5, 1e-6, 1e-4)
-        assert st.solver.seed == st.light.seed == 9
+        assert (st.solver.iterations, st.light.iterations) == ((300 if quick else 2000), 80)

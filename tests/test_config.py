@@ -1,5 +1,6 @@
 """Layering, parsing and validation of the run configuration."""
 
+import dataclasses
 import math
 
 import pytest
@@ -20,9 +21,7 @@ class TestDefaults:
         assert cfg.trunc_dim == 64
         assert cfg.theta == 1.0
         assert cfg.tol == 1e-10
-        assert cfg.solver_seed == 0
         assert cfg.solver_iterations == 2000
-        assert cfg.solver_restarts == 8
         assert cfg.leakage_bound == 1e-10
         assert cfg.output_dir == "out"
 
@@ -34,8 +33,8 @@ class TestDefaults:
         assert ctx.leakage_bound == 1e-7
 
     def test_solver_bridge(self):
-        solver = RunConfig(solver_seed=5, solver_iterations=77, solver_restarts=3).solver()
-        assert (solver.seed, solver.iterations, solver.restarts) == (5, 77, 3)
+        assert RunConfig(solver_iterations=77).solver().iterations == 77
+        assert len(dataclasses.fields(RunConfig)) == 6
 
 
 class TestValidation:
@@ -48,7 +47,7 @@ class TestValidation:
             {"theta": math.inf},
             {"tol": 0.0},
             {"solver_iterations": 0},
-            {"solver_restarts": 0},
+            {"solver_iterations": -3},
             {"leakage_bound": 0.0},
             {"output_dir": ""},
         ],
@@ -141,7 +140,7 @@ class TestEcho:
         assert lines[1] == "# theta = 1"
         assert lines[2] == "# tol = 1e-10"
         assert lines[-1] == "# output_dir = out"
-        assert len(lines) == 8
+        assert len(lines) == 6
         assert all(line.startswith("# ") for line in lines)
 
     def test_format_value_fixed_float_style(self):

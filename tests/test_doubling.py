@@ -5,17 +5,18 @@ closed forms here are elementary: inter-sheet distance 1/|Lambda|, and
 hypotenuse values sqrt(d^2 + 1/|Lambda|^2).
 """
 import cmath
+import functools
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from moyalmetric import (
     DiracCalculus,
+    LeakageError,
     Operator,
     SolverConfig,
     coherent_state,
@@ -40,20 +41,21 @@ from moyalmetric.doubling import (
     _chiral_adjoint,
     _chiral_block,
     _doubled_dual,
-    _doubled_pair,
+    _doubled_project,
     _doubled_seminorm,
     _doubled_upper,
+    _normal_solve,
+    _two_sheets,
 )
 from moyalmetric.spectral import (
     _hermitize,
     _objective,
-    _portfolio_ascent,
-    _restarted_ascent,
     _single_route,
-    _top_singular_pair,
+    _splitting_loop,
+    _top_singular_value,
 )
 
-LIGHT = SolverConfig(iterations=120, restarts=2)
+LIGHT = SolverConfig(iterations=120)
 
 # Complex internal entries: a real Lambda cannot tell Lambda from conj(Lambda).
 LAMBDAS = st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
@@ -121,17 +123,17 @@ class TestConstruction:
 class TestDoubledCommutator:
     @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
     def test_adjoint_identity(self, seed, lam):
-        # <W, K(X1, X2)> must equal <adj(W)_1, X1> + <adj(W)_2, X2> for the
-        # subgradient chain rule to be trustworthy.
+        # <W, K(X1, X2)> must equal <g1, X1> + <g2, X2> on Hermitian pairs,
+        # for the projection and the dual bound to be trustworthy.
         rng = np.random.default_rng(seed)
         for n in (8, 16, 24):
             dd = make_doubled(DiracCalculus(make_context(n, 1.0, 1e-10)), lam)
             k = 2 * dd.ctx.interior_dim
-            x1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            x2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x1, x2 = hermitian(rng, n), hermitian(rng, n)
             w = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             lhs = complex(np.trace(w.conj().T @ _chiral_block(dd, x1, x2))).real
             g1, g2 = _chiral_adjoint(dd, w)
+            assert np.array_equal(g1, g1.conj().T) and np.array_equal(g2, g2.conj().T)
             rhs = complex(np.trace(g1.conj().T @ x1) + np.trace(g2.conj().T @ x2)).real
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -191,24 +193,128 @@ class TestChiralBlock:
         assert np.count_nonzero(c[np.ix_(odd, odd)]) == 0
         scale = float(np.abs(k).max())
         assert float(np.abs(c[np.ix_(even, odd)] + k.conj().T).max()) <= 1e-12 * scale
-        sigma = _top_singular_pair(k)[0]
+        sigma = _top_singular_value(k)
         want = float(np.linalg.svd(c, compute_uv=False)[0])
         assert abs(sigma - want) <= 1e-12 * want
         assert abs(_doubled_seminorm(dd, a1, a2) - want) <= 1e-12 * want
 
     @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
     def test_pair_gives_a_subgradient(self, n, seed, lam):
-        # Euler's identity <S, x> = p(x) and p(y) >= <S, y> against the
-        # full-SVD norm of the doubled commutator.
+        # The adjoint of a top singular pair u v* of K x is a subgradient of
+        # the doubled seminorm at x, as the loop's multiplier becomes one at
+        # the optimum: Euler's identity <S, x> = p(x) and p(y) >= <S, y>,
+        # against the full-SVD norm of the doubled commutator.
         calc = DiracCalculus(make_context(n, 1.0, 1e-10))
         dd = make_doubled(calc, lam)
         rng = np.random.default_rng(seed)
         x = np.stack([hermitian(rng, n), hermitian(rng, n)])
         y = np.stack([hermitian(rng, n), hermitian(rng, n)])
-        p, sub = _doubled_pair(dd, x)
-        assert p == pytest.approx(np.linalg.norm(_doubled_commutator(dd, *x), 2), rel=1e-12)
+        u, s, vh = np.linalg.svd(_chiral_block(dd, *x))
+        sub = _chiral_adjoint(dd, np.outer(u[:, 0], vh[0]))
+        p = np.linalg.norm(_doubled_commutator(dd, *x), 2)
+        assert s[0] == pytest.approx(p, rel=1e-12)
         assert _objective(sub, x) == pytest.approx(p, rel=1e-10)
         assert _objective(sub, y) <= np.linalg.norm(_doubled_commutator(dd, *y), 2) * (1 + 1e-10)
+
+
+THETAS = (1.0, 0.7, 2.3)
+ORACLE_LAMBDAS = (1 / math.sqrt(2), 0.3 + 1.2j)
+
+
+@functools.lru_cache(maxsize=None)
+def doubled_oracle(n, theta, lam):
+    """(dense real K over an orthonormal basis of Hermitian corner pairs,
+    its least-squares pseudo-inverse from a dense SVD, the basis stacked as
+    a (k, 2, N, N) array).  The basis has no redundant coordinate, and the
+    SVD cutoff drops exactly the 3-dimensional joint kernel."""
+    dd = make_doubled(DiracCalculus(make_context(n, theta, 1e-10)), lam)
+    c = dd.ctx.interior_dim + 1
+    basis = []
+    for sheet in range(2):
+        for i in range(c):
+            for j in range(i, c):
+                for up, down in [(1.0, 1.0)] if i == j else [(1.0, 1.0), (1j, -1j)]:
+                    e = np.zeros((2, n, n), dtype=complex)
+                    e[sheet, i, j], e[sheet, j, i] = up, down
+                    basis.append(e / np.linalg.norm(e))
+    kmap = np.array([flat(_chiral_block(dd, *e)) for e in basis]).T
+    u, s, vt = np.linalg.svd(kmap, full_matrices=False)
+    keep = s >= 1e-10 * s[0]
+    assert np.count_nonzero(~keep) == 3
+    return kmap, (vt[keep].T / s[keep]) @ u[:, keep].T, np.array(basis)
+
+
+def flat(w):
+    return np.concatenate([w.real.ravel(), w.imag.ravel()])
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids=("real", "complex"))
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("n", (8, 16, 24))
+class TestDoubledProjection:
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_projection_matches_dense_lstsq(self, n, theta, lam, seed):
+        # Pi(W) = W - K N^+ (Herm K* W - g) against the least-norm correction
+        # from the dense pseudo-inverse; Pi(W) meets the constraint off the
+        # joint kernel.
+        dd = make_doubled(DiracCalculus(make_context(n, theta, 1e-10)), lam)
+        kmap, pinv, basis = doubled_oracle(n, theta, lam)
+        rng = np.random.default_rng(seed)
+        k = 2 * dd.ctx.interior_dim
+        w = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        g = np.stack([hermitian(rng, n), hermitian(rng, n)])
+        target = np.einsum("kaij,aji->k", basis, g).real
+        want = (flat(w) - pinv.T @ (kmap.T @ flat(w) - target)).reshape(2, k, k)
+        got = _doubled_project(dd, g, w)
+        scale = max(1.0, float(np.linalg.norm(w)))
+        assert np.abs(got - (want[0] + 1j * want[1])).max() <= 1e-12 * scale
+        # Projecting twice changes nothing.
+        assert np.abs(_doubled_project(dd, g, got) - got).max() <= 1e-12 * scale
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_least_squares_matches_dense_lstsq(self, n, theta, lam, seed):
+        dd = make_doubled(DiracCalculus(make_context(n, theta, 1e-10)), lam)
+        _, pinv, basis = doubled_oracle(n, theta, lam)
+        rng = np.random.default_rng(seed)
+        k = 2 * dd.ctx.interior_dim
+        u = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        want = np.einsum("k,kaij->aij", pinv @ flat(u), basis)
+        got = _two_sheets(dd, np.zeros((2, n, n))).least_squares(u)
+        assert np.array_equal(got, got.conj().swapaxes(1, 2))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.linalg.norm(u)))
+
+
+class TestNormalSplit:
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", (8, 16, 24))
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_quadratic_form_splits_into_sheets_and_rung(self, n, theta, seed, lam):
+        # ||K x||_F^2 = ||A x1||^2 + ||A x2||^2 + 2 |Lambda|^2 ||crop(x2 - x1)||^2
+        # with A = sqrt(2) crop dz: the identity behind the sheet-sum and
+        # sheet-difference halves of N = K* K.
+        calc = DiracCalculus(make_context(n, theta, 1e-10))
+        dd = make_doubled(calc, lam)
+        rng = np.random.default_rng(seed)
+        x1, x2 = hermitian(rng, n), hermitian(rng, n)
+        sq = lambda mat: float(np.linalg.norm(mat)) ** 2
+        want = (2.0 * (sq(calc._crop(calc._dz(x1))) + sq(calc._crop(calc._dz(x2))))
+                + 2.0 * abs(lam) ** 2 * sq(calc._crop(x2 - x1)))
+        assert sq(_chiral_block(dd, x1, x2)) == pytest.approx(want, rel=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_normal_solve_inverts_the_normal_operator(self, ctx16, seed, lam):
+        # N N^+ r = r for r orthogonal to the joint kernel.
+        dd = make_doubled(DiracCalculus(ctx16), lam)
+        x = corner_pair(np.random.default_rng(seed), ctx16)
+        r = _chiral_adjoint(dd, _chiral_block(dd, *x))
+        got = _normal_solve(dd, r)
+        assert np.abs(got - x).max() <= 1e-11 * max(1.0, float(np.abs(x).max()))
+
+
+def doubled_loops(calls):
+    """The recorded splitting-loop calls (``loop_calls``) that searched the
+    doubled geometry, whose pairing is a stacked pair."""
+    return [args for args in calls if args[0].g.ndim == 3]
 
 
 def same_sheet_pair(ctx, route):
@@ -241,9 +347,11 @@ class TestOneSheet:
         assert _doubled_seminorm(dd, x, y) >= max(px, py) * (1 - 1e-12)
 
     @pytest.mark.parametrize("pair", ("closed-form", "diagonal-lp"))
-    def test_doubled_ascent_stays_below_the_exact_value(self, ctx16, pair):
-        # The ascent on (drho, 0) is a lower bound on the single-sheet
-        # distance, so it never exceeds the exact closed-form or LP value.
+    def test_doubled_loop_brackets_the_exact_value(self, ctx16, pair):
+        # On (drho, 0) the doubled distance is the single-sheet one, since
+        # ||K(x1, x2)|| >= p(x1) with equality at x2 = x1; so the doubled
+        # loop's lower and upper bounds enclose the exact closed-form or LP
+        # value.
         calc = DiracCalculus(ctx16)
         dd = make_doubled(calc, reference_lambda(calc, 0) * cmath.exp(0.3j))
         s1, s2 = same_sheet_pair(ctx16, pair)
@@ -251,13 +359,10 @@ class TestOneSheet:
         assert exact.method == pair
         drho = _hermitize(s1.rho - s2.rho)
         g = np.stack([drho, np.zeros_like(drho)])
-        cfg = SolverConfig(iterations=300, restarts=3)
-        pair = partial(_doubled_pair, dd)
-        value, best, upper = _portfolio_ascent(
-            g, pair, [], ctx16.tol, None, partial(_restarted_ascent, g, pair, cfg, (97,))
-        )
-        assert upper is None
+        value, best, upper = _splitting_loop(_two_sheets(dd, g), SolverConfig(iterations=300),
+                                             ctx16.tol)
         assert 0.9 * exact.value < value <= exact.value + 1e-9
+        assert exact.value - 1e-9 <= upper <= 1.1 * exact.value
         assert _doubled_seminorm(dd, best[0], best[1]) <= 1 + 1e-8
 
 
@@ -291,7 +396,7 @@ class TestDoubledDual:
         split = np.zeros((2, n, n))
         split[0, np.arange(m), np.arange(m)] = 1.0
         split[1, np.arange(m), np.arange(m)] = -1.0
-        loaded = _hermitize(np.stack(_chiral_adjoint(dd, w))) + 4.0 * (1.0 + abs(lam)) * split
+        loaded = _chiral_adjoint(dd, w) + 4.0 * (1.0 + abs(lam)) * split
         loaded[:, m + 1 :, m + 1 :] += hermitian(rng, n - m - 1)
         for g in (np.stack([hermitian(rng, n), hermitian(rng, n)]), loaded):
             upper, leakage = _doubled_upper(dd, g, w)
@@ -344,7 +449,7 @@ class TestDoubledDual:
                 assert leakage <= ctx48.tol
                 assert 0 <= upper - want <= ctx48.tol
 
-    def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch, ascent_calls):
+    def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls):
         from moyalmetric import doubling
 
         calc = DiracCalculus(ctx48)
@@ -353,21 +458,22 @@ class TestDoubledDual:
         s1, s2 = displace(base, 0.3), displace(base, 1.3 - 0.4j)
         res = pythagoras_check(dd, s1, s2, LIGHT)
         rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
-        assert ascent_calls == []
+        assert loop_calls == []
         assert res.lhs <= res.upper <= res.lhs + 3 * ctx48.tol * res.lhs
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
-        # A dual that refuses forces the ascent; kappa, and with it the
-        # closed branch of doubled_distance, stays as it was.
+        # A dual that refuses forces the search, whose own bound refuses
+        # too; kappa, and with it the closed branch of doubled_distance,
+        # stays as it was.
         monkeypatch.setattr(doubling, "_doubled_upper", lambda *args: (math.inf, math.inf))
         forced = pythagoras_check(dd, s1, s2, LIGHT)
         forced_rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
-        # Two ascended doubled solves; the single-sheet route is closed-form.
-        assert len(ascent_calls) == 2 * LIGHT.restarts
+        # Two searched doubled solves; the single-sheet route is closed-form.
+        assert len(doubled_loops(loop_calls)) == len(loop_calls) == 2
         assert forced.upper is None and forced_rep.upper is None
         assert forced == res._replace(upper=None)
         assert forced_rep == replace(rep, upper=None)
 
-    def test_tagged_translate_is_closed_form(self, ctx48, ascent_calls):
+    def test_tagged_translate_is_closed_form(self, ctx48, loop_calls):
         # A state that is no family member still sits at the hypotenuse
         # of its tagged translate on the other sheet.
         calc = DiracCalculus(ctx48)
@@ -375,13 +481,13 @@ class TestDoubledDual:
         base = superposition_state(ctx48, [0, 2], [1.0, 1.0j])
         kappa = 0.7 + 0.3j
         rep = doubled_distance(dd, SheetState(base, 1), SheetState(displace(base, kappa), 2), LIGHT)
-        assert ascent_calls == []
+        assert loop_calls == []
         assert rep.method == "closed-form"
         assert rep.value == math.hypot(abs(kappa), dd.internal_distance)
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
 
     @pytest.mark.parametrize("nested", (True, False))
-    def test_nested_translates_are_closed_form(self, ctx48, ascent_calls, nested):
+    def test_nested_translates_are_closed_form(self, ctx48, loop_calls, nested):
         calc = DiracCalculus(ctx48)
         dd = make_doubled(calc, reference_lambda(calc, 0))
         base = superposition_state(ctx48, [0, 2], [1.0, 1.0j])
@@ -390,7 +496,7 @@ class TestDoubledDual:
         else:
             s1, s2, kappa = displace(base, 0.3), displace(base, 0.2j), 0.2j - 0.3
         rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
-        assert ascent_calls == []
+        assert loop_calls == []
         assert rep.method == "closed-form"
         assert rep.value == math.hypot(abs(kappa), dd.internal_distance)
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
@@ -401,13 +507,13 @@ class TestDoubledDual:
         calc = DiracCalculus(ctx48)
         dd = make_doubled(calc, reference_lambda(calc, 1))
         calls = []
-        real = doubling._doubled_pair
+        real = doubling._top_singular_value
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(doubling, "_doubled_pair", counted)
+        monkeypatch.setattr(doubling, "_top_singular_value", counted)
         base = eigenstate(ctx48, 1)
         res = pythagoras_check(dd, displace(base, 0.3), displace(base, 1.3 - 0.4j), LIGHT)
         assert res.upper is not None
@@ -432,14 +538,14 @@ class TestDoubledDual:
         monkeypatch.setattr(doubling, "_doubled_dual", lambda *args: want)
         assert doubled_distance(dd32, SheetState(s, 1), SheetState(s, 2), LIGHT) == rep
 
-    def test_equal_states_skip_the_ascent(self, dd32, ctx32, ascent_calls):
+    def test_equal_states_skip_the_ascent(self, dd32, ctx32, loop_calls):
         s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])
         res = pythagoras_check(dd32, s, s, LIGHT)
-        assert ascent_calls == []
+        assert loop_calls == []
         assert res.lhs == pytest.approx(2.0, abs=1e-12)
         assert res.lhs <= res.upper <= res.lhs + 3 * ctx32.tol * res.lhs
 
-    def test_leaking_pair_refuses_the_skip(self, ascent_calls):
+    def test_leaking_pair_refuses_the_skip(self, loop_calls):
         ctx = make_context(24, 1.0, 1e-10)
         calc = DiracCalculus(ctx)
         dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(0.3j))
@@ -449,7 +555,8 @@ class TestDoubledDual:
         upper, leakage = _doubled_upper(dd, g, _doubled_dual(dd, s1.rho, 1.0))
         assert upper - math.hypot(1.0, dd.internal_distance) > ctx.tol
         res = pythagoras_check(dd, s1, s2, LIGHT)
-        assert len(ascent_calls) == LIGHT.restarts
+        # One doubled search, whose own bound the leakage refuses too.
+        assert len(doubled_loops(loop_calls)) == len(loop_calls) == 1
         assert res.upper is None
 
 
@@ -472,12 +579,12 @@ class TestDoubledDistance:
 
     @pytest.mark.parametrize("sheet", (1, 2))
     @pytest.mark.parametrize("route", ("closed-form", "diagonal-lp", "convex-solver"))
-    def test_same_sheet_projection(self, dd32, ctx32, ascent_calls, loop_calls, route, sheet):
+    def test_same_sheet_projection(self, dd32, ctx32, loop_calls, route, sheet):
         # One sheet is the single-sheet problem: the report is the single
         # route's, and no doubled solve runs.
         s1, s2 = same_sheet_pair(ctx32, route)
         rep = doubled_distance(dd32, SheetState(s1, sheet), SheetState(s2, sheet), LIGHT)
-        assert ascent_calls == []
+        assert doubled_loops(loop_calls) == []
         assert len(loop_calls) == (1 if route == "convex-solver" else 0)
         want = _single_route(dd32.calc, s1, s2, LIGHT)
         assert rep.method == want.method == route
@@ -485,8 +592,9 @@ class TestDoubledDistance:
         assert rep.certificate.mat.tobytes() == want.certificate.mat.tobytes()
         assert rep.note == f"sheet-{sheet} projection" + (f"; {want.note}" if want.note else "")
         if route == "convex-solver":
-            assert rep.note.endswith("; lower bound; certificate optimal up to "
-                                     "regularization at infinity")
+            assert rep.note.endswith("; lower bound, and upper bound over corner elements, "
+                                     "levels 0..28, modulo the seminorm's kernel (the "
+                                     "regularization at infinity)")
         if route == "closed-form":
             assert rep.value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
@@ -556,6 +664,53 @@ class TestPythagoras:
             i, j = rng.integers(0, len(pool), size=2)
             res = pythagoras_check(dd32, pool[i], pool[j], LIGHT)
             assert res.rhs_lo - 1e-9 <= res.lhs <= res.rhs_hi + 1e-9
+
+
+class TestBrackets:
+    """Opposite-sheet brackets [lo2, up2] against the one-sheet bracket
+    [lo1, up1] of the same pair: the hypotenuse lift gives d_P >=
+    hypot(d_D, 1/|Lambda|) and the triangle inequality d_P <= d_D +
+    1/|Lambda|."""
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from(ORACLE_LAMBDAS))
+    def test_bracket_properties(self, ctx16, seed, lam):
+        from moyalmetric.acceptance import _random_state
+        from moyalmetric.doubling import _opposite_sheets
+
+        rng = np.random.default_rng(seed)
+        try:
+            s1, s2 = _random_state(ctx16, rng), _random_state(ctx16, rng)
+        except LeakageError:
+            assume(False)
+        dd = make_doubled(DiracCalculus(ctx16), lam)
+        pair = _opposite_sheets(dd, s1, s2, SolverConfig(iterations=50))
+        d_i = dd.internal_distance
+        lo1, up1, lo2, up2 = pair.single.value, pair.single.upper, pair.value, pair.upper
+        tol = ctx16.tol * max(1.0, lo2)
+        assert lo2 >= math.hypot(lo1, d_i) - tol  # never below the seed's lift
+        assert pair.feasibility <= 1 + 1e-8
+        if up2 is not None:
+            assert lo2 <= up2 + tol
+            assert up2 >= math.hypot(lo1, d_i) - tol
+        if up1 is not None:
+            assert lo2 <= up1 + d_i + tol
+
+    def test_loop_rises_above_the_lift(self, ctx16):
+        # The doubled loop certifies more than the hypotenuse lift of the
+        # one-sheet value, and here more than the lift of its upper bound:
+        # in the truncation d_P > hypot(d_D, 1/|Lambda|) for this pair.
+        from moyalmetric.doubling import _opposite_sheets
+
+        dd = make_doubled(DiracCalculus(ctx16), reference_lambda(DiracCalculus(ctx16), 1))
+        s1 = eigenstate(ctx16, 4)
+        s2 = superposition_state(ctx16, [2, 3], [0.8780382849025435 - 0.26899360228070945j,
+                                                 -0.4858775366895678 + 0.8839363505364798j])
+        pair = _opposite_sheets(dd, s1, s2, SolverConfig(iterations=80))
+        d_i = dd.internal_distance
+        assert pair.value - math.hypot(pair.single.value, d_i) > ctx16.tol
+        assert pair.value - math.hypot(pair.single.upper, d_i) > 5e-3
+        assert pair.value <= pair.upper
+        assert pair.feasibility <= 1 + 1e-8
 
 
 class TestIdentificationSweep:

@@ -40,7 +40,7 @@ from moyalmetric.spectral import (
     lipschitz_seminorm,
     optimal_element_eigenstates,
     optimal_element_translation,
-    _ascend,
+    _corner_adjoint,
     _dual_upper,
     _eigen_sum,
     _first_kernel,
@@ -49,15 +49,17 @@ from moyalmetric.spectral import (
     _mean_kernel,
     _objective,
     _path_moments,
+    _one_sheet,
     _project,
-    _sheet_pair,
+    _sheet_seminorm,
     _single_route,
-    _top_singular_pair,
+    _splitting_loop,
+    _top_singular_value,
     _translation_amplitude,
     _translation_dual,
     _translation_seed,
 )
-from moyalmetric.doubling import _doubled_pair, make_doubled, reference_lambda
+from moyalmetric.doubling import _two_sheets, make_doubled, reference_lambda
 from moyalmetric.fock import _displacement_eigh
 
 
@@ -291,7 +293,7 @@ class TestDiagonalLP:
         assert abs(gap) == pytest.approx(rep.value, abs=1e-12)
 
 
-QUICK_SOLVER = SolverConfig(iterations=300, restarts=3)
+QUICK_SOLVER = SolverConfig(iterations=300)
 
 
 class TestSolver:
@@ -326,8 +328,8 @@ class TestSolver:
         assert rep.value == 0.0
 
     def test_deterministic(self, ctx32):
-        # Calls on fresh calculi give the same report bit for bit; the
-        # splitting loop reads neither cfg.restarts nor cfg.seed.
+        # Calls on fresh calculi give the same report bit for bit; nothing
+        # reads cfg.restarts or cfg.seed.
         cfg = SolverConfig(iterations=120, restarts=2, seed=5)
         s1 = eigenstate(ctx32, 0)
         s2 = superposition_state(ctx32, [1, 3], [1.0, 1.0])
@@ -349,11 +351,13 @@ class TestSolver:
         assert rep.feasibility <= 1 + 1e-8
 
     def test_note_mentions_regularization(self, ctx32):
+        # The note names the bounds and the corner definition they hold for.
         calc = DiracCalculus(ctx32)
         rep = distance_solver(
             calc, eigenstate(ctx32, 0), eigenstate(ctx32, 2), QUICK_SOLVER
         )
         assert "regularization" in rep.note
+        assert rep.upper is not None and "upper bound over corner elements, levels 0..28" in rep.note
 
     def test_closed_form_runs_once_on_diagonal_pairs(self, ctx32, monkeypatch):
         from moyalmetric import spectral
@@ -368,7 +372,7 @@ class TestSolver:
         monkeypatch.setattr(spectral, "closed_form_for", counted)
         calc = DiracCalculus(ctx32)
         rep = distance_solver(calc, eigenstate(ctx32, 0), eigenstate(ctx32, 3),
-                              SolverConfig(iterations=5, restarts=1))
+                              SolverConfig(iterations=5))
         assert len(calls) == 0
         assert rep.gap == pytest.approx(abs(rep.value - eigen_distance(0, 3)), abs=0)
 
@@ -403,7 +407,7 @@ class TestSingleRoute:
 
     def test_routes_in_order(self, ctx32):
         calc = DiracCalculus(ctx32)
-        cfg = SolverConfig(iterations=20, restarts=1)
+        cfg = SolverConfig(iterations=20)
         e0, e2 = eigenstate(ctx32, 0), eigenstate(ctx32, 2)
         cases = [
             (e0, displace(e0, 0.5), "closed-form"),
@@ -446,91 +450,95 @@ class TestTopSingularPair:
     @given(data=st.data())
     def test_matches_svd(self, n, data):
         x = data.draw(top_pair_cases(make_context(n, 1.0, 1e-10).interior_dim))
-        sigma, u, v = _top_singular_pair(x)
+        sigma = _top_singular_value(x)
         want = float(np.linalg.svd(x, compute_uv=False)[0])
         assert abs(sigma - want) <= 1e-12 * want
-        assert float(np.linalg.norm(x @ v - sigma * u)) <= 1e-10 * sigma
-        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_sheet_pair_is_seminorm_and_subgradient(self, n, seed):
-        # The seminorm matches the SVD oracle; the subgradient obeys Euler's
-        # identity <S, x> = p(x) and the subgradient inequality p(y) >= <S, y>.
+        # The search seminorm matches the SVD oracle, and the adjoint A* of a
+        # top singular pair u v* of A x, which the loop's multiplier becomes
+        # at the optimum, is a subgradient there: Euler's identity <S, x> =
+        # p(x) and the subgradient inequality p(y) >= <S, y>.
         calc = DiracCalculus(make_context(n, 1.0, 1e-10))
         rng = np.random.default_rng(seed)
         x = random_hermitian(rng, n)
         y = random_hermitian(rng, n)
-        p, sub = _sheet_pair(calc, x)
+        p = _sheet_seminorm(calc, x)
         want = lipschitz_seminorm(calc, Operator(calc.ctx, x, hermitian=True))
         assert abs(p - want) <= 1e-12 * want
+        u, _, vh = np.linalg.svd(calc._crop(calc._dz(x)))
+        sub = _corner_adjoint(calc, np.outer(u[:, 0], vh[0]))
         assert np.array_equal(sub, sub.conj().T)
         assert _objective(sub, x) == pytest.approx(p, rel=1e-10)
         p_y = lipschitz_seminorm(calc, Operator(calc.ctx, y, hermitian=True))
         assert _objective(sub, y) <= p_y * (1 + 1e-10)
 
 
-def sheet_problems(ctx):
-    """(gradient, top-pair callback) for one sheet and for two sheets."""
+def sheets(ctx, weight=1.0):
+    """The splitting loop's operations on one sheet and on two, for weight
+    times the pairing of two states that no seeded candidate or explicit
+    dual serves."""
     calc = DiracCalculus(ctx)
-    rho1 = eigenstate(ctx, 0).rho
-    rho2 = superposition_state(ctx, [1, 3], [1.0, 1.0j]).rho
+    rho1 = weight * eigenstate(ctx, 0).rho
+    rho2 = weight * superposition_state(ctx, [1, 3], [1.0, 1.0j]).rho
     dd = make_doubled(calc, reference_lambda(calc, 0))
     return {
-        "one-sheet": (rho1 - rho2, lambda x: _sheet_pair(calc, x)),
-        "two-sheet": (np.stack([rho1, -rho2]), lambda x: _doubled_pair(dd, x)),
+        "one-sheet": _one_sheet(calc, _hermitize(rho1 - rho2)),
+        "two-sheet": _two_sheets(dd, _hermitize(np.stack([rho1, -rho2]))),
     }
 
 
-def recorder(pair):
-    """Wrap a top-pair callback to keep every point it is asked about."""
-    seen = []
+@pytest.mark.parametrize("sheet", ["one-sheet", "two-sheet"])
+class TestSplittingCore:
+    def test_projection_meets_the_constraint(self, ctx16, sheet):
+        # Pi(W) meets the dual constraint, so its upper bound carries no
+        # residual charge; projecting it again moves it by roundoff only;
+        # and W - Pi(W) is orthogonal to the directions of the constraint
+        # set, which Pi(W) - Pi(0) spans.
+        ops = sheets(ctx16)[sheet]
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((ops.size,) * 2) + 1j * rng.standard_normal((ops.size,) * 2)
+        once = ops.project(w)
+        scale = float(np.abs(once).max())
+        assert np.abs(ops.project(once) - once).max() <= 1e-12 * scale
+        nuclear = float(np.linalg.svd(once, compute_uv=False).sum())
+        assert ops.upper(once)[0] == pytest.approx(nuclear, rel=1e-10)
+        inner = np.vdot(once - ops.project(np.zeros_like(w)), w - once).real
+        assert abs(inner) <= 1e-10 * float(np.linalg.norm(w)) ** 2
 
-    def recording(x):
-        seen.append(x.copy())
-        return pair(x)
+    def test_checks_keep_the_best_sides(self, ctx16, sheet):
+        # Every 25 iterations and at the last one the loop scores the
+        # least-squares element of its multiplier and bounds its dual
+        # iterate; it returns the best ratio, as a unit element with a
+        # nonnegative objective, and the least upper bound.
+        ops = sheets(ctx16)[sheet]
+        elements, bounds = [], []
 
-    return seen, recording
+        def least_squares(u):
+            elements.append(ops.least_squares(u))
+            return elements[-1]
 
+        def upper(w):
+            bounds.append(ops.upper(w))
+            return bounds[-1]
 
-@pytest.mark.parametrize("sheets", ["one-sheet", "two-sheet"])
-class TestAscentCore:
-    def test_first_step_uses_pair_after_sign_change(self, ctx16, sheets):
-        # Start with a negative objective, so the core must flip the start.
-        # With x1 the first unit iterate and S the subgradient its step
-        # uses, Euler's identity <S, x1> = p(x1) = 1 is equivalent to the
-        # step direction g - <g, x1> S being orthogonal to x1; a pair taken
-        # before the flip gives <S, x1> = -1 instead.
-        g, pair = sheet_problems(ctx16)[sheets]
-        seen, recording = recorder(pair)
-        _ascend(g, recording, -g, SolverConfig(iterations=1, restarts=1))
-        x1 = seen[0] / pair(seen[0])[0]
-        if _objective(g, x1) < 0:
-            x1 = -x1
-        val = _objective(g, x1)
-        assert val > 0
-        step = seen[1] - x1
-        assert float(np.linalg.norm(step)) == pytest.approx(1.0, rel=1e-12)
-        assert abs(_objective(step, x1)) <= 1e-9 * float(np.linalg.norm(x1))
+        value, best, bound = _splitting_loop(
+            ops._replace(least_squares=least_squares, upper=upper),
+            SolverConfig(iterations=60), ctx16.tol)
+        assert len(elements) == len(bounds) == 3  # at 25, 50 and 60
+        ratios = [abs(_objective(ops.g, x)) / ops.seminorm(x) for x in elements]
+        assert value == max(ratios)
+        assert ops.seminorm(best) == pytest.approx(1.0, rel=1e-12)
+        assert _objective(ops.g, best) == pytest.approx(value, rel=1e-12)
+        assert bound == min(b for b, _ in bounds)
+        assert 0 < value <= bound
 
-    def test_iterates_are_feasible_and_best_is_kept(self, ctx16, sheets):
-        g, pair = sheet_problems(ctx16)[sheets]
-        seen, recording = recorder(pair)
-        best = _ascend(g, recording, -g, SolverConfig(iterations=20, restarts=1))
-        assert len(seen) == 21
-        values = [abs(_objective(g, x)) / pair(x)[0] for x in seen]
-        assert pair(best)[0] == pytest.approx(1.0, abs=1e-12)
-        assert _objective(g, best) == pytest.approx(max(values), rel=1e-12)
-
-    def test_vanishing_seminorm_with_gap_raises(self, ctx16, sheets):
-        g, pair = sheet_problems(ctx16)[sheets]
-
-        def flat(x):
-            return 0.0, np.zeros_like(x)
-
-        with pytest.raises(ArithmeticError):
-            _ascend(g, flat, g, SolverConfig(iterations=5, restarts=1))
-        assert _ascend(np.zeros_like(g), flat, g, SolverConfig(iterations=5, restarts=1)) is None
+    def test_zero_pairing_finds_no_element(self, ctx16, sheet):
+        # With nothing to separate, every iterate stays zero: no element,
+        # value 0 and a proven upper bound of 0.
+        ops = sheets(ctx16, weight=0.0)[sheet]
+        assert _splitting_loop(ops, SolverConfig(iterations=30), ctx16.tol) == (0.0, None, 0.0)
 
 
 THETAS = (1.0, 0.7, 2.3)
