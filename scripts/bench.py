@@ -14,11 +14,17 @@ layers: one ``fock._displacement_eigh`` (the eigenpairs of one amplitude),
 one ``displace`` of a pure state and one ``spectral._translation_dual`` at
 N=48, and one pure ``displace`` at N=128; each context's generator
 eigendecomposition is built before the timing starts, as a run builds it
-once.  BLAS is held at one thread.  Each figure is the median and quartiles
-of ``ROUNDS`` timed rounds, per call.  ``generator_eighs`` counts the dense
-``eigh`` calls made in ``fock`` while a fresh context proves
-``TRANSLATION_PAIRS`` translation pairs with ``distance_solver`` at the
-``suite --quick`` budget.
+once.  The opposite-sheet layer, on one general pair (a superposition of
+levels 0 and 2 against level 1, rung calibrated on level 1) at the light
+budget of the two-sheet gate: the one-sheet route alone
+(``spectral._single_route``), the doubled splitting loop alone, and the
+whole ``pythagoras_check``, which runs the two beside each other; the
+overlap efficiency is (route + loop) / check, about 1 when they run one
+after the other.  BLAS is held at one thread.  Each figure is the median
+and quartiles of ``ROUNDS`` timed rounds, per call.  ``generator_eighs``
+counts the dense ``eigh`` calls made in ``fock`` while a fresh context
+proves ``TRANSLATION_PAIRS`` translation pairs with ``distance_solver`` at
+the ``suite --quick`` budget.
 
 Runs of different source trees go into one file under their labels, so
 a parent commit and a change can be recorded side by side:
@@ -44,6 +50,7 @@ from time import perf_counter
 
 N = 48
 N_LARGE = 128
+LIGHT_ITERATIONS = 80  # the two-sheet gate's budget
 THETA = 1.0
 ROUNDS = 30
 TRANSLATION_PAIRS = 8
@@ -129,11 +136,26 @@ def generator_eighs() -> dict:
 def measure() -> dict:
     import numpy as np
 
-    from moyalmetric import displace, eigenstate, make_context
-    from moyalmetric.doubling import _doubled_project, _two_sheets, make_doubled, reference_lambda
+    from moyalmetric import displace, eigenstate, make_context, superposition_state
+    from moyalmetric.doubling import (
+        _doubled_project,
+        _two_sheets,
+        make_doubled,
+        pythagoras_check,
+        reference_lambda,
+    )
     from moyalmetric.fock import _displacement_eigh
     from moyalmetric.lengthop import d_L2, modified_length
-    from moyalmetric.spectral import DiracCalculus, _one_sheet, _shrink, _translation_dual
+    from moyalmetric.spectral import (
+        DiracCalculus,
+        SolverConfig,
+        _hermitize,
+        _one_sheet,
+        _shrink,
+        _single_route,
+        _splitting_loop,
+        _translation_dual,
+    )
 
     ctx = make_context(N, THETA)
     calc = DiracCalculus(ctx)
@@ -172,7 +194,15 @@ def measure() -> dict:
     ctx_large = make_context(N_LARGE, THETA)
     level_one_large = eigenstate(ctx_large, 1)
 
+    light = SolverConfig(iterations=LIGHT_ITERATIONS)
+    general = superposition_state(ctx, [0, 2], [1.0, 1.0j]), level_one
+    rung = make_doubled(calc, reference_lambda(calc, 1))
+    doubled = _two_sheets(rung, _hermitize(np.stack([general[0].rho, -general[1].rho])))
+
     return {
+        "opposite_route": timed(lambda: _single_route(calc, *general, light), 1),
+        "opposite_loop": timed(lambda: _splitting_loop(doubled, light, ctx.tol), 1),
+        "opposite_check": timed(lambda: pythagoras_check(rung, *general, light), 1),
         "displacement_eigh": timed(lambda: _displacement_eigh(ctx, kappa), 200),
         "displace_pure": timed(lambda: displace(level_one, kappa), 50),
         "translation_dual": timed(lambda: _translation_dual(calc, level_one.rho, kappa), 50),
@@ -199,6 +229,9 @@ def main() -> int:
         os.environ[var] = "1"
     record = {"machine": machine_info(), "N": N, "theta": THETA,
               "generator_eighs": generator_eighs(), "timings": measure()}
+    median = {k: v["median_us"] for k, v in record["timings"].items()}
+    record["overlap_efficiency"] = (
+        (median["opposite_route"] + median["opposite_loop"]) / median["opposite_check"])
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
@@ -206,6 +239,7 @@ def main() -> int:
     for name, t in record["timings"].items():
         print(f"{name:32s} {t['median_us']:12.2f} us  (q1 {t['q1_us']:.2f}, q3 {t['q3_us']:.2f})")
     print(f"generator_eighs                  {record['generator_eighs']}")
+    print(f"overlap_efficiency               {record['overlap_efficiency']:.3f}")
     print(f"wrote {args.out}")
     return 0
 

@@ -3,8 +3,8 @@
 
 Drives the batch CLI in-process so the whole pipeline shares one operator
 cache, then finishes with the verification battery.  Full settings take
-about 45 s on two cores, nearly all of it the battery's doubled splitting
-loops on the pairs no explicit dual covers; --quick drops truncations and
+about 31 s on two cores, most of it the battery's doubled splitting loops
+on the pairs no explicit dual covers; --quick drops truncations and
 solver budgets for a pass of a few seconds over the same commands.
 
     python3 scripts/reproduce_all.py

@@ -10,7 +10,19 @@ Submodules:
     stateexpr   textual grammar for states used by the command line
     acceptance  ten-point verification battery over the certified results
     cli         batch commands with reproducible CSV/JSON output
+
+BLAS threads: importing the package sets OPENBLAS_NUM_THREADS to 1 unless
+the environment already sets it, before numpy is first imported (a numpy
+loaded earlier keeps its own count).  The solvers work on matrices of a
+few dozen rows, where a second BLAS thread costs more than it brings, and
+an opposite-sheet pair runs its one-sheet route on a worker thread beside
+the doubled splitting loop (``doubling``), so one BLAS thread per solver
+thread keeps each on its own core.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .fock import (
     ContextMismatchError,

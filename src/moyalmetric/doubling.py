@@ -37,7 +37,13 @@ only format that record.  Equal states and translates by kappa sit at
 hypot(|kappa|, 1/|Lambda|) by translation covariance, and an explicit dual
 of K (``_doubled_dual``: the single-sheet path mean split along the path,
 with the rung spread evenly over it) usually proves the seed optimal, so
-no search runs; elsewhere the splitting loop brackets the pair.
+no search runs; elsewhere the splitting loop brackets the pair.  There the
+loop reads nothing from the single-sheet route, so that route runs on a
+worker thread beside it (``_beside``), and the two finish in the time of
+the longer one.  Importing the package pins OpenBLAS to one thread unless
+the environment sets a count, so the two solver threads take one core each
+instead of oversubscribing them; where a count the user set leaves no room
+for two, the pair runs one solve after the other.
 
 Single-sheet work (the closed form, LP or solver route) comes from
 ``spectral``; this module only adds what the second sheet brings: the
@@ -46,6 +52,9 @@ rung, the hypotenuse mix and the pair solver.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple, Sequence
@@ -76,6 +85,7 @@ from .spectral import (
     _prove_or_search,
     _Sheet,
     _single_route,
+    _splitting_loop,
     _top_singular_value,
     _translation_amplitude,
 )
@@ -388,6 +398,60 @@ class _OppositeSheets(NamedTuple):
     upper: float | None
 
 
+def _lifted_seed(dd: DoubledDirac, drho: np.ndarray, single: DistanceReport) -> np.ndarray:
+    """The pair solver's one seed: the hypotenuse lift of the single route's
+    certificate, or the zero-rung pair when the route has none."""
+    base, gap = np.zeros(drho.shape), 0.0
+    if single.certificate is not None and single.feasibility > _TINY:
+        base = single.certificate.mat / single.feasibility
+        gap = _objective(_hermitize(drho), base)
+    return np.stack(_hypotenuse_pair(dd, base, gap))
+
+
+@contextmanager
+def _beside(fn, *args):
+    """Run fn(*args) on one worker thread while the block runs, and yield a
+    function that waits for it and returns its result or raises its
+    exception.  The worker is joined on leaving the block too, so no thread
+    outlives the block, and an exception of the block propagates only once
+    fn has returned.  numpy releases the GIL in its array and LAPACK calls,
+    so fn overlaps the block on a second core."""
+    out = []
+
+    def run() -> None:
+        try:
+            out.append((fn(*args), None))
+        except BaseException as exc:  # raised again on the calling thread
+            out.append((None, exc))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+
+    def result():
+        worker.join()
+        value, exc = out[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    try:
+        yield result
+    finally:
+        worker.join()
+
+
+def _two_solvers_fit() -> bool:
+    """Whether two solver threads, each with the BLAS threads that
+    OPENBLAS_NUM_THREADS sets (1 unless the user set a count; see the
+    package docstring), fit the machine's cores.  Past that, the threads
+    oversubscribe the cores, and one solve after the other is faster."""
+    try:
+        blas = int(os.environ.get("OPENBLAS_NUM_THREADS", ""))
+    except ValueError:
+        return False
+    return 1 <= blas and 2 * blas <= (os.cpu_count() or 1)
+
+
 def _opposite_sheets(
     dd: DoubledDirac, s1: QState, s2: QState, cfg: SolverConfig
 ) -> _OppositeSheets:
@@ -400,29 +464,39 @@ def _opposite_sheets(
     route's report of the pair.
 
     The pair solver is ``_prove_or_search`` on stacked element pairs, with
-    pairing g = Herm(rho1, -rho2) and one seed: the hypotenuse lift of the
-    single route's certificate, or the zero-rung pair when the route has
-    none.  The single value is the best ratio over a portfolio that holds
-    every other single-sheet seed, and hypot is monotone in the gap, so that
-    lift dominates theirs and no value falls below it.  Where kappa is
-    known, the doubled path-mean dual (``_doubled_dual``) may prove the seed
-    optimal and no search runs; elsewhere the splitting loop runs.  ``upper``
-    is the proven bound, over corner pairs modulo the joint kernel of K, or
-    None where the leakage exceeds ctx.tol; ``feasibility`` is the full SVD
-    of ``_doubled_seminorm``.
+    pairing g = Herm(rho1, -rho2) and one seed (``_lifted_seed``).  The
+    single value is the best ratio over a portfolio that holds every other
+    single-sheet seed, and hypot is monotone in the gap, so the lift of its
+    certificate dominates theirs and no value falls below it.  Where kappa
+    is known, the doubled path-mean dual (``_doubled_dual``) may prove the
+    seed optimal and no search runs; elsewhere the splitting loop runs.
+    ``upper`` is the proven bound, over corner pairs modulo the joint kernel
+    of K, or None where the leakage exceeds ctx.tol; ``feasibility`` is the
+    full SVD of ``_doubled_seminorm``.
+
+    Without kappa there is no dual to try, and the doubled loop reads
+    nothing from the single route, whose lift only competes with the loop's
+    result at the end.  So, where two solver threads fit the cores
+    (``_two_solvers_fit``), the single route runs on a worker thread
+    (``_beside``) while the loop runs on the calling thread, and the core
+    takes the loop's result; every value is the serial one, bit for bit.
     """
-    single = _single_route(dd.calc, s1, s2, cfg)
     drho = s1.rho - s2.rho
-    base, gap = np.zeros(drho.shape), 0.0
-    if single.certificate is not None and single.feasibility > _TINY:
-        base = single.certificate.mat / single.feasibility
-        gap = _objective(_hermitize(drho), base)
-    seed = np.stack(_hypotenuse_pair(dd, base, gap))
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
-    g = _hermitize(np.stack([s1.rho, -s2.rho]))
+    sheet, tol = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho]))), dd.ctx.tol
+    if kappa is None and _two_solvers_fit():
+        # The loop, the longer of the two, stays on the calling thread: run
+        # on the worker, its arrays came from another malloc arena, and the
+        # proven pairs that followed it ran about 5% slower.
+        with _beside(_single_route, dd.calc, s1, s2, cfg) as route:
+            searched = _splitting_loop(sheet, cfg, tol)
+            single = route()
+    else:
+        single, searched = _single_route(dd.calc, s1, s2, cfg), None
     duals = [] if kappa is None else [_doubled_dual(dd, s1.rho, kappa)]
     # The seed has doubled seminorm one, so the core always returns an element.
-    value, best, upper = _prove_or_search(_two_sheets(dd, g), [seed], duals, cfg, dd.ctx.tol)
+    value, best, upper = _prove_or_search(
+        sheet, [_lifted_seed(dd, drho, single)], duals, cfg, tol, searched)
     return _OppositeSheets(single, kappa, value, _doubled_seminorm(dd, best[0], best[1]), upper)
 
 

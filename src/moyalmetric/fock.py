@@ -287,12 +287,27 @@ class QState:
             raise ValueError("density matrix is not Hermitian within tol")
         if abs(np.trace(rho).real - 1.0) > ctx.tol or abs(np.trace(rho).imag) > ctx.tol:
             raise ValueError(f"density matrix trace {np.trace(rho)} != 1 within tol")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs[0] < -ctx.tol:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
-        if vector is not None:
+        if vector is None:
+            eigs = np.linalg.eigvalsh(rho)
+            if eigs[0] < -ctx.tol:
+                raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
+        else:
+            # Rank-one forms of the two checks of a pure state, in O(N^2).
+            # With E = rho - v v*, ||E||_2 <= ||E||_F = delta, and sqrt(2)
+            # delta bounds the distance from v v* >= 0 of the Hermitian
+            # matrix that either triangle of rho defines, so no eigenvalue
+            # of rho falls below -tol.  With t = |v|^2, rho^2 - rho = (t - 1)
+            # v v* + v v* E + E v v* + E^2 - E, whose entries are at most
+            # |t - 1| max|v_i|^2 + (2t + 1 + delta) delta.
             vector = _read_only(vector)
-            purity_defect = float(np.abs(rho @ rho - rho).max())
+            if vector.shape != (n,):
+                raise ValueError(f"expected a state vector of length {n}, got {vector.shape}")
+            delta = float(np.linalg.norm(rho - np.outer(vector, vector.conj())))
+            if not math.sqrt(2.0) * delta <= ctx.tol:
+                raise ValueError(f"pure-state tag but rho is not v v* within tol ({delta:.3e})")
+            t = float(np.vdot(vector, vector).real)
+            purity_defect = (abs(t - 1.0) * float(np.abs(vector).max()) ** 2
+                             + (2.0 * t + 1.0 + delta) * delta)
             if purity_defect > 10 * ctx.tol:
                 raise ValueError(f"pure-state tag but rho^2 != rho ({purity_defect:.3e})")
         self.ctx = ctx

@@ -602,7 +602,7 @@ class _Sheet(NamedTuple):
 
 
 def _prove_or_search(
-    sheet: _Sheet, seeded, duals, cfg: SolverConfig, tol: float
+    sheet: _Sheet, seeded, duals, cfg: SolverConfig, tol: float, searched=None
 ) -> tuple[float, np.ndarray | None, float | None]:
     """The one prove-or-search core of both sheets' solvers.
 
@@ -616,6 +616,10 @@ def _prove_or_search(
     reach past the crop.  Otherwise the splitting loop's element wins unless
     a seeded candidate beats it.  A bound below a feasible value is
     roundoff, so every upper is raised to the value.
+
+    ``searched``, if given, is the result of ``_splitting_loop(sheet, cfg,
+    tol)`` already run by the caller, who passes no duals then; the core
+    takes it in place of running the loop.
     """
     best_val, best = _best_candidate(sheet.g, sheet.seminorm, seeded)
     for y in duals:
@@ -623,7 +627,7 @@ def _prove_or_search(
             upper, leakage = sheet.upper(sheet.project(y) if projected else y)
             if leakage <= tol and upper - best_val <= tol * max(1.0, best_val):
                 return best_val, best, max(upper, best_val)
-    found_val, found, upper = _splitting_loop(sheet, cfg, tol)
+    found_val, found, upper = _splitting_loop(sheet, cfg, tol) if searched is None else searched
     if found is not None and found_val >= best_val:
         best_val, best = found_val, found
     return best_val, best, None if upper is None else max(upper, best_val)

@@ -34,7 +34,9 @@ def ctx64():
 
 
 def _count_calls(monkeypatch, name):
-    from moyalmetric import spectral
+    """Record each call of ``spectral.<name>``, wherever a module of the
+    package imported it."""
+    from moyalmetric import doubling, spectral
 
     calls = []
     real = getattr(spectral, name)
@@ -43,14 +45,17 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(spectral, name, counted)
+    for module in (spectral, doubling):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.fixture
 def loop_calls(monkeypatch):
     """Record each call of the splitting loop, ``spectral._splitting_loop``:
-    one per searched solve on either sheet, none for a proven one.  A call's
+    one per searched solve on either sheet, none for a proven one, on the
+    calling thread or on the worker of an opposite-sheet pair.  A call's
     first argument is the sheet, whose pairing ``g`` is a stacked pair on
     two sheets."""
     return _count_calls(monkeypatch, "_splitting_loop")

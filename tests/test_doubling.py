@@ -7,6 +7,7 @@ hypotenuse values sqrt(d^2 + 1/|Lambda|^2).
 import cmath
 import functools
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -44,12 +45,15 @@ from moyalmetric.doubling import (
     _doubled_project,
     _doubled_seminorm,
     _doubled_upper,
+    _lifted_seed,
     _normal_solve,
+    _opposite_sheets,
     _two_sheets,
 )
 from moyalmetric.spectral import (
     _hermitize,
     _objective,
+    _prove_or_search,
     _single_route,
     _splitting_loop,
     _top_singular_value,
@@ -711,6 +715,125 @@ class TestBrackets:
         assert pair.value - math.hypot(pair.single.upper, d_i) > 5e-3
         assert pair.value <= pair.upper
         assert pair.feasibility <= 1 + 1e-8
+
+
+def general_pair(ctx, route, rng):
+    """A random opposite-sheet pair with no translation amplitude whose
+    single route is ``route``; a "leaking" pair carries weight outside the
+    corner, so the doubled loop proves no upper bound."""
+    levels = [int(k) for k in rng.choice(6, size=2, replace=False)]
+    phase = cmath.exp(2j * math.pi * rng.uniform())
+    if route == "closed-form":
+        shift = rng.uniform(0.0, 0.5) * phase
+        return displace(eigenstate(ctx, levels[0]), shift), displace(eigenstate(ctx, levels[1]), shift)
+    if route == "diagonal-lp":
+        mix = mixed_state([eigenstate(ctx, k) for k in levels], [rng.uniform(0.1, 0.9), 1.0])
+        return mix, eigenstate(ctx, int(rng.integers(6, 9)))
+    other = eigenstate(ctx, levels[1] + 1)  # no coherent state's level
+    if route == "leaking":
+        return coherent_state(ctx, rng.uniform(0.7, 1.0) * phase), other
+    return superposition_state(ctx, [levels[0], 7], [1.0, rng.uniform(0.2, 1.0) * phase]), other
+
+
+@pytest.mark.parametrize(("blas", "cores", "fit"), [
+    ("1", 2, True), ("1", 1, False), ("2", 2, False), ("2", 4, True),
+    ("0", 8, False), ("many", 8, False), (None, 8, False),
+])
+def test_two_solvers_fit(monkeypatch, blas, cores, fit):
+    from moyalmetric import doubling
+
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    monkeypatch.setattr(doubling.os, "cpu_count", lambda: cores)
+    assert doubling._two_solvers_fit() is fit
+
+
+def test_no_room_for_two_solvers_runs_serially(dd32, ctx32, monkeypatch):
+    from moyalmetric import doubling
+
+    s1, s2 = same_sheet_pair(ctx32, "convex-solver")
+    want = _opposite_sheets(dd32, s1, s2, LIGHT)
+
+    def no_worker(*args):
+        raise AssertionError("no worker thread may start")
+
+    monkeypatch.setattr(doubling, "_two_solvers_fit", lambda: False)
+    monkeypatch.setattr(doubling, "_beside", no_worker)
+    got = _opposite_sheets(dd32, s1, s2, LIGHT)
+    assert (got.value, got.feasibility, got.upper) == (want.value, want.feasibility, want.upper)
+
+
+class TestOverlap:
+    """Without a translation amplitude, ``_opposite_sheets`` runs the
+    single route on a worker thread beside the doubled splitting loop; its
+    record is the serial composition's on every field, bit for bit.  The
+    class runs the overlap whatever the cores and BLAS threads."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def overlapping(self):
+        from moyalmetric import doubling
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doubling, "_two_solvers_fit", lambda: True)
+            yield
+
+    @staticmethod
+    def serial(dd, s1, s2, cfg):
+        single = _single_route(dd.calc, s1, s2, cfg)
+        g = _hermitize(np.stack([s1.rho, -s2.rho]))
+        value, best, upper = _prove_or_search(
+            _two_sheets(dd, g), [_lifted_seed(dd, s1.rho - s2.rho, single)], [], cfg, dd.ctx.tol)
+        return single, value, _doubled_seminorm(dd, best[0], best[1]), upper
+
+    @given(route=st.sampled_from(("closed-form", "diagonal-lp", "convex-solver", "leaking")),
+           seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_overlap_is_the_serial_composition(self, ctx16, route, seed, lam):
+        dd = make_doubled(DiracCalculus(ctx16), lam)
+        s1, s2 = general_pair(ctx16, route, np.random.default_rng(seed))
+        pair = _opposite_sheets(dd, s1, s2, LIGHT)
+        single, value, feasibility, upper = self.serial(dd, s1, s2, LIGHT)
+        assert pair.kappa is None
+        assert pair.single.method == single.method == ("convex-solver" if route == "leaking" else route)
+        assert (pair.single.value, pair.single.gap, pair.single.upper, pair.single.note) == (
+            single.value, single.gap, single.upper, single.note)
+        assert pair.single.certificate.mat.tobytes() == single.certificate.mat.tobytes()
+        assert (pair.value, pair.feasibility, pair.upper) == (value, feasibility, upper)
+        assert (upper is None) == (route == "leaking")
+
+    def test_both_loops_are_recorded(self, dd32, ctx32, loop_calls):
+        # The doubled loop, and the single route's loop on the worker.
+        s1, s2 = same_sheet_pair(ctx32, "convex-solver")
+        pythagoras_check(dd32, s1, s2, LIGHT)
+        assert len(doubled_loops(loop_calls)) == 1
+        assert len(loop_calls) == 2
+
+    def test_raising_route_joins_the_worker(self, dd32, ctx32, monkeypatch, loop_calls):
+        from moyalmetric import doubling
+
+        def fail(*args):
+            raise RuntimeError("single route failed")
+
+        monkeypatch.setattr(doubling, "_single_route", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="single route failed"):
+            pythagoras_check(dd32, *same_sheet_pair(ctx32, "convex-solver"), LIGHT)
+        assert threading.active_count() == before
+        assert len(doubled_loops(loop_calls)) == len(loop_calls) == 1
+
+    def test_raising_loop_joins_the_worker(self, dd32, ctx32, monkeypatch):
+        from moyalmetric import doubling
+
+        def fail(*args):
+            raise RuntimeError("doubled loop failed")
+
+        monkeypatch.setattr(doubling, "_splitting_loop", fail)
+        before = threading.active_count()
+        s1, s2 = same_sheet_pair(ctx32, "diagonal-lp")
+        with pytest.raises(RuntimeError, match="doubled loop failed"):
+            pythagoras_check(dd32, s1, s2, LIGHT)
+        assert threading.active_count() == before
 
 
 class TestIdentificationSweep:

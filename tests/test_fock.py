@@ -219,6 +219,60 @@ class TestNonFinite:
             QState(ctx16, rho, ("eigen", 0))
 
 
+def dense_pure_checks_pass(ctx, rho):
+    """The dense checks that the rank-one pure-state checks replace: no
+    eigenvalue below -tol, and rho^2 = rho entrywise within 10 tol."""
+    return (np.linalg.eigvalsh(rho)[0] >= -ctx.tol
+            and float(np.abs(rho @ rho - rho).max()) <= 10 * ctx.tol)
+
+
+class TestPureStateChecks:
+    """A pure tag's rho is checked against the outer product of its vector
+    in O(N^2); these checks refuse everything the dense ones refuse."""
+
+    def test_pure_tag_on_a_mixture_is_refused(self, ctx16):
+        e0, e1 = eigenstate(ctx16, 0), eigenstate(ctx16, 1)
+        rho = 0.5 * (e0.rho + e1.rho)
+        assert not dense_pure_checks_pass(ctx16, rho)
+        with pytest.raises(ValueError, match="pure-state tag but rho is not v v"):
+            QState(ctx16, rho, ("eigen", 0), vector=e0.vector)
+
+    def test_misshapen_vector_is_refused(self, ctx16):
+        e0 = eigenstate(ctx16, 0)
+        with pytest.raises(ValueError, match="state vector of length 16"):
+            QState(ctx16, e0.rho, ("eigen", 0), vector=e0.vector[:8])
+
+    def test_non_finite_vector_is_refused(self, ctx16):
+        v = eigenstate(ctx16, 0).vector.copy()
+        v[3] = math.nan
+        with pytest.raises(ValueError, match="not v v"):
+            QState(ctx16, eigenstate(ctx16, 0).rho, ("eigen", 0), vector=v)
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.floats(-12.0, -9.0),
+           stretch=st.floats(-5e-11, 5e-11), negative=st.booleans())
+    def test_as_strict_as_the_dense_checks(self, ctx16, seed, size, stretch, negative):
+        # A pure state's rho moved by a Hermitian E of Frobenius norm
+        # 10^size, negative semidefinite off the vector if ``negative``,
+        # and its vector rescaled by 1 + stretch: whatever the dense checks
+        # refuse, the constructor refuses.
+        rng = np.random.default_rng(seed)
+        v = np.zeros(16, dtype=complex)
+        v[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        v /= np.linalg.norm(v)
+        raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        if negative:
+            w = raw[0] - np.vdot(v, raw[0]) * v
+            e = -np.outer(w, w.conj())
+        else:
+            e = raw + raw.conj().T
+        rho = np.outer(v, v.conj()) + 10.0**size * e / np.linalg.norm(e)
+        try:
+            QState(ctx16, rho, ("test",), vector=(1.0 + stretch) * v)
+        except ValueError:
+            return
+        assert dense_pure_checks_pass(ctx16, rho)
+
+
 class TestDisplace:
     def test_zero_is_identity(self, ctx64):
         s = eigenstate(ctx64, 3)
