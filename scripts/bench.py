@@ -5,9 +5,10 @@ machine in a JSON file.
 Micro-timings at N=48, theta=1 of the layers that ``perfbench --trace 1``
 does not report: one ``DiracCalculus._dz``; one splitting-loop iteration on
 one sheet and on two (the sheet's projection, then the singular value
-thresholding ``spectral._shrink``), and the two-sheet projection alone
-(``doubling._doubled_project``); and, over the square-length grid (levels 0..6 displaced over a 5x5 lattice
-of amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
+thresholding ``spectral._shrink``), and each sheet's projection alone
+(``project`` of ``spectral._one_sheet`` and ``doubling._two_sheets``); and,
+over the square-length grid (levels 0..6 displaced over a 5x5 lattice of
+amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
 the state moments already cached, and the first touch of both moments
 (``mean_energy``, ``mean_ladder``) of one displaced state.  The translation
 layers: one ``fock._displacement_eigh`` (the eigenpairs of one amplitude),
@@ -138,7 +139,6 @@ def measure() -> dict:
 
     from moyalmetric import displace, eigenstate, make_context, superposition_state
     from moyalmetric.doubling import (
-        _doubled_project,
         _two_sheets,
         make_doubled,
         pythagoras_check,
@@ -165,6 +165,8 @@ def measure() -> dict:
     dd = make_doubled(calc, reference_lambda(calc, 0))
     m = ctx.interior_dim
     duals = rng.standard_normal((2, 2 * m, 2 * m)) + 1j * rng.standard_normal((2, 2 * m, 2 * m))
+
+    one, two = _one_sheet(calc, herm[0]), _two_sheets(dd, herm)
 
     def loop_iteration(sheet):
         """One splitting-loop step from the dual pair (z, u)."""
@@ -208,9 +210,10 @@ def measure() -> dict:
         "translation_dual": timed(lambda: _translation_dual(calc, level_one.rho, kappa), 50),
         "displace_pure_N128": timed(lambda: displace(level_one_large, kappa), 10),
         "dz": timed(lambda: calc._dz(herm[0]), 200),
-        "loop_iteration": timed(loop_iteration(_one_sheet(calc, herm[0])), 20),
-        "doubled_loop_iteration": timed(loop_iteration(_two_sheets(dd, herm)), 5),
-        "doubled_project": timed(lambda: _doubled_project(dd, herm, duals[0]), 20),
+        "loop_iteration": timed(loop_iteration(one), 20),
+        "doubled_loop_iteration": timed(loop_iteration(two), 5),
+        "project": timed(lambda: one.project(duals[0, :m, :m]), 20),
+        "doubled_project": timed(lambda: two.project(duals[0]), 20),
         "d_L2": timed(sweep(d_L2), 1, per=pairs),
         "modified_length": timed(sweep(modified_length), 1, per=pairs),
         "moments_first_touch": timed(touch_moments, 1, per=len(grid), reset=forget_moments),

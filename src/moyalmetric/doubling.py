@@ -19,14 +19,15 @@ certificates.
 The grading also means the commutator only joins the odd blocks to the
 even ones, so its chiral block K (``_chiral_block``, 2m x 2m) carries all
 of its singular values; the tests keep the 4m x 4m commutator as the
-oracle for K.  The pair solver is the prove-or-search core of ``spectral``
-on stacked element pairs, with one seed, the hypotenuse lift of the
-single-sheet certificate, and this module's operations for the splitting
-loop (``_two_sheets``): the projection onto the dual constraint and the
-least-squares element, both through the normal operator K* K, which splits
-into a sheet-sum and a sheet-difference half, each block diagonal by
-offset (``_normal_solve``); a Gram eigendecomposition of K for the search
-seminorm; and the dual bound ``_doubled_upper``.  A full SVD of K
+oracle for K.  Its diagonal blocks are the one-sheet map A = sqrt(2) crop
+dz of each sheet's element, -i A x1 and -i (A x2)*, and its coupling blocks
+read crop(x2 - x1).  The pair solver is the prove-or-search core of
+``spectral`` on stacked element pairs, with one seed, the hypotenuse lift
+of the single-sheet certificate, and the doubled sheet (``_two_sheets``):
+the map K, its adjoint Herm K* (``_chiral_adjoint``), the pseudo-inverse of
+the normal operator K* K, which splits into a sheet-sum half, the one-sheet
+(A* A)^+, and a sheet-difference half, each block diagonal by offset
+(``_normal_solve``), and the dual bound ``_doubled_upper``.  A full SVD of K
 (``_doubled_seminorm``) is the independent feasibility check.  On one
 sheet ||K(x, x)|| = p(x) and ||K(x1, x2)|| >= max(p(x1), p(x2)), so
 same-sheet pairs take the single-sheet route and no pair solve.
@@ -86,7 +87,6 @@ from .spectral import (
     _Sheet,
     _single_route,
     _splitting_loop,
-    _top_singular_value,
     _translation_amplitude,
 )
 
@@ -145,20 +145,21 @@ class DoubledDirac:
         t_d, M_d = 2 B_d^T B_d + 4 |Lambda|^2 c_d P_d, with B_d the offset
         block (``DiracCalculus._offset_blocks``), c_d = 2 for d >= 1 and 1
         on the diagonal, and P_d dropping the entry at level m.  The stack
-        holds each M_d^-1, off its kernel E = |m><m| at d = 0, laid out as
-        ``DiracCalculus._offset_pinv``: 0.33 MB at N=48, per Lambda.
+        (``DiracCalculus._offset_stack``) holds each M_d^-1, off its kernel
+        E = |m><m| at d = 0, per Lambda.
         """
-        m = self.ctx.interior_dim
         weight = 4.0 * abs(self.Lambda) ** 2
-        stack = np.zeros(((m + 1) // 2 + 1, m + 1, m + 1))
-        for d, (block, _, _) in enumerate(self.calc._offset_blocks()):
-            t = min(d, m + 1 - d)
-            r0, n = (0 if d == t else d), m + 1 - d
+
+        def square(d: int, block: np.ndarray) -> np.ndarray:
+            n = block.shape[1]
             normal = 2.0 * block.T @ block
             normal[np.arange(n - 1), np.arange(n - 1)] += weight * (1.0 if d == 0 else 2.0)
             keep = n - 1 if d == 0 else n
-            stack[t, r0 : r0 + keep, r0 : r0 + keep] = np.linalg.inv(normal[:keep, :keep])
-        return stack
+            out = np.zeros((n, n))
+            out[:keep, :keep] = np.linalg.inv(normal[:keep, :keep])
+            return out
+
+        return self.calc._offset_stack(square)
 
 
 def make_doubled(calc: DiracCalculus, Lambda: complex) -> DoubledDirac:
@@ -184,8 +185,9 @@ def reference_lambda(calc: DiracCalculus, m: int) -> float:
 # chiral block of the doubled commutator, its adjoint, and the pair solver
 
 
-def _chiral_block(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Chiral block K = C[(s1c1, s2c0), (s1c0, s2c1)] of the doubled commutator.
+def _chiral_block(dd: DoubledDirac, x: np.ndarray) -> np.ndarray:
+    """Chiral block K = C[(s1c1, s2c0), (s1c0, s2c1)] of the doubled
+    commutator, for the Hermitian pair x = (a1, a2).
 
     C is the interior block matrix over the (sheet, component) blocks
     (s1c0, s1c1, s2c0, s2c1), each of interior size, with nonzero blocks
@@ -202,90 +204,62 @@ def _chiral_block(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.ndarra
     (s1c0, s2c1) to the odd ones (s1c1, s2c0): its odd-row, even-column
     part is K and its even-row, odd-column part is -K* for Hermitian
     elements, where C is anti-Hermitian.  Hence sigma_max(C) = sigma_max(K),
-    with K of size 2m x 2m.
-
-    Both K and its adjoint read the corner directly, so that a projection
-    of the doubled splitting loop stays a small part of its iteration: for
-    Hermitian elements crop(dzbar a2) = crop(dz a2)*, and crop(dz a)[i, j] =
-    (a[i, j+1] l_{j+1} - l_i a[i-1, j]) / theta with l_0 = 0.
+    with K of size 2m x 2m.  For Hermitian elements crop(dzbar a2) =
+    crop(dz a2)*, so with A = sqrt(2) crop dz (``DiracCalculus._corner_map``)
+    the diagonal blocks of K are -i A a1 and -i (A a2)*.
     """
     mc = dd.ctx.interior_dim
-    ell = dd.calc._ladder[:mc]
-    x = np.stack([a1, a2])
-    d = x[:, :mc, 1 : mc + 1] * ell
-    d[:, 1:] -= ell[:-1, None] * x[:, : mc - 1, :mc]
-    d = d * (_ROOT / dd.ctx.theta)
+    x = np.asarray(x)
+    d = dd.calc._corner_map(x)
     delta = x[1, :mc, :mc] - x[0, :mc, :mc]
     out = np.empty((2 * mc, 2 * mc), dtype=complex)
-    out[:mc, :mc] = d[0]
+    out[:mc, :mc] = -1j * d[0]
     out[:mc, mc:] = -np.conj(dd.Lambda) * delta
     out[mc:, :mc] = -dd.Lambda * delta
-    out[mc:, mc:] = -d[1].T.conj()
+    out[mc:, mc:] = -1j * d[1].T.conj()
     return out
-
-
-_ROOT = -1j * math.sqrt(2.0)  # the factor of both derivative blocks of K
-_TWIST = np.array([_ROOT, np.conj(_ROOT)])[:, None, None]
 
 
 def _chiral_adjoint(dd: DoubledDirac, w: np.ndarray) -> np.ndarray:
     """Herm K* W: the stacked Hermitian pair g with <W, K x> = <g1, x1> +
-    <g2, x2> for every Hermitian pair x.  The adjoint of dz is -dzbar, so
-    sheet 1 reads -i sqrt(2) dzbar(pad W11) and, up to Herm, sheet 2 its
-    conjugate times dzbar(pad W22*), where dzbar(pad Y)[i, j] = (l_{i+1}
-    Y[i+1, j] - Y[i, j-1] l_j) / theta; the coupling blocks add the rest.
+    <g2, x2> for every Hermitian pair x.  The diagonal blocks -i A x1 and
+    -i (A x2)* give Herm A* (i W11) and Herm A* (-i W22*)
+    (``DiracCalculus._corner_adjoint``); the coupling blocks add the rest.
     """
-    mc, n = dd.ctx.interior_dim, dd.ctx.trunc_dim
-    ell = dd.calc._ladder[:mc]
-    y = np.stack([w[:mc, :mc], w[mc:, mc:].T.conj()])
-    g = np.zeros((2, n, n), dtype=complex)
-    g[:, : mc - 1, :mc] = ell[:-1, None] * y[:, 1:]
-    g[:, :mc, 1 : mc + 1] -= y * ell
-    g *= _TWIST / dd.ctx.theta
-    coupling = dd.Lambda * w[:mc, mc:] + np.conj(dd.Lambda) * w[mc:, :mc]
+    mc = dd.ctx.interior_dim
+    g = dd.calc._corner_adjoint(np.stack([1j * w[:mc, :mc], -1j * w[mc:, mc:].T.conj()]))
+    coupling = _hermitize(dd.Lambda * w[:mc, mc:] + np.conj(dd.Lambda) * w[mc:, :mc])
     g[0, :mc, :mc] += coupling
     g[1, :mc, :mc] -= coupling
-    return _hermitize(g)
+    return g
 
 
 def _doubled_seminorm(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> float:
     """Doubled seminorm by a full SVD of the chiral block, independent of
     the Gram eigendecomposition the search uses."""
-    return float(np.linalg.svd(_chiral_block(dd, a1, a2), compute_uv=False)[0])
+    return float(np.linalg.svd(_chiral_block(dd, (a1, a2)), compute_uv=False)[0])
 
 
 def _normal_solve(dd: DoubledDirac, r: np.ndarray) -> np.ndarray:
     """N^+ r for N = K* K and a stacked Hermitian pair r read on the corner:
     the corner pair x off the joint kernel of K with N x = r off it.  N is
-    A* A on r_s = (r1 + r2)/sqrt(2), whose pseudo-inverse is P_d P_d^T for
-    the stacked P_d of ``DiracCalculus._offset_pinv``, and the t-half
+    A* A on r_s = (r1 + r2)/sqrt(2), whose pseudo-inverse is the one-sheet
+    stack ``DiracCalculus._normal_pinv``, and the t-half
     ``DoubledDirac._transverse_inverse`` on r_t = (r2 - r1)/sqrt(2); then
     x = ((x_s - x_t), (x_s + x_t))/sqrt(2), all square roots folded into 1/2.
     """
     calc = dd.calc
-    pinv = calc._offset_pinv[0]
     r1, r2 = calc._offset_gather(r[0]), calc._offset_gather(r[1])
-    s, t = (c.view(float).reshape(*c.shape, 2) for c in (r1 + r2, r2 - r1))
-    s = pinv @ (pinv.transpose(0, 2, 1) @ s)
-    t = dd._transverse_inverse @ t
+    s = calc._normal_pinv @ (r1 + r2)
+    t = dd._transverse_inverse @ (r2 - r1)
     return np.stack([calc._offset_scatter(0.5 * (s - t)), calc._offset_scatter(0.5 * (s + t))])
 
 
-def _doubled_project(dd: DoubledDirac, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pi(W) = W - K N^+ (Herm K* W - g): the nearest 2m x 2m W in Frobenius
-    norm whose Herm K* W is the corner of the stacked pairing g minus its
-    joint-kernel component, which N^+ drops (``_normal_solve``)."""
-    x = _normal_solve(dd, _chiral_adjoint(dd, w) - g)
-    return w - _chiral_block(dd, x[0], x[1])
-
-
 def _two_sheets(dd: DoubledDirac, g: np.ndarray) -> _Sheet:
-    """The splitting loop's operations on the doubled geometry, for the
-    stacked pairing g: the least squares K^+ U = N^+ Herm K* U, and the
-    search seminorm from one Gram eigendecomposition of K."""
-    return _Sheet(g, 2 * dd.ctx.interior_dim, partial(_doubled_project, dd, g),
-                  lambda u: _normal_solve(dd, _chiral_adjoint(dd, u)),
-                  lambda x: _top_singular_value(_chiral_block(dd, *x)),
+    """The doubled geometry for the stacked pairing g: its map the chiral
+    block K, and the two halves of N^+ (``_normal_solve``)."""
+    return _Sheet(g, 2 * dd.ctx.interior_dim, partial(_chiral_block, dd),
+                  partial(_chiral_adjoint, dd), partial(_normal_solve, dd),
                   partial(_doubled_upper, dd, g))
 
 

@@ -462,7 +462,7 @@ def superposition_state(ctx: FockContext, indices: list[int], coeffs: list[compl
         raise ValueError(f"indices must lie in [0, {ctx.interior_dim}), got {idx}")
     v = np.zeros(ctx.trunc_dim, dtype=complex)
     for i, c in zip(idx, coeffs):
-        v[i] = complex(c)
+        v[i] = _finite_kappa(c, f"superposition coefficient of level {i}")
     norm = float(np.linalg.norm(v))
     if norm <= ctx.tol:
         raise ValueError("superposition coefficients are all zero")
@@ -479,6 +479,8 @@ def mixed_state(states: list[QState], weights: list[float]) -> QState:
     for s in states[1:]:
         _require_same_ctx(ctx, s.ctx)
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"mixture weights must be finite, got {weights}")
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError(f"weights must be nonnegative with positive sum, got {weights}")
     w = w / w.sum()

@@ -24,24 +24,27 @@ distance is therefore taken over corner elements modulo that kernel, and
 what this drops, the state difference outside the corner and on the
 kernel, is reported as leakage rather than ignored.  With A = sqrt(2) crop
 dz on the corner, that distance is the dual problem min ||Y||_* subject to
-A* Y = corner drho, off the kernel.  A maps diagonal offset d to offsets
-d - 1 and -d - 1 only, so it splits into small real blocks by offset
-(``DiracCalculus._offset_blocks``), which give both its smallest nonzero
-singular value s_min (``DiracCalculus.corner_s_min``) and the exact
-projection Pi onto the dual constraint (``_project``): one gather, one
-batched product with the blocks' pseudo-inverses and one scatter.  A dual
-Y bounds the distance by ||Y||_* plus its residual charged at
-sqrt(m) / s_min (``_dual_upper``).
+Herm A* Y = corner drho, off the kernel.  A maps diagonal offset d to
+offsets d - 1 and -d - 1 only, so it splits into small real blocks by
+offset (``DiracCalculus._offset_blocks``), which give both its smallest
+nonzero singular value s_min (``DiracCalculus.corner_s_min``) and the
+pseudo-inverse of its normal operator A* A (``DiracCalculus._normal_solve``):
+one gather, one batched product with a stack of square blocks and one
+scatter.  A dual Y bounds the distance by ||Y||_* plus its residual charged
+at sqrt(m) / s_min (``_dual_upper``).
 
 One prove-or-search core, ``_prove_or_search``, serves both sheets: no
 search runs where an explicit dual, as given or projected, proves the best
 seeded candidate optimal, with leakage at most tol and the bound within
-tol of the value.  On one sheet the duals are the tail dual of a state difference that is exactly diagonal with no
-weight at the guarded levels (``_lp_dual``) and the path mean of a
-translation (``_translation_dual``).  Elsewhere one deterministic
-splitting loop, scaled ADMM on the dual problem (``_splitting_loop``),
-runs on a sheet's four operations (``_Sheet``; ``doubling`` supplies the
-two-sheet ones) and brackets the distance.  SVDs are left to the
+tol of the value.  On one sheet the duals are the tail dual of a state
+difference that is exactly diagonal with no weight at the guarded levels
+(``_lp_dual``) and the path mean of a translation (``_translation_dual``).
+Elsewhere one deterministic splitting loop, scaled ADMM on the dual problem
+(``_splitting_loop``), brackets the distance.  Both read a sheet as its map
+(``_Sheet``): the map K, here A, its adjoint Herm K*, the pseudo-inverse N^+
+of its normal operator and its dual bound, from which the projection onto
+the dual constraint, the least-squares element and the search seminorm are
+written once; ``doubling`` supplies the two-sheet map.  SVDs are left to the
 final-certificate check ``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
@@ -145,12 +148,36 @@ class DiracCalculus:
         out[:m, :m] = block
         return out
 
-    def _offset_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """A = sqrt(2) crop dz on Hermitian elements of the corner, levels
-        0..m with m = interior_dim, split by diagonal offset: yields one
-        (block, rows, cols) per offset d = 0..m in turn, where the real block maps the
-        entries x_d[i] = x[i, i+d] to the image entries at (rows, cols) of
-        the m x m A x, up to the sqrt(2), conjugated at offsets below -1.
+    def _corner_map(self, x: np.ndarray) -> np.ndarray:
+        """A x = sqrt(2) crop(dz x), the m x m image of an element x read
+        directly off the corner, levels 0..m with m = interior_dim:
+        crop(dz x)[i, j] = (x[i, j+1] l_{j+1} - l_i x[i-1, j]) / theta with
+        l_0 = 0.  Stacked elements give stacked images."""
+        m = self.ctx.interior_dim
+        ell = self._ladder[:m]
+        out = x[..., :m, 1 : m + 1] * ell
+        out[..., 1:, :] -= ell[:-1, None] * x[..., : m - 1, :m]
+        out *= math.sqrt(2.0) / self.ctx.theta
+        return out
+
+    def _corner_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Herm A* Y = Herm(-sqrt(2) dzbar(pad Y)), the adjoint of A on
+        Hermitian elements under <P, Q> = Re tr(P* Q), N x N and zero off
+        the corner: dzbar(pad Y)[i, j] = (l_{i+1} Y[i+1, j] - Y[i, j-1] l_j)
+        / theta.  Stacked duals give stacked elements."""
+        m, n = self.ctx.interior_dim, self.ctx.trunc_dim
+        ell = self._ladder[:m]
+        out = np.zeros(y.shape[:-2] + (n, n), dtype=complex)
+        out[..., : m - 1, :m] = ell[:-1, None] * y[..., 1:, :]
+        out[..., :m, 1 : m + 1] -= y * ell
+        out *= -math.sqrt(2.0) / self.ctx.theta
+        return _hermitize(out)
+
+    def _offset_blocks(self) -> Iterator[np.ndarray]:
+        """A on Hermitian elements of the corner split by diagonal offset:
+        yields one real block per offset d = 0..m in turn, which maps the
+        entries x_d[i] = x[i, i+d] to the entries of A x they feed, up to
+        the sqrt(2), conjugated at offsets below -1.
 
         dz maps diagonal offset d of x to offset d - 1, so A splits into one
         block per offset pair (d, -d).  The real diagonal feeds output offset
@@ -167,7 +194,7 @@ class DiracCalculus:
         b0 = np.zeros((m - 1, m + 1))
         b0[k - 1, k] = ell[k]
         b0[k - 1, k - 1] = -ell[k]
-        yield b0, k, k - 1
+        yield b0
         for d in range(1, m + 1):
             n = m + 1 - d
             i = np.arange(n)
@@ -180,7 +207,7 @@ class DiracCalculus:
             # l_{r+1} conj x_d[r+1] - l_{r+d+1} conj x_d[r]
             block[n + r, r + 1] = ell[r + 1]
             block[n + r, r] = -ell[r + d + 1]
-            yield block, np.concatenate((i, r + d + 1)), np.concatenate((i + d - 1, r))
+            yield block
 
     @cached_property
     def corner_s_min(self) -> float:
@@ -191,97 +218,91 @@ class DiracCalculus:
         with d >= 1 by 1/sqrt(2).
         """
         blocks = self._offset_blocks()
-        b0, _, _ = next(blocks)
-        smallest = np.linalg.svd(b0, compute_uv=False)[-1]
-        for block, _, _ in blocks:
+        smallest = np.linalg.svd(next(blocks), compute_uv=False)[-1]
+        for block in blocks:
             smallest = min(smallest, np.linalg.svd(block, compute_uv=False)[-1] / math.sqrt(2.0))
         return math.sqrt(2.0) * float(smallest)
 
-    @cached_property
-    def _offset_pinv(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The offset blocks' pseudo-inverses over sqrt(2), stacked, and the
-        flat positions of both of their sides.
+    def _offset_start(self, d: int) -> tuple[int, int]:
+        """Slice and first row of offset d in ``_offset_stack``: offsets d
+        and m+1-d share slice min(d, m+1-d), the smaller one first, and
+        their m+1-d and d entries fill its m+1 rows."""
+        t = min(d, self.ctx.interior_dim + 1 - d)
+        return t, 0 if d == t else d
 
-        pinv(block_d) / sqrt(2) is an n x r array with n = m+1-d (r = 2n-2,
-        or 1 at n = 1).  Blocks d and m+1-d share slice min(d, m+1-d) of the
-        stack P, one after the other along both axes; their sizes add up to
-        at most (m+1) x (2m-1), and zeros fill the rest, so P has shape
-        ((m+1)//2 + 1, m+1, 2m-1) and takes 0.6 MB at N=48.
-        The positions are, for the entries x[i, i+d] of a corner element
-        (d-major, so the diagonal comes first), their slot in a packed array
-        of P's first two axes and their index in the flattened N x N upper
-        and lower triangles; and, for the rows of each block, their slot in
-        a packed array of P's first and last axes and their index in the
-        flattened m x m image, split by whether the image entry is read
-        directly or conjugated (offsets below -1).
+    def _offset_stack(self, square: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+        """One n x n matrix square(d, B_d) per offset d, n = m+1-d, stacked
+        along the diagonals of ((m+1)//2 + 1) slices of (m+1) x (m+1), 0.33
+        MB at N=48.  It acts on the entries x_d of a corner element packed
+        by ``_offset_slots``, one batched product for every offset at once.
         """
+        m = self.ctx.interior_dim
+        stack = np.zeros(((m + 1) // 2 + 1, m + 1, m + 1))
+        for d, block in enumerate(self._offset_blocks()):
+            t, r0 = self._offset_start(d)
+            n = m + 1 - d
+            stack[t, r0 : r0 + n, r0 : r0 + n] = square(d, block)
+        return stack
+
+    @cached_property
+    def _offset_slots(self) -> tuple[np.ndarray, ...]:
+        """For the entries x[i, i+d] of a corner element, d-major so that the
+        diagonal comes first: their slot in a packed array of the first two
+        axes of ``_offset_stack``, their index in the flattened N x N upper
+        and lower triangles, and c_d, 2 for d >= 1, which the Frobenius
+        pairing counts in both triangles, and 1 on the diagonal."""
         m, n = self.ctx.interior_dim, self.ctx.trunc_dim
-        width = 2 * m - 1
-        stack = np.zeros(((m + 1) // 2 + 1, m + 1, width))
-        xslot, xup, xlo, xscale, yslot, yflat, yconj = ([] for _ in range(7))
-        for d, (block, rows, cols) in enumerate(self._offset_blocks()):
-            t = min(d, m + 1 - d)
-            r0, c0 = (0, 0) if d == t else (d, 2 * d - 2)  # after block t, d x (2d - 2)
-            pinv = np.linalg.pinv(block) / math.sqrt(2.0)
-            stack[t, r0 : r0 + pinv.shape[0], c0 : c0 + pinv.shape[1]] = pinv
+        slot, up, lo, scale = ([] for _ in range(4))
+        for d in range(m + 1):
+            t, r0 = self._offset_start(d)
             i = np.arange(m + 1 - d)
-            xslot.append(t * (m + 1) + r0 + i)
-            xup.append(i * n + i + d)
-            xlo.append((i + d) * n + i)
-            xscale.append(np.full(i.size, 1.0 if d == 0 else 2.0))
-            yslot.append(t * width + c0 + np.arange(rows.size))
-            yflat.append(rows * m + cols)
-            yconj.append(cols - rows <= -2)
-        xslot, xup, xlo, xscale, yslot, yflat, yconj = map(
-            np.concatenate, (xslot, xup, xlo, xscale, yslot, yflat, yconj))
-        return stack, (xslot, xup, xlo, xscale, yslot[~yconj], yflat[~yconj],
-                       yslot[yconj], yflat[yconj])
+            slot.append(t * (m + 1) + r0 + i)
+            up.append(i * n + i + d)
+            lo.append((i + d) * n + i)
+            scale.append(np.full(i.size, 1.0 if d == 0 else 2.0))
+        return tuple(map(np.concatenate, (slot, up, lo, scale)))
+
+    @cached_property
+    def _normal_pinv(self) -> np.ndarray:
+        """(A* A)^+ offset by offset (``_offset_stack``): pinv(B_d)
+        pinv(B_d)^T / 2 = V S^-2 V^T / 2 from the thin SVD B_d = U S V^T,
+        whose singular values are all nonzero (B_0's two spare columns are
+        the kernel).  It is built from B_d itself, not from its normal
+        matrix, whose condition number is the square of B_d's, and without
+        U, which halves the roundoff that the projection leaves in the dual
+        constraint against the product of the two pseudo-inverses."""
+        def square(d: int, block: np.ndarray) -> np.ndarray:
+            _, s, vt = np.linalg.svd(block, full_matrices=False)
+            return (vt.T / (2.0 * s**2)) @ vt
+
+        return self._offset_stack(square)
 
     def _offset_gather(self, r: np.ndarray) -> np.ndarray:
-        """The entries r[i, i+d] of a Hermitian r on the corner, in the slots
-        of ``_offset_pinv``'s first two axes, times c_d: 2 for d >= 1, which
-        the Frobenius pairing counts in both triangles, 1 on the diagonal."""
-        stack, (xslot, xup, _, scale, *_) = self._offset_pinv
-        packed = np.zeros(stack.shape[:2], dtype=complex)
-        packed.reshape(-1)[xslot] = scale * r.reshape(-1)[xup]
-        return packed
+        """The entries r[i, i+d] of a Hermitian r on the corner, times c_d,
+        in the slots of ``_offset_slots``, real and imaginary parts along
+        the last axis."""
+        slot, up, _, scale = self._offset_slots
+        m = self.ctx.interior_dim
+        packed = np.zeros(((m + 1) // 2 + 1, m + 1), dtype=complex)
+        packed.reshape(-1)[slot] = scale * r.reshape(-1)[up]
+        return packed.view(float).reshape(*packed.shape, 2)
 
     def _offset_scatter(self, parts: np.ndarray) -> np.ndarray:
         """The Hermitian corner element whose entries x[i, i+d] sit in the
         slots of ``parts``, real and imaginary parts along its last axis."""
-        _, (xslot, xup, xlo, *_) = self._offset_pinv
+        slot, up, lo, _ = self._offset_slots
         m = self.ctx.interior_dim
-        x = parts.view(complex).reshape(-1)[xslot]
+        x = parts.view(complex).reshape(-1)[slot]
         x[: m + 1] = x[: m + 1].real
         out = np.zeros((self.ctx.trunc_dim,) * 2, dtype=complex)
-        out.reshape(-1)[xlo] = x.conj()
-        out.reshape(-1)[xup] = x
+        out.reshape(-1)[lo] = x.conj()
+        out.reshape(-1)[up] = x
         return out
 
-    def _least_squares(self, y: np.ndarray) -> np.ndarray:
-        """A^+ Y: the corner element x orthogonal to A's kernel that minimizes
-        ||A x - Y||_F for an m x m Y, as an N x N Hermitian matrix that is
-        zero off the corner.  Offset by offset, x_d = P_d Y_d with Y_d the
-        image entries of block d; the diagonal reads Re Y at offset -1."""
-        stack, (*_, yslot, yflat, cslot, cflat) = self._offset_pinv
-        packed = np.zeros(stack.shape[::2], dtype=complex)
-        packed.reshape(-1)[yslot] = y.reshape(-1)[yflat]
-        packed.reshape(-1)[cslot] = y.reshape(-1)[cflat].conj()
-        return self._offset_scatter(stack @ packed.view(float).reshape(*packed.shape, 2))
-
-    def _least_norm(self, r: np.ndarray) -> np.ndarray:
-        """(A*)^+ r: the m x m Y of least Frobenius norm whose A* Y is the part
-        of a Hermitian r, read on the corner, orthogonal to A's kernel.
-        Offset by offset, Y_d = c_d P_d^T r_d (``_offset_gather``)."""
-        stack, (*_, yslot, yflat, cslot, cflat) = self._offset_pinv
-        m = self.ctx.interior_dim
-        packed = self._offset_gather(r)
-        parts = packed.view(float).reshape(*packed.shape, 2).transpose(0, 2, 1) @ stack
-        vals = (parts[:, 0] + 1j * parts[:, 1]).reshape(-1)
-        out = np.zeros((m, m), dtype=complex)
-        out.reshape(-1)[yflat] = vals[yslot]
-        out.reshape(-1)[cflat] = vals[cslot].conj()
-        return out
+    def _normal_solve(self, r: np.ndarray) -> np.ndarray:
+        """(A* A)^+ r for a Hermitian r read on the corner: the corner element
+        x orthogonal to A's kernel with A* A x = r off it."""
+        return self._offset_scatter(self._normal_pinv @ self._offset_gather(r))
 
     def dz(self, f: Operator) -> Operator:
         _require_same_ctx(self.ctx, f.ctx)
@@ -555,19 +576,6 @@ def _top_singular_value(x: np.ndarray) -> float:
     return float(np.linalg.norm(x @ v))
 
 
-def _corner_adjoint(calc: DiracCalculus, y: np.ndarray) -> np.ndarray:
-    """A* Y = Herm(-sqrt(2) dzbar(pad Y)), the adjoint of A = sqrt(2) crop dz
-    on Hermitian elements under <P, Q> = Re tr(P* Q); it is zero off the
-    corner and orthogonal to A's kernel there."""
-    return _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
-
-
-def _sheet_seminorm(calc: DiracCalculus, mat: np.ndarray) -> float:
-    """The search seminorm of a Hermitian element, sqrt(2) sigma_max of
-    crop(dz(mat)) from a Gram eigh (``_top_singular_value``)."""
-    return math.sqrt(2.0) * _top_singular_value(calc._crop(calc._dz(mat)))
-
-
 def _best_candidate(g: np.ndarray, seminorm, candidates) -> tuple[float, np.ndarray | None]:
     """Largest evaluation ratio |<g, x>| / p(x) over the candidates, with its
     element rescaled to a unit one with a nonnegative objective; the first
@@ -587,18 +595,36 @@ def _best_candidate(g: np.ndarray, seminorm, candidates) -> tuple[float, np.ndar
 
 
 class _Sheet(NamedTuple):
-    """A sheet's pairing g (a stacked pair on two sheets), the side of its
-    dual W, and its operations for the splitting loop and the dual proofs:
-    the nearest W that meets the dual constraint, the element K^+ U off the
-    kernel of its map K, the search seminorm ||K x||, and (upper, leakage)
-    of a dual W."""
+    """A sheet is its map: the pairing g (a stacked pair on two sheets), the
+    side of the square dual W, the map K from elements to the dual side
+    whose norm ||K x|| is the seminorm, its adjoint Herm K* on Hermitian
+    elements, the pseudo-inverse N^+ of the normal operator N = K* K, read
+    on the corner and off the kernel of K, and (upper, leakage) of a dual W.
+    The projection, the least-squares element and the search seminorm that
+    the splitting loop and the dual proofs use are written once, below."""
 
     g: np.ndarray
     size: int
-    project: Callable[[np.ndarray], np.ndarray]
-    least_squares: Callable[[np.ndarray], np.ndarray]
-    seminorm: Callable[[np.ndarray], float]
+    map: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    normal_pinv: Callable[[np.ndarray], np.ndarray]
     upper: Callable[[np.ndarray], tuple[float, float]]
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """Pi(W) = W - K N^+ (Herm K* W - g): the nearest W in Frobenius norm
+        whose Herm K* W is the corner of g minus its component on the kernel
+        of K, which N^+ drops (``_corner_split`` names it)."""
+        return w - self.map(self.normal_pinv(self.adjoint(w) - self.g))
+
+    def least_squares(self, u: np.ndarray) -> np.ndarray:
+        """K^+ U = N^+ Herm K* U: the element off the kernel of K that
+        minimizes ||K x - U||_F."""
+        return self.normal_pinv(self.adjoint(u))
+
+    def seminorm(self, x: np.ndarray) -> float:
+        """The search seminorm ||K x||, from one Gram eigh
+        (``_top_singular_value``)."""
+        return _top_singular_value(self.map(x))
 
 
 def _prove_or_search(
@@ -762,15 +788,6 @@ def _corner_split(
     return mean, float(r[m, m].real), float(np.linalg.norm(r_perp)), outside
 
 
-def _project(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pi(Y) = Y - A (A* A)^+ (A* Y - drho), the nearest m x m Y in Frobenius
-    norm with A* Y = b, where b is the corner of drho minus its component on
-    A's kernel (the pseudo-inverse drops that component; ``_corner_split``
-    names it).  (A*)^+ = A (A* A)^+ is applied offset by offset
-    (``DiracCalculus._least_norm``)."""
-    return y - calc._least_norm(_corner_adjoint(calc, y) - drho)
-
-
 def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(upper, leakage) of a dual Y for the state difference drho.
 
@@ -786,10 +803,10 @@ def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[f
     ``leakage`` is what the definition drops: the Frobenius norms of r's
     kernel component and of drho outside the corner.  The charge on r_perp
     is roundoff for a Y that meets the constraint, such as a projection
-    Pi(Y) (``_project``).
+    Pi(Y) (``_Sheet.project``).
     """
     m = calc.ctx.interior_dim
-    mean, eta, perp, outside = _corner_split(calc, drho, _corner_adjoint(calc, y))
+    mean, eta, perp, outside = _corner_split(calc, drho, calc._corner_adjoint(y))
     kernel = math.hypot(mean * math.sqrt(m), eta)
     nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
     upper = nuclear + perp * math.sqrt(m) / calc.corner_s_min
@@ -853,10 +870,10 @@ def _splitting_loop(
 
 
 def _one_sheet(calc: DiracCalculus, drho: np.ndarray) -> _Sheet:
-    """The splitting loop's operations on one sheet, for the pairing drho."""
-    return _Sheet(drho, calc.ctx.interior_dim, partial(_project, calc, drho),
-                  calc._least_squares, partial(_sheet_seminorm, calc),
-                  partial(_dual_upper, calc, drho))
+    """One sheet for the pairing drho: its map A = sqrt(2) crop dz, read off
+    the corner, and the offset-by-offset (A* A)^+."""
+    return _Sheet(drho, calc.ctx.interior_dim, calc._corner_map, calc._corner_adjoint,
+                  calc._normal_solve, partial(_dual_upper, calc, drho))
 
 
 def _bound_note(upper: float | None, domain: str) -> str:

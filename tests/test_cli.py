@@ -219,6 +219,9 @@ class TestExitCodes:
             ("pythagoras", "--kappa", "0,nan"),
             ("qlength", "eigen:0", "coherent:inf+0i", "--trunc-dim", "16"),
             ("qlength", "eigen:0", "translated:eigen:0:nan", "--trunc-dim", "16"),
+            ("qlength", "mix:inf*eigen:0;1*eigen:1", "eigen:0", "--trunc-dim", "16"),
+            ("qlength", "super:0,1:nan,1", "eigen:0", "--trunc-dim", "16"),
+            ("qlength", "super:0,1:1,inf", "eigen:0", "--trunc-dim", "16"),
         ],
     )
     def test_data_errors_give_65(self, tmp_path, argv, capsys):
@@ -466,3 +469,37 @@ class TestSuiteCommand:
         for ctx in (st.ctx, st.solver_ctx):
             assert (ctx.theta, ctx.tol, ctx.leakage_bound) == (0.5, 1e-6, 1e-4)
         assert (st.solver.iterations, st.light.iterations) == ((300 if quick else 2000), 80)
+
+
+class TestScripts:
+    def test_library_names_they_import_exist(self):
+        # The scripts beside the package run outside this suite, so a helper
+        # renamed or deleted under them would break them silently.  Every
+        # name they import from moyalmetric, inside functions too, must
+        # exist; the scripts are parsed, not run.
+        import ast
+        import importlib
+        import importlib.util
+        from pathlib import Path
+
+        def exists(module, name):
+            # A submodule is a name of its package before it is imported.
+            if hasattr(module, name):
+                return True
+            return hasattr(module, "__path__") and importlib.util.find_spec(
+                f"{module.__name__}.{name}") is not None
+
+        scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+        imported, missing = 0, []
+        for path in scripts:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if not isinstance(node, ast.ImportFrom) or node.level or not (
+                        node.module == "moyalmetric" or node.module.startswith("moyalmetric.")):
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported += 1
+                    if not exists(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+        assert imported > 0
+        assert missing == []

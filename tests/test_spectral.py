@@ -40,7 +40,6 @@ from moyalmetric.spectral import (
     lipschitz_seminorm,
     optimal_element_eigenstates,
     optimal_element_translation,
-    _corner_adjoint,
     _dual_upper,
     _eigen_sum,
     _first_kernel,
@@ -48,10 +47,8 @@ from moyalmetric.spectral import (
     _lp_dual,
     _mean_kernel,
     _objective,
-    _path_moments,
     _one_sheet,
-    _project,
-    _sheet_seminorm,
+    _path_moments,
     _single_route,
     _splitting_loop,
     _top_singular_value,
@@ -464,29 +461,55 @@ class TestTopSingularPair:
         rng = np.random.default_rng(seed)
         x = random_hermitian(rng, n)
         y = random_hermitian(rng, n)
-        p = _sheet_seminorm(calc, x)
+        ops = _one_sheet(calc, np.zeros((n, n)))
+        p = ops.seminorm(x)
         want = lipschitz_seminorm(calc, Operator(calc.ctx, x, hermitian=True))
         assert abs(p - want) <= 1e-12 * want
         u, _, vh = np.linalg.svd(calc._crop(calc._dz(x)))
-        sub = _corner_adjoint(calc, np.outer(u[:, 0], vh[0]))
+        sub = ops.adjoint(np.outer(u[:, 0], vh[0]))
         assert np.array_equal(sub, sub.conj().T)
         assert _objective(sub, x) == pytest.approx(p, rel=1e-10)
         p_y = lipschitz_seminorm(calc, Operator(calc.ctx, y, hermitian=True))
         assert _objective(sub, y) <= p_y * (1 + 1e-10)
 
 
-def sheets(ctx, weight=1.0):
-    """The splitting loop's operations on one sheet and on two, for weight
-    times the pairing of two states that no seeded candidate or explicit
-    dual serves."""
+def sheets(ctx, weight=1.0, lam=None):
+    """One sheet and two, the second at internal entry lam (by default
+    calibrated on level 0), for weight times the pairing of two states that
+    no seeded candidate or explicit dual serves."""
     calc = DiracCalculus(ctx)
     rho1 = weight * eigenstate(ctx, 0).rho
     rho2 = weight * superposition_state(ctx, [1, 3], [1.0, 1.0j]).rho
-    dd = make_doubled(calc, reference_lambda(calc, 0))
+    dd = make_doubled(calc, reference_lambda(calc, 0) if lam is None else lam)
     return {
         "one-sheet": _one_sheet(calc, _hermitize(rho1 - rho2)),
         "two-sheet": _two_sheets(dd, _hermitize(np.stack([rho1, -rho2]))),
     }
+
+
+# Complex internal entries: a real Lambda cannot tell Lambda from conj(Lambda).
+LAMBDAS = st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0,
+                             allow_nan=False, allow_infinity=False)
+
+
+def sheet_element(rng, ops, ctx):
+    """A random Hermitian element of the sheet, a stacked pair on two."""
+    n = ctx.trunc_dim
+    return np.stack([random_hermitian(rng, n) for _ in range(ops.g.size // n**2)]).reshape(
+        ops.g.shape)
+
+
+def off_kernel(rng, ops, ctx):
+    """A random Hermitian element of the sheet on the corner, levels 0..m,
+    orthogonal to the kernel of its map: span{1_m, |m><m|} on one sheet,
+    {(c 1_m + b1 |m><m|, c 1_m + b2 |m><m|)} on two."""
+    n, m = ctx.trunc_dim, ctx.interior_dim
+    x = sheet_element(rng, ops, ctx).reshape(-1, n, n)
+    x[:, m + 1 :] = 0.0
+    x[:, :, m + 1 :] = 0.0
+    x[:, m, m] = 0.0
+    x[:, np.arange(m), np.arange(m)] -= np.trace(x[:, :m, :m], axis1=1, axis2=2).real.mean() / m
+    return x.reshape(ops.g.shape)
 
 
 @pytest.mark.parametrize("sheet", ["one-sheet", "two-sheet"])
@@ -515,17 +538,17 @@ class TestSplittingCore:
         ops = sheets(ctx16)[sheet]
         elements, bounds = [], []
 
-        def least_squares(u):
-            elements.append(ops.least_squares(u))
-            return elements[-1]
+        class Recorded(type(ops)):
+            def least_squares(self, u):
+                elements.append(super().least_squares(u))
+                return elements[-1]
 
         def upper(w):
             bounds.append(ops.upper(w))
             return bounds[-1]
 
         value, best, bound = _splitting_loop(
-            ops._replace(least_squares=least_squares, upper=upper),
-            SolverConfig(iterations=60), ctx16.tol)
+            Recorded(*ops._replace(upper=upper)), SolverConfig(iterations=60), ctx16.tol)
         assert len(elements) == len(bounds) == 3  # at 25, 50 and 60
         ratios = [abs(_objective(ops.g, x)) / ops.seminorm(x) for x in elements]
         assert value == max(ratios)
@@ -539,6 +562,30 @@ class TestSplittingCore:
         # value 0 and a proven upper bound of 0.
         ops = sheets(ctx16, weight=0.0)[sheet]
         assert _splitting_loop(ops, SolverConfig(iterations=30), ctx16.tol) == (0.0, None, 0.0)
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_adjoint_identity(self, sheet, seed, lam):
+        # <W, K x> = <Herm K* W, x> on Hermitian elements, for the
+        # projection and the dual bound to be trustworthy.
+        rng = np.random.default_rng(seed)
+        for n in (8, 16, 24):
+            ctx = make_context(n, 1.0, 1e-10)
+            ops = sheets(ctx, 0.0, lam)[sheet]
+            x = sheet_element(rng, ops, ctx)
+            w = rng.standard_normal((ops.size,) * 2) + 1j * rng.standard_normal((ops.size,) * 2)
+            lhs = np.vdot(w, ops.map(x)).real
+            g = ops.adjoint(w)
+            assert np.array_equal(g, g.conj().swapaxes(-1, -2))
+            assert lhs == pytest.approx(_objective(g, x), rel=1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_normal_solve_inverts_the_normal_operator(self, ctx16, sheet, seed, lam):
+        # N N^+ r = r for r orthogonal to the kernel of K: N^+ recovers a
+        # corner element off that kernel from r = Herm K* K x.
+        ops = sheets(ctx16, 0.0, lam)[sheet]
+        x = off_kernel(np.random.default_rng(seed), ops, ctx16)
+        got = ops.normal_pinv(ops.adjoint(ops.map(x)))
+        assert np.abs(got - x).max() <= 1e-11 * max(1.0, float(np.abs(x).max()))
 
 
 THETAS = (1.0, 0.7, 2.3)
@@ -696,6 +743,27 @@ class TestCorner:
         want = s[~zero][-1]
         assert abs(calc.corner_s_min - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", (8, 16, 24, 48))
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_corner_map_is_the_cropped_derivative(self, n, theta, seed):
+        # A x, read directly off the corner, is sqrt(2) crop(dz x), and its
+        # adjoint Herm A* Y is Herm(-sqrt(2) dzbar(pad Y)), each within
+        # roundoff of the order of operations; stacked input maps stacked.
+        calc = DiracCalculus(make_context(n, theta, 1e-10))
+        rng = np.random.default_rng(seed)
+        m = calc.ctx.interior_dim
+        x = np.stack([random_hermitian(rng, n), rng.standard_normal((n, n)) + 0j])
+        y = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+        got_x, got_y = calc._corner_map(x), calc._corner_adjoint(y)
+        for k in range(2):
+            want = math.sqrt(2.0) * calc._crop(calc._dz(x[k]))
+            assert np.abs(got_x[k] - want).max() <= 1e-15 * np.abs(want).max()
+            want = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y[k])))
+            assert np.abs(got_y[k] - want).max() <= 1e-15 * np.abs(want).max()
+        if theta == 1.0:
+            assert np.array_equal(got_x[0], math.sqrt(2.0) * calc._crop(calc._dz(x[0])))
+
     @pytest.mark.parametrize("n", ORACLE_DIMS)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_seminorm_reads_only_the_corner(self, n, seed):
@@ -723,7 +791,7 @@ class TestCorner:
         upper, leakage = _dual_upper(calc, drho, y)
         assert leakage > 0
         # The projected dual keeps the leakage and bounds the same elements.
-        repaired, repaired_leakage = _dual_upper(calc, drho, _project(calc, drho, y))
+        repaired, repaired_leakage = _dual_upper(calc, drho, _one_sheet(calc, drho).project(y))
         assert repaired_leakage == pytest.approx(leakage, rel=1e-9)
         for _ in range(8):
             x = corner_part(ctx, random_hermitian(rng, n))
@@ -784,7 +852,7 @@ class TestOffsetSolves:
         step = pinv.T @ (amap.T @ stacked(y) - target)
         want = (stacked(y) - step).reshape(2, m, m)
         want = want[0] + 1j * want[1]
-        got = _project(calc, drho, y)
+        got = _one_sheet(calc, drho).project(y)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         b = coordinates(basis, kernel_free(ctx, drho))
         assert np.linalg.norm(amap.T @ stacked(got) - b) <= 1e-13 * np.linalg.norm(b)
@@ -801,7 +869,7 @@ class TestOffsetSolves:
         y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         _, pinv, basis, _, _ = corner_oracle(n, theta)
         want = np.einsum("k,kij->ij", pinv @ stacked(y), basis)
-        got = calc._least_squares(y)
+        got = _one_sheet(calc, random_hermitian(rng, n)).least_squares(y)
         assert np.array_equal(got, got.conj().T)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -1014,7 +1082,7 @@ class TestTranslationDual:
         moved = displace(base, 1.0)
         drho = _hermitize(base.rho - moved.rho)
         y = _translation_dual(calc, base.rho, 1.0)
-        upper, leakage = _dual_upper(calc, drho, _project(calc, drho, y))
+        upper, leakage = _dual_upper(calc, drho, _one_sheet(calc, drho).project(y))
         assert upper - 1.0 <= ctx.tol < leakage
         cfg = SolverConfig(iterations=5, restarts=2)
         rep = distance_solver(calc, base, moved, cfg)
