@@ -11,7 +11,8 @@ for byte.
 Exit codes follow the usual batch conventions: 0 success, 2 certified-value
 anomaly (an infeasible certificate, a failed proposition check or a violated
 bracket), 64 usage error (bad flags or unparseable state expression), 65 data
-error (bad config file, out-of-range state, leakage past the guarded edge).
+error (bad config file, out-of-range state, leakage past the guarded edge),
+73 output error (an output directory or file that cannot be created).
 Commands write their files (each writer announces its own) and then raise on
 an anomaly or bad input; ``main`` alone maps outcomes to exit codes.
 """
@@ -27,6 +28,7 @@ import math
 import os
 import re
 import sys
+import zlib
 
 import numpy as np
 
@@ -74,6 +76,10 @@ EXIT_OK = 0
 EXIT_ANOMALY = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_CANTCREAT = 73
+
+_SLUG_MAX = 96  # longest slug, so that a name with two of them fits 255 bytes
+_RANGE_MAX = 10_000  # most points of an 'a..b' shift range
 
 _FEAS_SLACK = 1e-8
 _REPORT_COLUMNS = ("label", "d_D", "d_L", "d_L2", "d_L_mod", "rel_gap", "feasibility")
@@ -96,8 +102,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _slug(text: str) -> str:
-    """Filename-safe tag for a state expression or method name."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", text.strip()).strip("-")
+    """Filename-safe tag for a state expression or method name.  A tag longer
+    than _SLUG_MAX is cut and ends in the CRC-32 of the full text instead."""
+    slug = re.sub(r"[^A-Za-z0-9._-]+", "-", text.strip()).strip("-")
+    if len(slug) > _SLUG_MAX:
+        slug = f"{slug[: _SLUG_MAX - 9]}-{zlib.crc32(text.encode()):08x}"
+    return slug
 
 
 def _cell(value) -> str:
@@ -288,6 +298,8 @@ def _parse_kappa_list(text: str) -> list[complex]:
         if hi < lo:
             raise _UsageError(f"empty range {text!r}")
         steps = int(math.floor(hi - lo + 1e-9))
+        if steps >= _RANGE_MAX:
+            raise _UsageError(f"range {text!r} has more than {_RANGE_MAX} points")
         return [complex(lo + i) for i in range(steps + 1)]
     values = [_parse_complex(part) for part in text.split(",") if part.strip()]
     if not values:
@@ -870,6 +882,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 if __name__ == "__main__":

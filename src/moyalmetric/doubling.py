@@ -27,8 +27,9 @@ of the single-sheet certificate, and the doubled sheet (``_two_sheets``):
 the map K, its adjoint Herm K* (``_chiral_adjoint``), the pseudo-inverse of
 the normal operator K* K, which splits into a sheet-sum half, the one-sheet
 (A* A)^+, and a sheet-difference half, each block diagonal by offset
-(``_normal_solve``), and the dual bound ``_doubled_upper``.  A full SVD of K
-(``_doubled_seminorm``) is the independent feasibility check.  On one
+(``_normal_solve``), and the rung 1/|Lambda|, the one term by which the dual
+bound ``_Sheet.upper`` of two sheets differs from that of one.  A full SVD of
+K (``_doubled_seminorm``) is the independent feasibility check.  On one
 sheet ||K(x, x)|| = p(x) and ||K(x1, x2)|| >= max(p(x1), p(x2)), so
 same-sheet pairs take the single-sheet route and no pair solve.
 
@@ -76,7 +77,6 @@ from .spectral import (
     DistanceReport,
     SolverConfig,
     _bound_note,
-    _corner_split,
     _eigen_sum,
     _first_kernel,
     _hermitize,
@@ -257,10 +257,11 @@ def _normal_solve(dd: DoubledDirac, r: np.ndarray) -> np.ndarray:
 
 def _two_sheets(dd: DoubledDirac, g: np.ndarray) -> _Sheet:
     """The doubled geometry for the stacked pairing g: its map the chiral
-    block K, and the two halves of N^+ (``_normal_solve``)."""
+    block K, the two halves of N^+ (``_normal_solve``) and the rung
+    1/|Lambda|."""
     return _Sheet(g, 2 * dd.ctx.interior_dim, partial(_chiral_block, dd),
-                  partial(_chiral_adjoint, dd), partial(_normal_solve, dd),
-                  partial(_doubled_upper, dd, g))
+                  partial(_chiral_adjoint, dd), partial(_normal_solve, dd), dd.calc,
+                  dd.internal_distance)
 
 
 def _hypotenuse_pair(
@@ -314,48 +315,6 @@ def _doubled_dual(dd: DoubledDirac, rho1: np.ndarray, kappa: complex) -> np.ndar
     out[mc:, :mc] = lam * coupling * mean
     out[mc:, mc:] = 1j * kappa * first
     return out
-
-
-def _doubled_upper(dd: DoubledDirac, g: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """(upper, leakage) of a dual W for the stacked evaluation pair g.
-
-    The doubled distance is taken over corner pairs x = (x1, x2), levels
-    0..m, modulo the joint kernel of K.  With A = sqrt(2) crop dz, K11 =
-    -i A x1 and K22 = -i (A x2)*, each blind to span{1_m, E} with 1_m the
-    identity on levels 0..m-1 and E = |m><m|, and the coupling blocks read
-    crop(x2 - x1), so the joint kernel is {(c 1_m + b1 E, c 1_m + b2 E)}.
-    Split each sheet's residual r_i = corner(g_i - Herm K*(W)_i) as r_i =
-    gamma_i 1_m + eta_i E + r_i_perp (``_corner_split``) and x_i = c_i 1_m
-    + e_i E + a_i with a_i orthogonal to both.  Then
-
-        <g, x> = <W, K x> + sum_i <r_i_perp, a_i>
-                 + m (gamma1 + gamma2)(c1 + c2)/2 + eta1 e1 + eta2 e2
-                 + m (gamma1 - gamma2)(c1 - c2)/2.
-
-    Write p = ||K x||.  Each a_i is orthogonal to A's kernel, so ||a_i||_F
-    <= ||A a_i||_F / s_min <= sqrt(m) p / s_min.  The coupling block has
-    norm |Lambda| ||crop(x2 - x1)|| <= p, and crop(x2 - x1) = (c2 - c1) 1_m
-    + crop(a2 - a1), so |c1 - c2| <= p / |Lambda| + 2 sqrt(m) p / s_min.
-    Hence, off the joint kernel,
-
-        upper = ||W||_* + (||r1_perp||_F + ||r2_perp||_F) sqrt(m) / s_min
-                + (m/2) |gamma1 - gamma2| (1/|Lambda| + 2 sqrt(m) / s_min).
-
-    ``leakage`` is what the definition drops: the residual's joint-kernel
-    component, the Frobenius norm of (eta1, eta2, sqrt(m/2) (gamma1 +
-    gamma2)), plus g's weight outside the corner on either sheet.
-    """
-    calc = dd.calc
-    m = dd.ctx.interior_dim
-    img = _chiral_adjoint(dd, w)
-    (gam1, eta1, perp1, out1), (gam2, eta2, perp2, out2) = (
-        _corner_split(calc, gi, ii) for gi, ii in zip(g, img))
-    charge = math.sqrt(m) / calc.corner_s_min
-    nuclear = float(np.linalg.svd(w, compute_uv=False).sum())
-    upper = (nuclear + (perp1 + perp2) * charge
-             + 0.5 * m * abs(gam1 - gam2) * (dd.internal_distance + 2.0 * charge))
-    leakage = math.hypot(eta1, eta2, math.sqrt(0.5 * m) * (gam1 + gam2)) + math.hypot(out1, out2)
-    return upper, leakage
 
 
 # ---------------------------------------------------------------------------

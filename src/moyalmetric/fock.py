@@ -340,19 +340,11 @@ class QState:
     @cached_property
     def mean_ladder(self) -> complex:
         """Tr(rho a), cached because square-length sweeps evaluate it per pair."""
-        a = annihilation(self.ctx).mat
-        if self.vector is not None:
-            return complex(self.vector.conj() @ (a @ self.vector))
-        return complex(np.trace(self.rho @ a))
+        return evaluate(self, annihilation(self.ctx))
 
     @cached_property
     def mean_energy(self) -> float:
-        h = hamiltonian(self.ctx).mat
-        if self.vector is not None:
-            val = complex(self.vector.conj() @ (h @ self.vector))
-        else:
-            val = complex(np.trace(self.rho @ h))
-        return float(val.real)
+        return evaluate(self, hamiltonian(self.ctx)).real
 
     def __repr__(self) -> str:
         return f"QState(tag={self.tag!r}, N={self.ctx.trunc_dim})"

@@ -31,7 +31,7 @@ nonzero singular value s_min (``DiracCalculus.corner_s_min``) and the
 pseudo-inverse of its normal operator A* A (``DiracCalculus._normal_solve``):
 one gather, one batched product with a stack of square blocks and one
 scatter.  A dual Y bounds the distance by ||Y||_* plus its residual charged
-at sqrt(m) / s_min (``_dual_upper``).
+at sqrt(m) / s_min (``_Sheet.upper``).
 
 One prove-or-search core, ``_prove_or_search``, serves both sheets: no
 search runs where an explicit dual, as given or projected, proves the best
@@ -42,10 +42,12 @@ difference that is exactly diagonal with no weight at the guarded levels
 Elsewhere one deterministic splitting loop, scaled ADMM on the dual problem
 (``_splitting_loop``), brackets the distance.  Both read a sheet as its map
 (``_Sheet``): the map K, here A, its adjoint Herm K*, the pseudo-inverse N^+
-of its normal operator and its dual bound, from which the projection onto
-the dual constraint, the least-squares element and the search seminorm are
-written once; ``doubling`` supplies the two-sheet map.  SVDs are left to the
-final-certificate check ``lipschitz_seminorm``.
+of its normal operator and the rung between stacked sheets, 0 on one, from
+which the projection onto the dual constraint, the least-squares element,
+the search seminorm and ratio and the dual bound are written once;
+``doubling`` supplies the two-sheet map and its rung 1/|Lambda|.  SVDs are
+left to the dual bound's nuclear norm and the final-certificate check
+``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -576,39 +578,24 @@ def _top_singular_value(x: np.ndarray) -> float:
     return float(np.linalg.norm(x @ v))
 
 
-def _best_candidate(g: np.ndarray, seminorm, candidates) -> tuple[float, np.ndarray | None]:
-    """Largest evaluation ratio |<g, x>| / p(x) over the candidates, with its
-    element rescaled to a unit one with a nonnegative objective; the first
-    of equal ratios wins.  Returns (0, None) if every candidate has zero
-    seminorm."""
-    best, best_val = None, 0.0
-    for x in candidates:
-        s = seminorm(x)
-        if s < _TINY:
-            continue
-        val = abs(_objective(g, x)) / s
-        if val > best_val:
-            best, best_val = x / s, val
-    if best is not None and _objective(g, best) < 0:
-        best = -best
-    return best_val, best
-
-
 class _Sheet(NamedTuple):
-    """A sheet is its map: the pairing g (a stacked pair on two sheets), the
+    """A sheet is its map: the pairing g of k = 1 or 2 stacked sheets, the
     side of the square dual W, the map K from elements to the dual side
     whose norm ||K x|| is the seminorm, its adjoint Herm K* on Hermitian
     elements, the pseudo-inverse N^+ of the normal operator N = K* K, read
-    on the corner and off the kernel of K, and (upper, leakage) of a dual W.
-    The projection, the least-squares element and the search seminorm that
-    the splitting loop and the dual proofs use are written once, below."""
+    on the corner and off the kernel of K, the calculus of each sheet and
+    the rung that couples them, 1/|Lambda| on two sheets and 0 on one.  The
+    projection, the least-squares element, the search seminorm and ratio and
+    the dual bound that the splitting loop and the dual proofs use are
+    written once, below."""
 
     g: np.ndarray
     size: int
     map: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     normal_pinv: Callable[[np.ndarray], np.ndarray]
-    upper: Callable[[np.ndarray], tuple[float, float]]
+    calc: DiracCalculus
+    rung: float
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Pi(W) = W - K N^+ (Herm K* W - g): the nearest W in Frobenius norm
@@ -625,6 +612,75 @@ class _Sheet(NamedTuple):
         """The search seminorm ||K x||, from one Gram eigh
         (``_top_singular_value``)."""
         return _top_singular_value(self.map(x))
+
+    def ratio(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """The evaluation ratio |<g, x>| / p(x) and the unit element x / p(x),
+        negated if its objective is negative; (0, None) if p(x) is zero."""
+        s = self.seminorm(x)
+        if s < _TINY:
+            return 0.0, None
+        unit = x / s
+        return abs(_objective(self.g, x)) / s, -unit if _objective(self.g, unit) < 0 else unit
+
+    def upper(self, w: np.ndarray) -> tuple[float, float]:
+        """(upper, leakage) of a dual W for the pairing g of k stacked sheets.
+
+        The distance is taken over corner elements x = (x_1, .., x_k), levels
+        0..m, modulo the joint kernel of K.  On each sheet K reads x_i
+        through A = sqrt(2) crop dz (-i A x1 and -i (A x2)* on two sheets),
+        blind to span{1_m, E} with 1_m the identity on levels 0..m-1 and E =
+        |m><m|; on two sheets the coupling blocks read crop(x2 - x1), so the
+        joint kernel is {(c 1_m + b1 E, c 1_m + b2 E)}.  Split each sheet's
+        residual r_i = corner(g_i - Herm K*(W)_i) as r_i = gamma_i 1_m +
+        eta_i E + r_i_perp (``_corner_split``) and x_i = c_i 1_m + e_i E +
+        a_i with a_i orthogonal to both.  With gamma and c the means of the
+        gamma_i and the c_i,
+
+            <g, x> = <W, K x> + sum_i <r_i_perp, a_i> + sum_i eta_i e_i
+                     + k m gamma c + m sum_i (gamma_i - gamma)(c_i - c),
+
+        whose last sum is m (gamma1 - gamma2)(c1 - c2)/2 on two sheets and 0
+        on one.  Write p = ||K x||.  Each a_i is orthogonal to A's kernel, so
+        ||a_i||_F <= sqrt(m) p / s_min.  The coupling block has norm |Lambda|
+        ||crop(x2 - x1)|| <= p, and crop(x2 - x1) = (c2 - c1) 1_m + crop(a2 -
+        a1), so |c1 - c2| <= p / |Lambda| + 2 sqrt(m) p / s_min.  Hence, off
+        the joint kernel, with rung = 1/|Lambda| on two sheets and 0 on one,
+
+            upper = ||W||_* + sum_i ||r_i_perp||_F sqrt(m) / s_min
+                    + (m/2) (max gamma_i - min gamma_i) (rung + 2 sqrt(m) / s_min).
+
+        ``leakage`` is what the definition drops: the residual's joint-kernel
+        component, the Frobenius norm of (eta_1, .., eta_k, sqrt(m/k) sum_i
+        gamma_i), plus g's weight outside the corner on every sheet.  The
+        charge on r_perp is roundoff for a W that meets the constraint, such
+        as a projection Pi(W) (``project``).
+        """
+        calc = self.calc
+        m, n = calc.ctx.interior_dim, calc.ctx.trunc_dim
+        gamma, eta, perp, outside = zip(*(
+            _corner_split(calc, gi, ii)
+            for gi, ii in zip(self.g.reshape(-1, n, n), self.adjoint(w).reshape(-1, n, n))))
+        charge = math.sqrt(m) / calc.corner_s_min
+        nuclear = float(np.linalg.svd(w, compute_uv=False).sum())
+        # perp sqrt(m) / s_min rounds in this order, not as perp * charge, so
+        # that one sheet's bound keeps its bits.
+        upper = (nuclear + sum(perp) * math.sqrt(m) / calc.corner_s_min
+                 + 0.5 * m * (max(gamma) - min(gamma)) * (self.rung + 2.0 * charge))
+        leakage = (math.hypot(*eta, math.sqrt(m / len(gamma)) * sum(gamma))
+                   + math.hypot(*outside))
+        return upper, leakage
+
+
+def _best_candidate(sheet: _Sheet, candidates) -> tuple[float, np.ndarray | None]:
+    """Largest evaluation ratio over the candidates, with its unit element
+    (``_Sheet.ratio``); the first of equal ratios wins.  Returns (0, None) if
+    every candidate has zero seminorm."""
+    best, best_val = None, 0.0
+    for x in candidates:
+        val, unit = sheet.ratio(x)
+        if val > best_val:
+            best, best_val = unit, val
+    return best_val, best
 
 
 def _prove_or_search(
@@ -647,7 +703,7 @@ def _prove_or_search(
     tol)`` already run by the caller, who passes no duals then; the core
     takes it in place of running the loop.
     """
-    best_val, best = _best_candidate(sheet.g, sheet.seminorm, seeded)
+    best_val, best = _best_candidate(sheet, seeded)
     for y in duals:
         for projected in (False, True):
             upper, leakage = sheet.upper(sheet.project(y) if projected else y)
@@ -788,31 +844,6 @@ def _corner_split(
     return mean, float(r[m, m].real), float(np.linalg.norm(r_perp)), outside
 
 
-def _dual_upper(calc: DiracCalculus, drho: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(upper, leakage) of a dual Y for the state difference drho.
-
-    The distance is taken over Hermitian elements x of the corner, levels
-    0..m, modulo the kernel span{1, |m><m|} of A = sqrt(2) crop dz; the
-    seminorm reads nothing else.  The residual r = corner(drho - A* Y)
-    splits into its kernel component and r_perp (``_corner_split``).  Then
-    <drho, x> <= ||Y||_* p(x) + <r_perp, x>, and ||x||_F <= sqrt(m) p(x) /
-    s_min for x orthogonal to the kernel, so
-
-        upper = ||Y||_* + ||r_perp||_F sqrt(m) / s_min.
-
-    ``leakage`` is what the definition drops: the Frobenius norms of r's
-    kernel component and of drho outside the corner.  The charge on r_perp
-    is roundoff for a Y that meets the constraint, such as a projection
-    Pi(Y) (``_Sheet.project``).
-    """
-    m = calc.ctx.interior_dim
-    mean, eta, perp, outside = _corner_split(calc, drho, calc._corner_adjoint(y))
-    kernel = math.hypot(mean * math.sqrt(m), eta)
-    nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
-    upper = nuclear + perp * math.sqrt(m) / calc.corner_s_min
-    return upper, kernel + outside
-
-
 _PENALTY = 2.0  # the fixed ADMM penalty of ``_splitting_loop``
 _CHECK_EVERY = 25  # iterations between two bracket checks
 
@@ -857,23 +888,19 @@ def _splitting_loop(
             continue
         bound, leakage = sheet.upper(w)
         upper = min(upper, bound)
-        x = sheet.least_squares(u)
-        s = sheet.seminorm(x)
-        val = abs(_objective(sheet.g, x)) / s if s >= _TINY else 0.0
+        val, unit = sheet.ratio(sheet.least_squares(u))
         if val > best_val:
-            best, best_val = x / s, val
+            best, best_val = unit, val
         if upper - best_val <= tol * max(1.0, best_val):
             break
-    if best is not None and _objective(sheet.g, best) < 0:
-        best = -best
     return best_val, best, (upper if leakage <= tol else None)
 
 
 def _one_sheet(calc: DiracCalculus, drho: np.ndarray) -> _Sheet:
     """One sheet for the pairing drho: its map A = sqrt(2) crop dz, read off
-    the corner, and the offset-by-offset (A* A)^+."""
+    the corner, the offset-by-offset (A* A)^+, and no rung."""
     return _Sheet(drho, calc.ctx.interior_dim, calc._corner_map, calc._corner_adjoint,
-                  calc._normal_solve, partial(_dual_upper, calc, drho))
+                  calc._normal_solve, calc, 0.0)
 
 
 def _bound_note(upper: float | None, domain: str) -> str:

@@ -35,6 +35,7 @@ from .fock import (
 __all__ = ["StateExprError", "parse_state_expr", "format_state_expr", "build_state"]
 
 _KINDS = ("eigen", "coherent", "translated", "super", "mix")
+_MAX_DEPTH = 100  # most nested constructors, well under the recursion limit
 
 
 class StateExprError(ValueError):
@@ -80,8 +81,11 @@ def _parse_float(token: str, what: str) -> float:
         raise StateExprError(f"{what} must be a number, got {token!r}") from None
 
 
-def _parse_prefix(text: str) -> tuple[tuple, str]:
-    """Parse one expression from the front of ``text``; return (tag, rest)."""
+def _parse_prefix(text: str, depth: int = 1) -> tuple[tuple, str]:
+    """Parse one expression from the front of ``text``, nested ``depth``
+    constructors deep; return (tag, rest)."""
+    if depth > _MAX_DEPTH:
+        raise StateExprError(f"state expression nests more than {_MAX_DEPTH} constructors")
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "eigen":
@@ -93,7 +97,7 @@ def _parse_prefix(text: str) -> tuple[tuple, str]:
     if kind == "translated":
         if not rest:
             raise StateExprError("translated needs a base expression and an amplitude")
-        base, rest = _parse_prefix(rest)
+        base, rest = _parse_prefix(rest, depth + 1)
         if base[0] == "mix":
             raise StateExprError(
                 "a mixture cannot be translated; translate each term instead"

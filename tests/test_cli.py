@@ -3,7 +3,7 @@
 Everything runs in-process through ``cli.main`` with small truncations and
 tiny solver budgets, so the whole file stays fast.  The three contracts
 under test: worked examples reproduce their closed-form values, exit codes
-follow the 0/2/64/65 policy, and reruns with the same configuration write
+follow the 0/2/64/65/73 policy, and reruns with the same configuration write
 byte-identical files.
 """
 
@@ -187,12 +187,26 @@ class TestExitCodes:
             ("counterexample", "--indices", "0,2,4"),
             ("asymptotics", "--kappa", "0..three"),
             ("pythagoras", "--kappa", "0,1+zz"),
+            # input bounded before any work: nesting far past any state the
+            # truncation holds, and a shift range of 100001 points
+            ("distance", "translated:" * 1200 + "eigen:0" + ":0" * 1200, "eigen:0"),
+            ("asymptotics", "--kappa", "0..100000"),
+            ("pythagoras", "--kappa", "0..100000"),
         ],
     )
     def test_usage_errors_give_64(self, tmp_path, argv, capsys):
         rc = run_cli(*argv, "--output-dir", str(tmp_path))
         capsys.readouterr()
         assert rc == 64
+
+    def test_output_dir_that_is_a_file_gives_73(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        rc = run_cli("distance", "eigen:0", "eigen:1", "--method", "closed",
+                     "--trunc-dim", "16", "--output-dir", str(blocker))
+        err = capsys.readouterr().err
+        assert rc == 73
+        assert err.startswith("output error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -392,6 +406,21 @@ class TestOutputContract:
         assert run_cli(*argv) == 0
         capsys.readouterr()
         assert path.read_bytes() == first
+
+    def test_long_names_are_cut_and_tagged(self, tmp_path, capsys):
+        # Two long expressions that share a prefix far past the cut get
+        # distinct names, each within the 255-byte file-name limit.
+        prefix = "mix:" + ";".join(f"0.0909090909*eigen:{k}" for k in range(10))
+        long1, long2 = prefix + ";0.0909090909*eigen:10", prefix + ";0.0909090909*eigen:11"
+        for other in (long1, long2):
+            rc = run_cli("distance", long1, other, "--method", "lp", "--trunc-dim", "16",
+                         "--output-dir", str(tmp_path))
+            assert rc == 0
+        capsys.readouterr()
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert len(names) == 2
+        assert all(len(name.encode()) <= 255 for name in names)
+        assert all(name.startswith("distance_mix-0.0909090909-eigen-0-") for name in names)
 
     def test_plot_is_deterministic_svg(self, tmp_path, capsys):
         argv = (

@@ -43,7 +43,6 @@ from moyalmetric.doubling import (
     _chiral_block,
     _doubled_dual,
     _doubled_seminorm,
-    _doubled_upper,
     _lifted_seed,
     _opposite_sheets,
     _two_sheets,
@@ -362,9 +361,10 @@ class TestDoubledDual:
     @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
     def test_upper_bounds_every_corner_pair(self, n, seed, lam):
         # For any W, <g, x> <= upper p(x) on corner pairs off the joint
-        # kernel, whatever g carries outside the corner.  The second g
-        # meets W's constraint up to opposite constants on levels 0..m-1,
-        # which the coupling blocks alone see: the |gamma1 - gamma2| term.
+        # kernel, whatever g carries outside the corner, when g meets W's
+        # constraint up to opposite constants on levels 0..m-1, which the
+        # coupling blocks alone see: the |gamma1 - gamma2| term.  A generic
+        # g on either sheet is ``test_spectral.py::TestSplittingCore``'s.
         ctx = make_context(n, 1.0, 1e-10)
         dd = make_doubled(DiracCalculus(ctx), lam)
         rng = np.random.default_rng(seed)
@@ -376,12 +376,11 @@ class TestDoubledDual:
         split[1, np.arange(m), np.arange(m)] = -1.0
         loaded = _chiral_adjoint(dd, w) + 4.0 * (1.0 + abs(lam)) * split
         loaded[:, m + 1 :, m + 1 :] += hermitian(rng, n - m - 1)
-        for g in (np.stack([hermitian(rng, n), hermitian(rng, n)]), loaded):
-            upper, leakage = _doubled_upper(dd, g, w)
-            assert leakage > 0
-            for x in [split] + [corner_pair(rng, ctx) for _ in range(8)]:
-                p = _doubled_seminorm(dd, x[0], x[1])
-                assert abs(_objective(g, x)) <= upper * p * (1 + 1e-12)
+        upper, leakage = _two_sheets(dd, loaded).upper(w)
+        assert leakage > 0
+        for x in [split] + [corner_pair(rng, ctx) for _ in range(8)]:
+            p = _doubled_seminorm(dd, x[0], x[1])
+            assert abs(_objective(loaded, x)) <= upper * p * (1 + 1e-12)
 
     @pytest.mark.parametrize("theta", (1.0, 0.7, 2.3))
     @pytest.mark.parametrize("n", (8, 16, 24))
@@ -410,7 +409,7 @@ class TestDoubledDual:
         want[m:, :m] = rho[:m, :m] / (2 * np.conj(dd.Lambda))
         w = _doubled_dual(dd, rho, 0.0)
         assert np.abs(w - want).max() <= 1e-15
-        upper, leakage = _doubled_upper(dd, np.stack([rho, -rho]), w)
+        upper, leakage = _two_sheets(dd, np.stack([rho, -rho])).upper(w)
         assert leakage <= 1e-15
         assert abs(upper - dd.internal_distance) <= 1e-13
 
@@ -422,13 +421,13 @@ class TestDoubledDual:
             for kappa in (1.0, 1 + 0.5j, -0.4 - 0.2j):
                 moved = displace(base, kappa)
                 g = _hermitize(np.stack([base.rho, -moved.rho]))
-                upper, leakage = _doubled_upper(dd, g, _doubled_dual(dd, base.rho, kappa))
+                upper, leakage = _two_sheets(dd, g).upper(_doubled_dual(dd, base.rho, kappa))
                 want = math.hypot(abs(kappa), dd.internal_distance)
                 assert leakage <= ctx48.tol
                 assert 0 <= upper - want <= ctx48.tol
 
     def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls):
-        from moyalmetric import doubling
+        from moyalmetric import spectral
 
         calc = DiracCalculus(ctx48)
         dd = make_doubled(calc, reference_lambda(calc, 1) * cmath.exp(0.3j))
@@ -441,8 +440,9 @@ class TestDoubledDual:
         assert rep.value <= rep.upper <= rep.value + ctx48.tol * rep.value
         # A dual that refuses forces the search, whose own bound refuses
         # too; kappa, and with it the closed branch of doubled_distance,
-        # stays as it was.
-        monkeypatch.setattr(doubling, "_doubled_upper", lambda *args: (math.inf, math.inf))
+        # stays as it was.  The single-sheet route is closed-form and calls
+        # no bound.
+        monkeypatch.setattr(spectral._Sheet, "upper", lambda self, w: (math.inf, math.inf))
         forced = pythagoras_check(dd, s1, s2, LIGHT)
         forced_rep = doubled_distance(dd, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
         # Two searched doubled solves; the single-sheet route is closed-form.
@@ -532,7 +532,7 @@ class TestDoubledDual:
         base = eigenstate(ctx, 1)
         s1, s2 = displace(base, 0.3), displace(base, 1.3)
         g = _hermitize(np.stack([s1.rho, -s2.rho]))
-        upper, leakage = _doubled_upper(dd, g, _doubled_dual(dd, s1.rho, 1.0))
+        upper, leakage = _two_sheets(dd, g).upper(_doubled_dual(dd, s1.rho, 1.0))
         assert upper - math.hypot(1.0, dd.internal_distance) > ctx.tol
         res = pythagoras_check(dd, s1, s2, LIGHT)
         # One doubled search, whose own bound the leakage refuses too.

@@ -40,7 +40,7 @@ from moyalmetric.spectral import (
     lipschitz_seminorm,
     optimal_element_eigenstates,
     optimal_element_translation,
-    _dual_upper,
+    _corner_split,
     _eigen_sum,
     _first_kernel,
     _hermitize,
@@ -56,7 +56,7 @@ from moyalmetric.spectral import (
     _translation_dual,
     _translation_seed,
 )
-from moyalmetric.doubling import _two_sheets, make_doubled, reference_lambda
+from moyalmetric.doubling import _doubled_seminorm, _two_sheets, make_doubled, reference_lambda
 from moyalmetric.fock import _displacement_eigh
 
 
@@ -543,12 +543,12 @@ class TestSplittingCore:
                 elements.append(super().least_squares(u))
                 return elements[-1]
 
-        def upper(w):
-            bounds.append(ops.upper(w))
-            return bounds[-1]
+            def upper(self, w):
+                bounds.append(super().upper(w))
+                return bounds[-1]
 
         value, best, bound = _splitting_loop(
-            Recorded(*ops._replace(upper=upper)), SolverConfig(iterations=60), ctx16.tol)
+            Recorded(*ops), SolverConfig(iterations=60), ctx16.tol)
         assert len(elements) == len(bounds) == 3  # at 25, 50 and 60
         ratios = [abs(_objective(ops.g, x)) / ops.seminorm(x) for x in elements]
         assert value == max(ratios)
@@ -577,6 +577,33 @@ class TestSplittingCore:
             g = ops.adjoint(w)
             assert np.array_equal(g, g.conj().swapaxes(-1, -2))
             assert lhs == pytest.approx(_objective(g, x), rel=1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
+    def test_upper_bounds_every_corner_element(self, sheet, seed, lam):
+        # For any W, <g, x> <= upper p(x) on corner elements off the kernel
+        # of K, whatever g carries outside the corner, under the seminorm's
+        # independent SVD check; the projected W keeps the leakage and bounds
+        # the same elements.
+        rng = np.random.default_rng(seed)
+        for n in (8, 16, 24):
+            ctx = make_context(n, 1.0, 1e-10)
+            ops = sheets(ctx, 0.0, lam)[sheet]
+            ops = ops._replace(g=sheet_element(rng, ops, ctx))
+            if sheet == "one-sheet":
+                def seminorm(x):
+                    return lipschitz_seminorm(ops.calc, Operator(ctx, x, hermitian=True))
+            else:
+                def seminorm(x):
+                    return _doubled_seminorm(make_doubled(ops.calc, lam), x[0], x[1])
+            w = rng.standard_normal((ops.size,) * 2) + 1j * rng.standard_normal((ops.size,) * 2)
+            w = w * rng.uniform(0.0, 2.0)
+            upper, leakage = ops.upper(w)
+            assert leakage > 0
+            repaired, repaired_leakage = ops.upper(ops.project(w))
+            assert repaired_leakage == pytest.approx(leakage, rel=1e-9)
+            for _ in range(8):
+                x = off_kernel(rng, ops, ctx)
+                assert abs(_objective(ops.g, x)) <= min(upper, repaired) * seminorm(x) * (1 + 1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
     def test_normal_solve_inverts_the_normal_operator(self, ctx16, sheet, seed, lam):
@@ -788,10 +815,11 @@ class TestCorner:
         drho = random_hermitian(rng, n)
         y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         y = y * rng.uniform(0.0, 2.0)
-        upper, leakage = _dual_upper(calc, drho, y)
+        sheet = _one_sheet(calc, drho)
+        upper, leakage = sheet.upper(y)
         assert leakage > 0
         # The projected dual keeps the leakage and bounds the same elements.
-        repaired, repaired_leakage = _dual_upper(calc, drho, _one_sheet(calc, drho).project(y))
+        repaired, repaired_leakage = sheet.upper(sheet.project(y))
         assert repaired_leakage == pytest.approx(leakage, rel=1e-9)
         for _ in range(8):
             x = corner_part(ctx, random_hermitian(rng, n))
@@ -799,6 +827,26 @@ class TestCorner:
             x[m, m] = 0.0
             p = lipschitz_seminorm(calc, Operator(ctx, x, hermitian=True))
             assert abs(_objective(drho, x)) <= min(upper, repaired) * p * (1 + 1e-12)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", (8, 16, 24, 48))
+    @given(seed=st.integers(0, 2**32 - 1), projected=st.booleans())
+    def test_one_sheet_upper_is_the_frozen_formula(self, n, theta, seed, projected):
+        # On one sheet the rung term of the shared bound is exactly 0.0 and
+        # the rest is the one-sheet formula, rounding order included.
+        calc = DiracCalculus(make_context(n, theta, 1e-10))
+        rng = np.random.default_rng(seed)
+        m = calc.ctx.interior_dim
+        drho = random_hermitian(rng, n)
+        y = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * rng.uniform(0.0, 2.0)
+        sheet = _one_sheet(calc, drho)
+        if projected:
+            y = sheet.project(y)
+        mean, eta, perp, outside = _corner_split(calc, drho, calc._corner_adjoint(y))
+        kernel = math.hypot(mean * math.sqrt(m), eta)
+        nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
+        assert sheet.upper(y) == (nuclear + perp * math.sqrt(m) / calc.corner_s_min,
+                                  kernel + outside)
 
 
 def kernel_free(ctx, r):
@@ -899,17 +947,17 @@ class TestSplittingLoop:
         s1, s2 = superposed(ctx, rng), superposed(ctx, rng)
         assume(float(np.abs(s1.rho - s2.rho).max()) > 1e-6)
         seen = []
-        real = spectral._dual_upper
+        real = spectral._Sheet.upper
 
-        def recording(calc_, drho_, y):
+        def recording(sheet, y):
             seen.append(y.copy())
-            return real(calc_, drho_, y)
+            return real(sheet, y)
 
-        spectral._dual_upper = recording
+        spectral._Sheet.upper = recording
         try:
             rep = distance_solver(calc, s1, s2, SolverConfig(iterations=50, restarts=1))
         finally:
-            spectral._dual_upper = real
+            spectral._Sheet.upper = real
         drho = _hermitize(s1.rho - s2.rho)
         p = lipschitz_seminorm(calc, rep.certificate)
         assert p <= 1 + 1e-8
@@ -1082,7 +1130,8 @@ class TestTranslationDual:
         moved = displace(base, 1.0)
         drho = _hermitize(base.rho - moved.rho)
         y = _translation_dual(calc, base.rho, 1.0)
-        upper, leakage = _dual_upper(calc, drho, _one_sheet(calc, drho).project(y))
+        sheet = _one_sheet(calc, drho)
+        upper, leakage = sheet.upper(sheet.project(y))
         assert upper - 1.0 <= ctx.tol < leakage
         cfg = SolverConfig(iterations=5, restarts=2)
         rep = distance_solver(calc, base, moved, cfg)
