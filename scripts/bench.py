@@ -4,8 +4,9 @@ machine in a JSON file.
 
 Micro-timings at N=48, theta=1 of the layers that ``perfbench --trace 1``
 does not report: one ``DiracCalculus._dz``; one splitting-loop iteration on
-one sheet and on two (the sheet's projection, then the singular value
-thresholding ``spectral._shrink``), and each sheet's projection alone
+one sheet and on two (``spectral._splitting_step``: the sheet's projection,
+the singular value thresholding and the multiplier update, the step the
+loop runs), and each sheet's projection alone
 (``project`` of ``spectral._one_sheet`` and ``doubling._two_sheets``); and,
 over the square-length grid (levels 0..6 displaced over a 5x5 lattice of
 amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
@@ -151,9 +152,9 @@ def measure() -> dict:
         SolverConfig,
         _hermitize,
         _one_sheet,
-        _shrink,
         _single_route,
         _splitting_loop,
+        _splitting_step,
         _translation_dual,
     )
 
@@ -172,7 +173,7 @@ def measure() -> dict:
         """One splitting-loop step from the dual pair (z, u)."""
         size = sheet.size
         z, u = duals[0, :size, :size], duals[1, :size, :size]
-        return lambda: _shrink(sheet.project(z - u) + u, 0.5)
+        return lambda: _splitting_step(sheet, z, u)
 
     shifts = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
     grid = [displace(eigenstate(ctx, m), complex(x, y))

@@ -79,6 +79,8 @@ EXIT_DATA = 65
 EXIT_CANTCREAT = 73
 
 _SLUG_MAX = 96  # longest slug, so that a name with two of them fits 255 bytes
+_PLAIN, _REAL, _IMAG = (re.compile(r"[A-Za-z0-9.]+"), re.compile(r"[0-9.]+"),
+                        re.compile(r"[0-9.]+[ij]"))
 _RANGE_MAX = 10_000  # most points of an 'a..b' shift range
 
 _FEAS_SLACK = 1e-8
@@ -101,10 +103,28 @@ class _Parser(argparse.ArgumentParser):
 # deterministic writers
 
 
+def _unslug(slug: str) -> str:
+    """The expression a readable tag stands for: each ``-`` read as ``+``
+    between a real and an imaginary number, as ``:`` elsewhere."""
+    parts = slug.split("-")
+    return parts[0] + "".join(
+        ("+" if _REAL.fullmatch(a) and _IMAG.fullmatch(b) else ":") + b
+        for a, b in zip(parts, parts[1:]))
+
+
 def _slug(text: str) -> str:
-    """Filename-safe tag for a state expression or method name.  A tag longer
-    than _SLUG_MAX is cut and ends in the CRC-32 of the full text instead."""
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "-", text.strip()).strip("-")
+    """Filename-safe tag for a state expression, one per expression.  The
+    readable tag writes ``:`` and ``+`` as ``-``.  An expression that it does
+    not read back to (``_unslug``) has each character other than letters,
+    digits and ``.`` written as ``-``, then ``--`` and the hex UTF-8 bytes of
+    those characters, and readable tags, with no empty part, hold no ``--``.
+    A tag longer than _SLUG_MAX is cut and ends in the CRC-32 of the full
+    text instead."""
+    expr = text.strip()
+    slug = expr.replace(":", "-").replace("+", "-")
+    if not all(map(_PLAIN.fullmatch, slug.split("-"))) or _unslug(slug) != expr:
+        marks = re.findall(r"[^A-Za-z0-9.]", expr)
+        slug = re.sub(r"[^A-Za-z0-9.]", "-", expr) + "--" + "".join(marks).encode().hex()
     if len(slug) > _SLUG_MAX:
         slug = f"{slug[: _SLUG_MAX - 9]}-{zlib.crc32(text.encode()):08x}"
     return slug
@@ -456,6 +476,11 @@ def cmd_qlength(cfg: RunConfig, args) -> None:
             hctx = dataclasses.replace(cfg, trunc_dim=half).context()
             h1 = build_state(hctx, tag1)
             h2 = build_state(hctx, tag2)
+        except ValueError as exc:  # both states build at N: N/2 leaks or lacks a level
+            why = "leakage" if isinstance(exc, LeakageError) else "range"
+            print(f"convergence in N: not testable at N={half} ({exc})")
+            rows.append((f"pair N={half} untestable ({why})", None, None, None, None, None, None))
+        else:
             hsq = d_L2(h1, h2)
             hlin = d_L(h1, h2)
             hmod = modified_length(h1, h2)
@@ -472,9 +497,6 @@ def cmd_qlength(cfg: RunConfig, args) -> None:
             )
             if not converged:
                 anomaly = True
-        except LeakageError as exc:
-            print(f"convergence in N: not testable at N={half} ({exc})")
-            rows.append((f"pair N={half} untestable (leakage)", None, None, None, None, None, None))
     else:
         print(f"convergence in N: skipped (N/2 = {half} is below the minimum truncation)")
 

@@ -40,12 +40,14 @@ hypot(|kappa|, 1/|Lambda|) by translation covariance, and an explicit dual
 of K (``_doubled_dual``: the single-sheet path mean split along the path,
 with the rung spread evenly over it) usually proves the seed optimal, so
 no search runs; elsewhere the splitting loop brackets the pair.  There the
-loop reads nothing from the single-sheet route, so that route runs on a
-worker thread beside it (``_beside``), and the two finish in the time of
-the longer one.  Importing the package pins OpenBLAS to one thread unless
-the environment sets a count, so the two solver threads take one core each
-instead of oversubscribing them; where a count the user set leaves no room
-for two, the pair runs one solve after the other.
+core runs the loop before it asks for the seed, and the loop reads nothing
+from the single-sheet route, so that route runs on a worker thread beside
+it (``_beside``), and the two finish in the time of the longer one.
+Importing the package pins OpenBLAS to one thread unless the environment
+sets a count, so the two solver threads take one core each instead of
+oversubscribing them; where a count the user set leaves no room for two,
+the route runs when the seed is asked for, after the loop, with the same
+values bit for bit.
 
 Single-sheet work (the closed form, LP or solver route) comes from
 ``spectral``; this module only adds what the second sheet brings: the
@@ -56,9 +58,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -86,7 +88,7 @@ from .spectral import (
     _prove_or_search,
     _Sheet,
     _single_route,
-    _splitting_loop,
+    _Solve,
     _translation_amplitude,
 )
 
@@ -326,9 +328,8 @@ class _OppositeSheets(NamedTuple):
 
     single: DistanceReport
     kappa: complex | None
-    value: float
+    solve: _Solve
     feasibility: float
-    upper: float | None
 
 
 def _lifted_seed(dd: DoubledDirac, drho: np.ndarray, single: DistanceReport) -> np.ndarray:
@@ -403,34 +404,29 @@ def _opposite_sheets(
     certificate dominates theirs and no value falls below it.  Where kappa
     is known, the doubled path-mean dual (``_doubled_dual``) may prove the
     seed optimal and no search runs; elsewhere the splitting loop runs.
-    ``upper`` is the proven bound, over corner pairs modulo the joint kernel
-    of K, or None where the leakage exceeds ctx.tol; ``feasibility`` is the
-    full SVD of ``_doubled_seminorm``.
+    ``solve.upper`` is the proven bound, over corner pairs modulo the joint
+    kernel of K, or None where the leakage exceeds ctx.tol; ``feasibility``
+    is the full SVD of ``_doubled_seminorm``.
 
-    Without kappa there is no dual to try, and the doubled loop reads
-    nothing from the single route, whose lift only competes with the loop's
-    result at the end.  So, where two solver threads fit the cores
-    (``_two_solvers_fit``), the single route runs on a worker thread
-    (``_beside``) while the loop runs on the calling thread, and the core
-    takes the loop's result; every value is the serial one, bit for bit.
+    Without kappa the core runs the doubled loop before it asks for the
+    seed.  Where two solver threads fit the cores (``_two_solvers_fit``),
+    the single route runs meanwhile on a worker thread (``_beside``), else
+    when the seed is asked for; every value is the same, bit for bit.
     """
     drho = s1.rho - s2.rho
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
     sheet, tol = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho]))), dd.ctx.tol
-    if kappa is None and _two_solvers_fit():
-        # The loop, the longer of the two, stays on the calling thread: run
-        # on the worker, its arrays came from another malloc arena, and the
-        # proven pairs that followed it ran about 5% slower.
-        with _beside(_single_route, dd.calc, s1, s2, cfg) as route:
-            searched = _splitting_loop(sheet, cfg, tol)
-            single = route()
-    else:
-        single, searched = _single_route(dd.calc, s1, s2, cfg), None
     duals = [] if kappa is None else [_doubled_dual(dd, s1.rho, kappa)]
-    # The seed has doubled seminorm one, so the core always returns an element.
-    value, best, upper = _prove_or_search(
-        sheet, [_lifted_seed(dd, drho, single)], duals, cfg, tol, searched)
-    return _OppositeSheets(single, kappa, value, _doubled_seminorm(dd, best[0], best[1]), upper)
+    route = partial(_single_route, dd.calc, s1, s2, cfg)
+    # The loop, the longer of the two, stays on the calling thread: run on
+    # the worker, its arrays came from another malloc arena, and the proven
+    # pairs that followed it ran about 5% slower.
+    overlap = kappa is None and _two_solvers_fit()
+    with _beside(route) if overlap else nullcontext(cache(route)) as single:
+        solve = _prove_or_search(
+            sheet, lambda: [_lifted_seed(dd, drho, single())], duals, cfg, tol)
+        # The seed has doubled seminorm one, so the core always returns an element.
+        return _OppositeSheets(single(), kappa, solve, _doubled_seminorm(dd, *solve.element))
 
 
 def doubled_distance(
@@ -471,39 +467,39 @@ def doubled_distance(
         return replace(route, note=note)
 
     d_i = dd.internal_distance
-    pair = _opposite_sheets(dd, sa, sb, cfg)
-    if pair.kappa is not None:
-        value = math.hypot(abs(pair.kappa), d_i)
-        if pair.value > value + 1e-6:
+    single, kappa, solve, feasibility = _opposite_sheets(dd, sa, sb, cfg)
+    if kappa is not None:
+        value = math.hypot(abs(kappa), d_i)
+        if solve.value > value + 1e-6:
             raise ArithmeticError(
                 f"pair solver exceeded the closed doubled distance: "
-                f"{pair.value:.12g} > {value:.12g}"
+                f"{solve.value:.12g} > {value:.12g}"
             )
-        method, gap = "closed-form", abs(value - pair.value)
-        if pair.kappa == 0:
+        method, gap = "closed-form", abs(value - solve.value)
+        if kappa == 0:
             note = "opposite sheets, equal surface states: internal rung 1/|Lambda|"
         else:
             note = ("opposite sheets, translates: transverse shift and internal "
                     "rung combine in quadrature")
-        note += f"; pair-solver cross-check at {pair.value:.9g}"
+        note += f"; pair-solver cross-check at {solve.value:.9g}"
     else:
-        ansatz = math.hypot(pair.single.value, d_i)
-        value = max(pair.value, ansatz)
+        ansatz = math.hypot(single.value, d_i)
+        value = max(solve.value, ansatz)
         method, gap = "convex-solver", abs(value - ansatz)
         domain = f"corner pairs, levels 0..{dd.ctx.interior_dim}, modulo the joint kernel"
         note = (
-            f"opposite sheets, cross family: {_bound_note(pair.upper, domain)}; the "
+            f"opposite sheets, cross family: {_bound_note(solve.upper, domain)}; the "
             "quadrature ansatz over the single-sheet estimate "
-            f"{pair.single.value:.9g} gives {ansatz:.9g}"
+            f"{single.value:.9g} gives {ansatz:.9g}"
         )
     return DistanceReport(
         value=value,
         method=method,
         certificate=None,
-        feasibility=pair.feasibility,
+        feasibility=feasibility,
         gap=gap,
         note=note,
-        upper=None if pair.upper is None else max(pair.upper, value),
+        upper=None if solve.upper is None else max(solve.upper, value),
     )
 
 
@@ -546,14 +542,14 @@ def pythagoras_check(
     pair = _opposite_sheets(dd, s1, s2, cfg)
     rhs_equal = pair.single.value**2 + dd.internal_distance**2
     rhs_lo, rhs_hi = rhs_equal, 2.0 * rhs_equal
-    lhs = pair.value**2
+    lhs = pair.solve.value**2
     tol = 1e-6 * max(1.0, rhs_equal)
     if lhs < rhs_lo - tol or lhs > rhs_hi + tol:
         raise ArithmeticError(
             f"squared doubled distance {lhs:.12g} left its bracket "
             f"[{rhs_lo:.12g}, {rhs_hi:.12g}]"
         )
-    upper = None if pair.upper is None else pair.upper**2
+    upper = None if pair.solve.upper is None else pair.solve.upper**2
     return PythagorasResult(lhs=lhs, rhs_equal=rhs_equal, rhs_lo=rhs_lo, rhs_hi=rhs_hi,
                             upper=upper)
 

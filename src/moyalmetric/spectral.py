@@ -40,14 +40,15 @@ tol of the value.  On one sheet the duals are the tail dual of a state
 difference that is exactly diagonal with no weight at the guarded levels
 (``_lp_dual``) and the path mean of a translation (``_translation_dual``).
 Elsewhere one deterministic splitting loop, scaled ADMM on the dual problem
-(``_splitting_loop``), brackets the distance.  Both read a sheet as its map
-(``_Sheet``): the map K, here A, its adjoint Herm K*, the pseudo-inverse N^+
-of its normal operator and the rung between stacked sheets, 0 on one, from
-which the projection onto the dual constraint, the least-squares element,
-the search seminorm and ratio and the dual bound are written once;
-``doubling`` supplies the two-sheet map and its rung 1/|Lambda|.  SVDs are
-left to the dual bound's nuclear norm and the final-certificate check
-``lipschitz_seminorm``.
+(``_splitting_loop``), brackets the distance; with no dual to try, it runs
+before the seeds are asked for.  Both return one record, ``_Solve``, and
+read a sheet as its map (``_Sheet``): the map K, here A, its adjoint Herm
+K*, the pseudo-inverse N^+ of its normal operator and the rung between
+stacked sheets, 0 on one, from which the projection onto the dual
+constraint, the least-squares element, the search seminorm and ratio and
+the dual bound are written once; ``doubling`` supplies the two-sheet map and
+its rung 1/|Lambda|.  SVDs are left to the dual bound's nuclear norm and the
+final-certificate check ``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -671,48 +672,52 @@ class _Sheet(NamedTuple):
         return upper, leakage
 
 
-def _best_candidate(sheet: _Sheet, candidates) -> tuple[float, np.ndarray | None]:
-    """Largest evaluation ratio over the candidates, with its unit element
-    (``_Sheet.ratio``); the first of equal ratios wins.  Returns (0, None) if
-    every candidate has zero seminorm."""
-    best, best_val = None, 0.0
+class _Solve(NamedTuple):
+    """A solve: the best ratio, its unit element with a nonnegative objective
+    (None if no candidate has a nonzero seminorm) and a proven upper bound."""
+
+    value: float = 0.0
+    element: np.ndarray | None = None
+    upper: float | None = None
+
+
+def _best_candidate(sheet: _Sheet, candidates, best: _Solve = _Solve()) -> _Solve:
+    """The largest ratio over ``best`` and the candidates, with its unit
+    element (``_Sheet.ratio``); of equal ratios the first, ``best`` before all."""
     for x in candidates:
         val, unit = sheet.ratio(x)
-        if val > best_val:
-            best, best_val = unit, val
-    return best_val, best
+        if val > best.value:
+            best = _Solve(val, unit)
+    return best
 
 
-def _prove_or_search(
-    sheet: _Sheet, seeded, duals, cfg: SolverConfig, tol: float, searched=None
-) -> tuple[float, np.ndarray | None, float | None]:
-    """The one prove-or-search core of both sheets' solvers.
+def _prove_or_search(sheet: _Sheet, seeds, duals, cfg: SolverConfig, tol: float) -> _Solve:
+    """The one prove-or-search core of both sheets' solvers: the solve of
+    the best seeded candidate, from ``seeds()``, and the splitting loop.
 
-    Returns (value, element, upper): the best evaluation ratio, its unit
-    element with a nonnegative objective (None if every candidate has zero
-    seminorm), and a proven upper bound on the distance, or None.  No search
-    runs where an explicit dual, as given or else projected, proves the best
-    seeded candidate optimal: leakage at most tol and its bound within tol
-    max(1, value) of the value.  The projection repairs a dual that meets
-    the constraint only approximately, such as a path mean whose path states
-    reach past the crop.  Otherwise the splitting loop's element wins unless
-    a seeded candidate beats it.  A bound below a feasible value is
-    roundoff, so every upper is raised to the value.
-
-    ``searched``, if given, is the result of ``_splitting_loop(sheet, cfg,
-    tol)`` already run by the caller, who passes no duals then; the core
-    takes it in place of running the loop.
+    No search runs where an explicit dual, as given or else projected,
+    proves the best seeded candidate optimal: leakage at most tol and its
+    bound within tol max(1, value) of the value.  The projection repairs a
+    dual that meets the constraint only approximately, such as a path mean
+    whose path states reach past the crop.  With no duals the loop runs
+    before ``seeds`` is called, so a caller may compute the seeds meanwhile.
+    The loop's element wins unless a seeded candidate beats it.  A bound
+    below a feasible value is roundoff, so every upper is raised to the value.
     """
-    best_val, best = _best_candidate(sheet, seeded)
-    for y in duals:
-        for projected in (False, True):
-            upper, leakage = sheet.upper(sheet.project(y) if projected else y)
-            if leakage <= tol and upper - best_val <= tol * max(1.0, best_val):
-                return best_val, best, max(upper, best_val)
-    found_val, found, upper = _splitting_loop(sheet, cfg, tol) if searched is None else searched
-    if found is not None and found_val >= best_val:
-        best_val, best = found_val, found
-    return best_val, best, None if upper is None else max(upper, best_val)
+    if duals:
+        best = _best_candidate(sheet, seeds())
+        for y in duals:
+            for projected in (False, True):
+                upper, leakage = sheet.upper(sheet.project(y) if projected else y)
+                if leakage <= tol and upper - best.value <= tol * max(1.0, best.value):
+                    return _Solve(best.value, best.element, max(upper, best.value))
+    found = _splitting_loop(sheet, cfg, tol)
+    if not duals:
+        best = _best_candidate(sheet, seeds())
+    if found.element is not None and found.value >= best.value:
+        best = found
+    upper = None if found.upper is None else max(found.upper, best.value)
+    return _Solve(best.value, best.element, upper)
 
 
 def _lp_dual(calc: DiracCalculus, drho: np.ndarray) -> np.ndarray | None:
@@ -859,41 +864,41 @@ def _shrink(w: np.ndarray, tau: float) -> np.ndarray:
     return ((w @ v) * (1.0 - tau / s[keep])) @ v.conj().T
 
 
-def _splitting_loop(
-    sheet: _Sheet, cfg: SolverConfig, tol: float
-) -> tuple[float, np.ndarray | None, float | None]:
+def _splitting_step(sheet: _Sheet, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step of ``_splitting_loop`` from (z, u); returns the new (w, z, u)."""
+    w = sheet.project(z - u)
+    v = w + u
+    z = _shrink(v, 1.0 / _PENALTY)
+    return w, z, v - z
+
+
+def _splitting_loop(sheet: _Sheet, cfg: SolverConfig, tol: float) -> _Solve:
     """Scaled ADMM on the dual problem min ||W||_* subject to Herm K* W = b,
     with K the sheet's map and b the corner of its pairing g off the kernel.
 
-    Each of the cfg.iterations steps is the exact projection W = Pi(Z - U),
-    the thresholding Z = shrink(W + U, 1 / rho) at the fixed penalty rho =
-    2, and U += W - Z.  rho U tends to a subgradient of the nuclear norm at
-    Z in the range of K, so x = K^+ U tends to an optimal element, and its
-    ratio |<g, x>| / p(x) is a lower bound at every step.  Every 25
-    iterations and at the last one the loop takes that lower bound and the
-    upper bound of W, keeps the best of each, and stops once upper - lower
-    <= tol max(1, lower).  Returns (value, unit element with a nonnegative
-    objective, upper), (0, None, upper) if every x has zero seminorm, and
-    upper None when the leakage exceeds tol.
+    Each of the cfg.iterations steps (``_splitting_step``) is the exact
+    projection W = Pi(Z - U), the thresholding Z = shrink(W + U, 1 / rho) at
+    the fixed penalty rho = 2, and U += W - Z.  rho U tends to a subgradient
+    of the nuclear norm at Z in the range of K, so x = K^+ U tends to an
+    optimal element, and its ratio |<g, x>| / p(x) is a lower bound at every
+    step.  Every 25 iterations and at the last one the loop takes that lower
+    bound and the upper bound of W, keeps the best of each (``_Solve``), and
+    stops once upper - lower <= tol max(1, lower); upper is None when the
+    leakage exceeds tol.
     """
     z = np.zeros((sheet.size,) * 2, dtype=complex)
     u = np.zeros((sheet.size,) * 2, dtype=complex)
-    best, best_val, upper = None, 0.0, math.inf
+    best, upper = _Solve(), math.inf
     for k in range(1, cfg.iterations + 1):
-        w = sheet.project(z - u)
-        v = w + u
-        z = _shrink(v, 1.0 / _PENALTY)
-        u = v - z
+        w, z, u = _splitting_step(sheet, z, u)
         if k % _CHECK_EVERY and k < cfg.iterations:
             continue
         bound, leakage = sheet.upper(w)
         upper = min(upper, bound)
-        val, unit = sheet.ratio(sheet.least_squares(u))
-        if val > best_val:
-            best, best_val = unit, val
-        if upper - best_val <= tol * max(1.0, best_val):
+        best = _best_candidate(sheet, [sheet.least_squares(u)], best)
+        if upper - best.value <= tol * max(1.0, best.value):
             break
-    return best_val, best, (upper if leakage <= tol else None)
+    return _Solve(best.value, best.element, upper if leakage <= tol else None)
 
 
 def _one_sheet(calc: DiracCalculus, drho: np.ndarray) -> _Sheet:
@@ -972,22 +977,21 @@ def distance_solver(
         duals.append(y)
     if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
-    best_val, best_mat, upper = _prove_or_search(
-        _one_sheet(calc, drho), seeded, duals, cfg, calc.ctx.tol)
-    if best_mat is None:
+    best = _prove_or_search(_one_sheet(calc, drho), lambda: seeded, duals, cfg, calc.ctx.tol)
+    if best.element is None:
         return zero
-    cert = Operator(calc.ctx, _hermitize(best_mat), hermitian=True)
+    cert = Operator(calc.ctx, _hermitize(best.element), hermitian=True)
     if ref is None and lp is not None:
         ref = lp.value
     return DistanceReport(
-        value=best_val,
+        value=best.value,
         method="convex-solver",
         certificate=cert,
         feasibility=lipschitz_seminorm(calc, cert),
-        gap=None if ref is None else abs(best_val - ref),
-        note=_bound_note(upper, f"corner elements, levels 0..{calc.ctx.interior_dim}, "
-                                "modulo the seminorm's kernel (the regularization at infinity)"),
-        upper=upper,
+        gap=None if ref is None else abs(best.value - ref),
+        note=_bound_note(best.upper, f"corner elements, levels 0..{calc.ctx.interior_dim}, modulo "
+                                     "the seminorm's kernel (the regularization at infinity)"),
+        upper=best.upper,
     )
 
 

@@ -13,10 +13,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moyalmetric import cli
 from moyalmetric.acceptance import CriterionResult, settings_from
 from moyalmetric.config import RunConfig
+from moyalmetric.stateexpr import format_state_expr, parse_state_expr
 
 
 def run_cli(*argv: str) -> int:
@@ -76,7 +79,7 @@ class TestWorkedExamples:
         out = capsys.readouterr().out
         assert "skipped closed-form:" in out
         assert "skipped diagonal-lp:" in out
-        payload = read_json(tmp_path / "distance_super-0-2-1-1_eigen-1_all.json")
+        payload = read_json(tmp_path / "distance_super-0-2-1-1--3a2c3a2c_eigen-1_all.json")
         assert len(payload["skipped"]) == 2
         assert [r["method"] for r in payload["reports"]] == ["convex-solver"]
 
@@ -111,6 +114,22 @@ class TestWorkedExamples:
         assert "d_L2       = 2" in out
         assert f"d_L        = {cli.format_value(math.sqrt(2.0))}" in out
         assert "d_L_mod    = 0" in out
+
+    def test_qlength_half_truncation_without_the_level(self, tmp_path, capsys):
+        # Level 6 holds at N=16 but lies past the edge at N=8: the half-N
+        # row is untestable, and the full-N values are written.
+        rc = run_cli(
+            "qlength", "eigen:5", "eigen:6",
+            "--trunc-dim", "16", "--output-dir", str(tmp_path),
+        )
+        assert rc == 0
+        assert "not testable at N=8" in capsys.readouterr().out
+        rows = (tmp_path / "qlength_eigen-5_eigen-6.csv").read_text(encoding="utf-8")
+        assert rows.splitlines()[-3:] == [
+            "pair N=16,,4.45814721659,24,0.288926485109,,",
+            "family closed form,,,24,,0,",
+            "pair N=8 untestable (range),,,,,,",
+        ]
 
     def test_qlength_modified_length_level_pair(self, tmp_path, capsys):
         rc = run_cli(
@@ -421,6 +440,34 @@ class TestOutputContract:
         assert len(names) == 2
         assert all(len(name.encode()) <= 255 for name in names)
         assert all(name.startswith("distance_mix-0.0909090909-eigen-0-") for name in names)
+
+    @pytest.mark.parametrize("pair", [
+        ("coherent:0.5+0.5i", "coherent:0.5-0.5i"),
+        ("translated:eigen:2:1+2i", "translated:eigen:2:1-2i"),
+    ], ids=("coherent", "translated"))
+    def test_distinct_states_get_distinct_files(self, tmp_path, capsys, pair):
+        # The readable tags of the two states agree, so the second takes the
+        # tagged name instead of overwriting the first's file.
+        for state in pair:
+            rc = run_cli("distance", "eigen:0", state, "--method", "solver",
+                         "--trunc-dim", "48", "--solver-iterations", "5",
+                         "--output-dir", str(tmp_path))
+            assert rc == 0
+        capsys.readouterr()
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == 2
+        assert paths[0].name.startswith(f"distance_eigen-0_{cli._slug(pair[0])}")
+        states = sorted(read_json(path)["states"][1] for path in paths)
+        assert states == sorted(format_state_expr(parse_state_expr(s)) for s in pair)
+
+    @given(st.lists(st.text(alphabet="eigncoht:+-.,;*012ij _()", max_size=10),
+                    unique_by=str.strip))
+    def test_slug_is_injective(self, texts):
+        # The old rule wrote every run of other characters as one '-', so
+        # ':' and '+', or '+' and '-', gave one tag.
+        tags = [cli._slug(text) for text in texts]
+        assert len(set(tags)) == len(tags)
+        assert all(len(tag) <= 96 and "_" not in tag for tag in tags)
 
     def test_plot_is_deterministic_svg(self, tmp_path, capsys):
         argv = (

@@ -49,14 +49,23 @@ from moyalmetric.spectral import (
     _objective,
     _one_sheet,
     _path_moments,
+    _prove_or_search,
     _single_route,
+    _Solve,
     _splitting_loop,
     _top_singular_value,
     _translation_amplitude,
     _translation_dual,
     _translation_seed,
 )
-from moyalmetric.doubling import _doubled_seminorm, _two_sheets, make_doubled, reference_lambda
+from moyalmetric.doubling import (
+    _doubled_dual,
+    _doubled_seminorm,
+    _lifted_seed,
+    _two_sheets,
+    make_doubled,
+    reference_lambda,
+)
 from moyalmetric.fock import _displacement_eigh
 
 
@@ -510,6 +519,68 @@ def off_kernel(rng, ops, ctx):
     x[:, m, m] = 0.0
     x[:, np.arange(m), np.arange(m)] -= np.trace(x[:, :m, :m], axis1=1, axis2=2).real.mean() / m
     return x.reshape(ops.g.shape)
+
+
+def translate_on(ctx, sheet):
+    """The sheet of level 1 against its translate by 0.5, its seed (the
+    closed-form element, lifted on two sheets) and its path-mean dual."""
+    calc = DiracCalculus(ctx)
+    base = eigenstate(ctx, 1)
+    moved = displace(base, 0.5)
+    single = _single_route(calc, base, moved, SolverConfig(iterations=30))
+    if sheet == "one-sheet":
+        return (_one_sheet(calc, _hermitize(base.rho - moved.rho)), single.certificate.mat,
+                _translation_dual(calc, base.rho, 0.5))
+    dd = make_doubled(calc, reference_lambda(calc, 0))
+    return (_two_sheets(dd, _hermitize(np.stack([base.rho, -moved.rho]))),
+            _lifted_seed(dd, base.rho - moved.rho, single), _doubled_dual(dd, base.rho, 0.5))
+
+
+@pytest.mark.parametrize("sheet", ["one-sheet", "two-sheet"])
+class TestProveOrSearch:
+    """The core's contract: with duals, the seeds first, then the proof, and
+    the loop only if no dual proves; without, the loop, then the seeds."""
+
+    def test_loop_runs_before_the_seeds(self, ctx16, sheet, loop_calls):
+        ops, seed, _ = translate_on(ctx16, sheet)
+        asked = []
+
+        def seeds():
+            asked.append(len(loop_calls))
+            return [seed]
+
+        solve = _prove_or_search(ops, seeds, [], SolverConfig(iterations=30), ctx16.tol)
+        assert asked == [1] and len(loop_calls) == 1
+        assert solve.value >= ops.ratio(seed)[0]
+
+    def test_proven_dual_runs_no_loop(self, ctx16, sheet, loop_calls):
+        ops, seed, dual = translate_on(ctx16, sheet)
+        asked = []
+
+        def seeds():
+            asked.append(len(loop_calls))
+            return [seed]
+
+        solve = _prove_or_search(ops, seeds, [dual], SolverConfig(iterations=30), ctx16.tol)
+        assert asked == [0] and loop_calls == []
+        assert solve.value == ops.ratio(seed)[0]
+        assert 0 <= solve.upper - solve.value <= ctx16.tol * max(1.0, solve.value)
+
+    def test_loop_wins_ties(self, ctx16, sheet, monkeypatch):
+        # The loop's element is kept at a value equal to the best seed's,
+        # and loses to a seed one ulp above it; the bound is the loop's.
+        from moyalmetric import spectral
+
+        ops, seed, _ = translate_on(ctx16, sheet)
+        value, unit = ops.ratio(seed)
+        for found, wins in ((value, True), (np.nextafter(value, 0.0), False)):
+            element = unit.copy()
+            monkeypatch.setattr(spectral, "_splitting_loop",
+                                lambda *args: _Solve(found, element, 2.0 * value))
+            solve = _prove_or_search(ops, lambda: [seed], [], SolverConfig(), ctx16.tol)
+            assert (solve.element is element) == wins
+            assert solve.value == (found if wins else value)
+            assert solve.upper == 2.0 * value
 
 
 @pytest.mark.parametrize("sheet", ["one-sheet", "two-sheet"])
