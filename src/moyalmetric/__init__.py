@@ -12,17 +12,21 @@ Submodules:
     cli         batch commands with reproducible CSV/JSON output
 
 BLAS threads: importing the package sets OPENBLAS_NUM_THREADS to 1 unless
-the environment already sets it, before numpy is first imported (a numpy
-loaded earlier keeps its own count).  The solvers work on matrices of a
-few dozen rows, where a second BLAS thread costs more than it brings, and
-an opposite-sheet pair runs its one-sheet route on a worker thread beside
-the doubled splitting loop (``doubling``), so one BLAS thread per solver
-thread keeps each on its own core.
+the environment already sets it or numpy is already loaded.  A numpy loaded
+earlier keeps the count it started with, so the variable is left as it is
+rather than claiming a count that never took effect.  The solvers work on
+matrices of a few dozen rows, where a second BLAS thread costs more than it
+brings, and an opposite-sheet pair runs its one-sheet route on a worker
+thread beside the doubled splitting loop (``doubling``), so one BLAS thread
+per solver thread keeps each on its own core.  Where the variable is unset,
+the pair runs its two solves one after the other.
 """
 
 import os
+import sys
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .fock import (
     ContextMismatchError,

@@ -38,16 +38,18 @@ On opposite sheets every fact about a pair is decided once, in
 only format that record.  Equal states and translates by kappa sit at
 hypot(|kappa|, 1/|Lambda|) by translation covariance, and an explicit dual
 of K (``_doubled_dual``: the single-sheet path mean split along the path,
-with the rung spread evenly over it) usually proves the seed optimal, so
-no search runs; elsewhere the splitting loop brackets the pair.  There the
+with the rung spread evenly over it) usually proves the seed optimal, so no
+search runs; elsewhere the splitting loop brackets the pair.  There the
 core runs the loop before it asks for the seed, and the loop reads nothing
-from the single-sheet route, so that route runs on a worker thread beside
-it (``_beside``), and the two finish in the time of the longer one.
+from the single-sheet route, so that route runs beside it on the one worker
+of a ``concurrent.futures`` thread pool; numpy releases the GIL in its
+array and LAPACK calls, so the two finish in the time of the longer one.
 Importing the package pins OpenBLAS to one thread unless the environment
-sets a count, so the two solver threads take one core each instead of
-oversubscribing them; where a count the user set leaves no room for two,
-the route runs when the seed is asked for, after the loop, with the same
-values bit for bit.
+sets a count or numpy is already loaded, so the two solver threads take one
+core each instead of oversubscribing them; where the BLAS count or the CPUs
+the process may use leave no room for two (``_two_solvers_fit``), the route
+runs when the seed is asked for, after the loop, with the same values bit
+for bit.
 
 Single-sheet work (the closed form, LP or solver route) comes from
 ``spectral``; this module only adds what the second sheet brings: the
@@ -57,8 +59,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from typing import NamedTuple, Sequence
@@ -266,25 +266,6 @@ def _two_sheets(dd: DoubledDirac, g: np.ndarray) -> _Sheet:
                   dd.internal_distance)
 
 
-def _hypotenuse_pair(
-    dd: DoubledDirac, unit_mat: np.ndarray, gap: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal mix of a unit element with sheet constants.
-
-    For a base element of seminorm one whose single-sheet evaluation gap
-    is ``gap``, the returned pair has doubled seminorm exactly one and
-    opposite-sheet evaluation gap hypot(gap, 1/|Lambda|).
-    """
-    if gap < 0:
-        unit_mat, gap = -unit_mat, -gap
-    d_i = dd.internal_distance
-    h = math.hypot(gap, d_i)
-    cfac = gap / h
-    shift = -(d_i**2) / h
-    eye = np.eye(dd.ctx.trunc_dim)
-    return cfac * unit_mat, cfac * unit_mat + shift * eye
-
-
 def _doubled_dual(dd: DoubledDirac, rho1: np.ndarray, kappa: complex) -> np.ndarray:
     """The doubled path-mean dual of rho1 on sheet 1 against its translate by
     kappa on sheet 2, in the 2m x 2m block layout of the chiral block.
@@ -334,56 +315,38 @@ class _OppositeSheets(NamedTuple):
 
 def _lifted_seed(dd: DoubledDirac, drho: np.ndarray, single: DistanceReport) -> np.ndarray:
     """The pair solver's one seed: the hypotenuse lift of the single route's
-    certificate, or the zero-rung pair when the route has none."""
+    certificate, or the zero-rung pair when the route has none.
+
+    The lift mixes the base, the certificate at seminorm one, with sheet
+    constants: for a base whose single-sheet evaluation gap is ``gap``, the
+    pair has doubled seminorm exactly one and opposite-sheet evaluation gap
+    hypot(gap, 1/|Lambda|).
+    """
     base, gap = np.zeros(drho.shape), 0.0
     if single.certificate is not None and single.feasibility > _TINY:
         base = single.certificate.mat / single.feasibility
         gap = _objective(_hermitize(drho), base)
-    return np.stack(_hypotenuse_pair(dd, base, gap))
-
-
-@contextmanager
-def _beside(fn, *args):
-    """Run fn(*args) on one worker thread while the block runs, and yield a
-    function that waits for it and returns its result or raises its
-    exception.  The worker is joined on leaving the block too, so no thread
-    outlives the block, and an exception of the block propagates only once
-    fn has returned.  numpy releases the GIL in its array and LAPACK calls,
-    so fn overlaps the block on a second core."""
-    out = []
-
-    def run() -> None:
-        try:
-            out.append((fn(*args), None))
-        except BaseException as exc:  # raised again on the calling thread
-            out.append((None, exc))
-
-    worker = threading.Thread(target=run)
-    worker.start()
-
-    def result():
-        worker.join()
-        value, exc = out[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    try:
-        yield result
-    finally:
-        worker.join()
+    if gap < 0:
+        base, gap = -base, -gap
+    d_i = dd.internal_distance
+    h = math.hypot(gap, d_i)
+    lifted = gap / h * base
+    return np.stack([lifted, lifted - d_i**2 / h * np.eye(dd.ctx.trunc_dim)])
 
 
 def _two_solvers_fit() -> bool:
     """Whether two solver threads, each with the BLAS threads that
-    OPENBLAS_NUM_THREADS sets (1 unless the user set a count; see the
-    package docstring), fit the machine's cores.  Past that, the threads
-    oversubscribe the cores, and one solve after the other is faster."""
+    OPENBLAS_NUM_THREADS sets (1 unless the user set a count or loaded numpy
+    first; see the package docstring), fit the CPUs this process may run on.
+    Past that, the threads oversubscribe the cores, and one solve after the
+    other is faster."""
     try:
         blas = int(os.environ.get("OPENBLAS_NUM_THREADS", ""))
     except ValueError:
         return False
-    return 1 <= blas and 2 * blas <= (os.cpu_count() or 1)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return 1 <= blas and 2 * blas <= cores
 
 
 def _opposite_sheets(
@@ -410,9 +373,16 @@ def _opposite_sheets(
 
     Without kappa the core runs the doubled loop before it asks for the
     seed.  Where two solver threads fit the cores (``_two_solvers_fit``),
-    the single route runs meanwhile on a worker thread (``_beside``), else
+    the single route runs meanwhile on the pool's worker, whose future
+    returns its report or raises its exception on the calling thread, else
     when the seed is asked for; every value is the same, bit for bit.
+    Leaving the pool joins the worker, so no thread outlives the call, and an
+    exception of the loop propagates once the route has returned; no thread
+    starts without a submit.
     """
+    # Imported here, as concurrent.futures loads logging, which `import moyalmetric` skips.
+    from concurrent.futures import ThreadPoolExecutor
+
     drho = s1.rho - s2.rho
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
     sheet, tol = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho]))), dd.ctx.tol
@@ -422,7 +392,8 @@ def _opposite_sheets(
     # the worker, its arrays came from another malloc arena, and the proven
     # pairs that followed it ran about 5% slower.
     overlap = kappa is None and _two_solvers_fit()
-    with _beside(route) if overlap else nullcontext(cache(route)) as single:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        single = pool.submit(route).result if overlap else cache(route)
         solve = _prove_or_search(
             sheet, lambda: [_lifted_seed(dd, drho, single())], duals, cfg, tol)
         # The seed has doubled seminorm one, so the core always returns an element.

@@ -7,8 +7,12 @@ hypotenuse values sqrt(d^2 + 1/|Lambda|^2).
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -723,8 +727,90 @@ def test_two_solvers_fit(monkeypatch, blas, cores, fit):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-    monkeypatch.setattr(doubling.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(doubling.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
     assert doubling._two_solvers_fit() is fit
+
+
+def run_fresh(code, **env):
+    """Run code in a fresh interpreter that imports this package's source,
+    in the environment changed by env, where None unsets a variable."""
+    import moyalmetric
+
+    src = str(Path(moyalmetric.__file__).resolve().parents[1])
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for key, value in env.items():
+        full.pop(key, None)
+        if value is not None:
+            full[key] = value
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=full, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_two_solvers_fit_counts_the_allowed_cpus():
+    run_fresh(
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from moyalmetric import doubling\n"
+        "assert not doubling._two_solvers_fit()\n",
+        OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize(("first", "pinned"), [("numpy", None), ("moyalmetric", "1")])
+def test_blas_pin_only_before_numpy(first, pinned):
+    # A numpy loaded first keeps its start-up BLAS count, so the variable
+    # stays unset and the pair's two solves run one after the other.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    fit = pinned is not None and cpus >= 2
+    run_fresh(
+        f"import os\nimport {first}\nfrom moyalmetric import doubling\n"
+        f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {pinned!r}\n"
+        f"assert doubling._two_solvers_fit() is {fit}\n",
+        OPENBLAS_NUM_THREADS=None)
+
+
+def test_package_import_loads_no_pool_logging_or_scipy():
+    run_fresh(
+        "import sys\nimport moyalmetric\n"
+        "late = sorted(m for m in sys.modules\n"
+        "              if m.split('.')[0] in ('concurrent', 'logging', 'scipy'))\n"
+        "assert not late, late\n")
+
+
+def thread_calls(monkeypatch, module, name):
+    """Record the calling thread and the arguments of each call of
+    ``module.<name>``."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        calls.append((threading.current_thread(), args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "serial"])
+def test_solver_threads(dd32, ctx32, monkeypatch, overlap):
+    # The doubled loop runs on the calling thread either way; the single
+    # route runs on one other thread under overlap, and every thread it
+    # started is gone when the call returns.
+    from moyalmetric import doubling, spectral
+
+    monkeypatch.setattr(doubling, "_two_solvers_fit", lambda: overlap)
+    loops = thread_calls(monkeypatch, spectral, "_splitting_loop")
+    routes = thread_calls(monkeypatch, doubling, "_single_route")
+    here, before = threading.current_thread(), threading.active_count()
+    pythagoras_check(dd32, *same_sheet_pair(ctx32, "convex-solver"), LIGHT)
+    assert threading.active_count() == before
+    assert [thread for thread, args in loops if args[0].g.ndim == 3] == [here]
+    (route_thread, _), = routes
+    assert (route_thread is not here) is overlap
+    assert [thread for thread, args in loops if args[0].g.ndim == 2] == [route_thread]
 
 
 def test_no_room_for_two_solvers_runs_serially(dd32, ctx32, monkeypatch):
@@ -737,7 +823,7 @@ def test_no_room_for_two_solvers_runs_serially(dd32, ctx32, monkeypatch):
         raise AssertionError("no worker thread may start")
 
     monkeypatch.setattr(doubling, "_two_solvers_fit", lambda: False)
-    monkeypatch.setattr(doubling, "_beside", no_worker)
+    monkeypatch.setattr(threading.Thread, "start", no_worker)
     got = _opposite_sheets(dd32, s1, s2, LIGHT)
     assert (got.solve.value, got.feasibility, got.solve.upper) == (
         want.solve.value, want.feasibility, want.solve.upper)
