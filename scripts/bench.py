@@ -72,7 +72,9 @@ def machine_info() -> dict:
     except importlib.metadata.PackageNotFoundError:
         scipy_version = None
     return {
-        "nproc": os.cpu_count(),
+        # The CPUs this process may run on, as in doubling._two_solvers_fit.
+        "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count()),
         "machine": platform.machine(),
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),

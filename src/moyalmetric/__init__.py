@@ -42,8 +42,6 @@ from .fock import (
     eigenstate,
     evaluate,
     hamiltonian,
-    identity,
-    leakage,
     make_context,
     mixed_state,
     quadratures,

@@ -175,14 +175,10 @@ def check_header(path: str, cfg: RunConfig) -> None:
 
 def _quantize(obj):
     """Recursively fix JSON floats to the 12-significant-digit policy."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return None
         return float(format_value(obj))
-    if isinstance(obj, complex):
-        return {"re": _quantize(obj.real), "im": _quantize(obj.imag)}
     if isinstance(obj, dict):
         return {k: _quantize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -83,15 +83,13 @@ def format_value(value: object) -> str:
     """Fixed formatting for echoed/reported values: floats at 12 significant
     digits, everything else via str.  Shared by headers, CSV and JSON so a
     rerun with identical settings reproduces output files byte for byte."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
 _FIELD_TYPES: dict[str, type] = {
-    f.name: f.type if isinstance(f.type, type) else {"int": int, "float": float, "str": str}[f.type]
+    f.name: {"int": int, "float": float, "str": str}[f.type]
     for f in dataclasses.fields(RunConfig)
 }
 

@@ -310,7 +310,6 @@ class _OppositeSheets(NamedTuple):
     single: DistanceReport
     kappa: complex | None
     solve: _Solve
-    feasibility: float
 
 
 def _lifted_seed(dd: DoubledDirac, drho: np.ndarray, single: DistanceReport) -> np.ndarray:
@@ -368,8 +367,7 @@ def _opposite_sheets(
     is known, the doubled path-mean dual (``_doubled_dual``) may prove the
     seed optimal and no search runs; elsewhere the splitting loop runs.
     ``solve.upper`` is the proven bound, over corner pairs modulo the joint
-    kernel of K, or None where the leakage exceeds ctx.tol; ``feasibility``
-    is the full SVD of ``_doubled_seminorm``.
+    kernel of K, or None where the leakage exceeds ctx.tol.
 
     Without kappa the core runs the doubled loop before it asks for the
     seed.  Where two solver threads fit the cores (``_two_solvers_fit``),
@@ -396,8 +394,7 @@ def _opposite_sheets(
         single = pool.submit(route).result if overlap else cache(route)
         solve = _prove_or_search(
             sheet, lambda: [_lifted_seed(dd, drho, single())], duals, cfg, tol)
-        # The seed has doubled seminorm one, so the core always returns an element.
-        return _OppositeSheets(single(), kappa, solve, _doubled_seminorm(dd, *solve.element))
+        return _OppositeSheets(single(), kappa, solve)
 
 
 def doubled_distance(
@@ -417,12 +414,13 @@ def doubled_distance(
     state and its translate by kappa, equal states included at kappa = 0,
     are the closed form hypot(|kappa|, 1/|Lambda|), by translation
     covariance; the pair solver's value cross-checks it, and its excess is
-    an arithmetic failure.  Every other pair reports the larger of the
-    pair solver's certified lower bound and the quadrature ansatz over the
-    single-sheet value.  ``upper`` carries the pair solver's proven bound,
-    from the doubled path-mean dual or the splitting loop, raised to the
-    reported value, wherever the leakage is at most ctx.tol, and ``note``
-    names the corner definition it holds for.
+    an arithmetic failure.  Every other pair reports the pair solver's
+    certified lower bound, and ``gap`` its distance to the quadrature ansatz
+    over the single-sheet value.  ``feasibility`` is the full SVD of the
+    pair solver's element (``_doubled_seminorm``).  ``upper`` carries the
+    pair solver's proven bound, from the doubled path-mean dual or the
+    splitting loop, raised to the reported value, wherever the leakage is at
+    most ctx.tol, and ``note`` names the corner definition it holds for.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -438,7 +436,7 @@ def doubled_distance(
         return replace(route, note=note)
 
     d_i = dd.internal_distance
-    single, kappa, solve, feasibility = _opposite_sheets(dd, sa, sb, cfg)
+    single, kappa, solve = _opposite_sheets(dd, sa, sb, cfg)
     if kappa is not None:
         value = math.hypot(abs(kappa), d_i)
         if solve.value > value + 1e-6:
@@ -455,19 +453,19 @@ def doubled_distance(
         note += f"; pair-solver cross-check at {solve.value:.9g}"
     else:
         ansatz = math.hypot(single.value, d_i)
-        value = max(solve.value, ansatz)
-        method, gap = "convex-solver", abs(value - ansatz)
+        value, method, gap = solve.value, "convex-solver", abs(solve.value - ansatz)
         domain = f"corner pairs, levels 0..{dd.ctx.interior_dim}, modulo the joint kernel"
         note = (
             f"opposite sheets, cross family: {_bound_note(solve.upper, domain)}; the "
             "quadrature ansatz over the single-sheet estimate "
             f"{single.value:.9g} gives {ansatz:.9g}"
         )
+    # The seed has doubled seminorm one, so the core always returns an element.
     return DistanceReport(
         value=value,
         method=method,
         certificate=None,
-        feasibility=feasibility,
+        feasibility=_doubled_seminorm(dd, *solve.element),
         gap=gap,
         note=note,
         upper=None if solve.upper is None else max(solve.upper, value),

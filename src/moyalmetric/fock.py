@@ -9,8 +9,8 @@ a|n> = lambda_p*sqrt(n)|n-1> with lambda_p = sqrt(theta), which gives
 Truncation corrupts the top rows/columns of commutators, so every context
 has an ``edge_guard`` of max(2, trunc_dim // 8): the number of top levels
 excluded from interior accuracy statements.  States are required to keep their weight on the
-guarded levels below ``leakage_bound``; the ``leakage`` functional makes
-that error auditable.
+guarded levels below ``leakage_bound``; ``QState.leakage`` makes that
+error auditable.
 """
 from __future__ import annotations
 
@@ -35,8 +35,6 @@ __all__ = [
     "eigenstate",
     "evaluate",
     "hamiltonian",
-    "identity",
-    "leakage",
     "make_context",
     "mixed_state",
     "quadratures",
@@ -75,6 +73,7 @@ class FockContext:
     def __post_init__(self) -> None:
         if int(self.trunc_dim) != self.trunc_dim or self.trunc_dim < 8:
             raise ValueError(f"trunc_dim must be an integer >= 8, got {self.trunc_dim}")
+        object.__setattr__(self, "trunc_dim", int(self.trunc_dim))
         if not (self.theta > 0 and math.isfinite(self.theta)):
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -161,10 +160,6 @@ def annihilation(ctx: FockContext) -> Operator:
 
 def creation(ctx: FockContext) -> Operator:
     return annihilation(ctx).adjoint()
-
-
-def identity(ctx: FockContext) -> Operator:
-    return Operator(ctx, np.eye(ctx.trunc_dim), hermitian=True)
 
 
 def vacuum_projector(ctx: FockContext) -> Operator:
@@ -446,6 +441,8 @@ def displace(state: QState, kappa: complex) -> QState:
 def superposition_state(ctx: FockContext, indices: list[int], coeffs: list[complex]) -> QState:
     """Normalized superposition sum_i c_i |index_i>, distinct safe indices."""
     idx = [int(i) for i in indices]
+    if idx != list(indices):
+        raise ValueError(f"superposition levels must be integers, got {list(indices)}")
     if len(idx) != len(set(idx)):
         raise ValueError(f"superposition indices must be distinct, got {idx}")
     if len(idx) != len(coeffs) or not idx:
@@ -489,10 +486,6 @@ def evaluate(state: QState, op: Operator) -> complex:
     if state.vector is not None:
         return complex(state.vector.conj() @ (op.mat @ state.vector))
     return complex(np.trace(state.rho @ op.mat))
-
-
-def leakage(state: QState) -> float:
-    return state.leakage()
 
 
 def uncertainty_product(state: QState) -> float:

@@ -131,25 +131,9 @@ class DiracCalculus:
         mat_ad[:, :-1] = mat[:, 1:] * ell  # column k of mat a* is mat[:, k+1] l_{k+1}
         return -(ad_mat - mat_ad) / self.ctx.theta
 
-    def _dzbar(self, mat: np.ndarray) -> np.ndarray:
-        ell = self._ladder
-        a_mat = np.zeros(mat.shape, dtype=complex)
-        a_mat[:-1] = ell[:, None] * mat[1:]  # row k of a mat is l_{k+1} mat[k+1]
-        mat_a = np.zeros(mat.shape, dtype=complex)
-        mat_a[:, 1:] = mat[:, :-1] * ell  # column k of mat a is mat[:, k-1] l_k
-        return (a_mat - mat_a) / self.ctx.theta
-
     def _crop(self, mat: np.ndarray) -> np.ndarray:
         m = self.ctx.interior_dim
         return mat[:m, :m]
-
-    def _pad(self, block: np.ndarray) -> np.ndarray:
-        # Adjoint of the crop under the Frobenius pairing; the adjoints of
-        # dz and dzbar are -dzbar and -dz.
-        m = self.ctx.interior_dim
-        out = np.zeros((self.ctx.trunc_dim,) * 2, dtype=complex)
-        out[:m, :m] = block
-        return out
 
     def _corner_map(self, x: np.ndarray) -> np.ndarray:
         """A x = sqrt(2) crop(dz x), the m x m image of an element x read
@@ -313,7 +297,8 @@ class DiracCalculus:
 
     def dzbar(self, f: Operator) -> Operator:
         _require_same_ctx(self.ctx, f.ctx)
-        return Operator(self.ctx, self._dzbar(f.mat))
+        # dzbar(F) = dz(F*)*, entry for entry: the adjoint swaps the two products.
+        return Operator(self.ctx, self._dz(f.mat.conj().T).conj().T)
 
 
 @dataclass(frozen=True)
@@ -357,8 +342,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
+        if int(self.iterations) != self.iterations or self.iterations < 1:
+            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
+        object.__setattr__(self, "iterations", int(self.iterations))
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:

@@ -34,12 +34,12 @@ def ctx64():
 
 
 def _count_calls(monkeypatch, name):
-    """Record each call of ``spectral.<name>``, wherever a module of the
-    package imported it."""
+    """Record each call of ``spectral.<name>``, or else ``doubling.<name>``,
+    wherever a module of the package imported it."""
     from moyalmetric import doubling, spectral
 
     calls = []
-    real = getattr(spectral, name)
+    real = getattr(spectral, name, None) or getattr(doubling, name)
 
     def counted(*args):
         calls.append(args)
@@ -66,3 +66,10 @@ def ladder_defect_calls(monkeypatch):
     """Record each call of ``spectral._ladder_defect``: one per ladder element
     built and checked."""
     return _count_calls(monkeypatch, "_ladder_defect")
+
+
+@pytest.fixture
+def doubled_seminorm_calls(monkeypatch):
+    """Record each call of ``doubling._doubled_seminorm``, the full SVD of the
+    chiral block: one per opposite-sheet report that carries it."""
+    return _count_calls(monkeypatch, "_doubled_seminorm")

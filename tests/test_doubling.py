@@ -77,12 +77,16 @@ def _doubled_commutator(dd: DoubledDirac, a1: np.ndarray, a2: np.ndarray) -> np.
     mc = dd.ctx.interior_dim
     root2 = math.sqrt(2.0)
     lam = dd.Lambda
+
+    def dzbar(x):  # [a, x] / theta by dense products with the ladder matrix
+        return (calc._a @ x - x @ calc._a) / dd.ctx.theta
+
     delta = calc._crop(a2 - a1)
     out = np.zeros((4 * mc, 4 * mc), dtype=complex)
     b = [slice(0, mc), slice(mc, 2 * mc), slice(2 * mc, 3 * mc), slice(3 * mc, 4 * mc)]
-    out[b[0], b[1]] = -1j * root2 * calc._crop(calc._dzbar(a1))
+    out[b[0], b[1]] = -1j * root2 * calc._crop(dzbar(a1))
     out[b[1], b[0]] = -1j * root2 * calc._crop(calc._dz(a1))
-    out[b[2], b[3]] = -1j * root2 * calc._crop(calc._dzbar(a2))
+    out[b[2], b[3]] = -1j * root2 * calc._crop(dzbar(a2))
     out[b[3], b[2]] = -1j * root2 * calc._crop(calc._dz(a2))
     out[b[0], b[2]] = np.conj(lam) * delta
     out[b[1], b[3]] = -np.conj(lam) * delta
@@ -673,7 +677,7 @@ class TestBrackets:
         lo2, up2 = pair.solve.value, pair.solve.upper
         tol = ctx16.tol * max(1.0, lo2)
         assert lo2 >= math.hypot(lo1, d_i) - tol  # never below the seed's lift
-        assert pair.feasibility <= 1 + 1e-8
+        assert _doubled_seminorm(dd, *pair.solve.element) <= 1 + 1e-8
         if up2 is not None:
             assert lo2 <= up2 + tol
             assert up2 >= math.hypot(lo1, d_i) - tol
@@ -695,7 +699,7 @@ class TestBrackets:
         assert pair.solve.value - math.hypot(pair.single.value, d_i) > ctx16.tol
         assert pair.solve.value - math.hypot(pair.single.upper, d_i) > 5e-3
         assert pair.solve.value <= pair.solve.upper
-        assert pair.feasibility <= 1 + 1e-8
+        assert _doubled_seminorm(dd, *pair.solve.element) <= 1 + 1e-8
 
 
 def general_pair(ctx, route, rng):
@@ -825,8 +829,21 @@ def test_no_room_for_two_solvers_runs_serially(dd32, ctx32, monkeypatch):
     monkeypatch.setattr(doubling, "_two_solvers_fit", lambda: False)
     monkeypatch.setattr(threading.Thread, "start", no_worker)
     got = _opposite_sheets(dd32, s1, s2, LIGHT)
-    assert (got.solve.value, got.feasibility, got.solve.upper) == (
-        want.solve.value, want.feasibility, want.solve.upper)
+    assert (got.solve.value, got.solve.element.tobytes(), got.solve.upper) == (
+        want.solve.value, want.solve.element.tobytes(), want.solve.upper)
+
+
+def test_full_svd_runs_only_for_a_reported_feasibility(dd32, ctx32, doubled_seminorm_calls):
+    # pythagoras_check reads no feasibility, so it runs no full SVD of the
+    # chiral block; an opposite-sheet doubled_distance runs exactly one, on
+    # a general pair and on a translate alike.
+    ground = eigenstate(ctx32, 0)
+    for s1, s2 in (same_sheet_pair(ctx32, "convex-solver"), (ground, displace(ground, 0.5))):
+        pythagoras_check(dd32, s1, s2, LIGHT)
+        assert doubled_seminorm_calls == []
+        doubled_distance(dd32, SheetState(s1, 1), SheetState(s2, 2), LIGHT)
+        assert len(doubled_seminorm_calls) == 1
+        doubled_seminorm_calls.clear()
 
 
 class TestOverlap:
@@ -864,8 +881,8 @@ class TestOverlap:
         assert (pair.single.value, pair.single.gap, pair.single.upper, pair.single.note) == (
             single.value, single.gap, single.upper, single.note)
         assert pair.single.certificate.mat.tobytes() == single.certificate.mat.tobytes()
-        assert (pair.solve.value, pair.feasibility, pair.solve.upper) == (
-            value, feasibility, upper)
+        assert (pair.solve.value, _doubled_seminorm(dd, *pair.solve.element),
+                pair.solve.upper) == (value, feasibility, upper)
         # A translated pair may leak too (levels 2 and 3 shifted by 0.47 at
         # N=16 drop 2.6e-9): upper is None exactly where the leakage, which
         # is the pairing's and no dual's, exceeds tol.

@@ -20,7 +20,6 @@ from moyalmetric import (
     eigenstate,
     evaluate,
     hamiltonian,
-    identity,
     make_context,
     mixed_state,
     quadratures,
@@ -42,6 +41,14 @@ class TestContext:
 
     def test_edge_guard_lower_clamp(self):
         assert make_context(8, 1.0, 1e-10).edge_guard == 2
+
+    def test_integral_float_dimension_is_an_int(self):
+        # A dimension of 16.0 is the integer 16: its states build as at 16.
+        ctx = make_context(16.0, 1.0)
+        assert type(ctx.trunc_dim) is int and ctx == make_context(16, 1.0)
+        assert eigenstate(ctx, 0).rho.shape == (16, 16)
+        with pytest.raises(ValueError, match="16.5"):
+            make_context(16.5, 1.0)
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -328,6 +335,11 @@ class TestSuperposition:
         assert s.rho[0, 0].real == pytest.approx(1 / 3)
         assert s.rho[2, 4].real == pytest.approx(1 / 3)
 
+    def test_non_integral_level_rejected(self, ctx16):
+        # Level 1.5 names no number state; it must not round down to 1.
+        with pytest.raises(ValueError, match="1.5"):
+            superposition_state(ctx16, [0, 1.5], [1, 1])
+
     def test_repeated_index_rejected(self, ctx16):
         with pytest.raises(ValueError):
             superposition_state(ctx16, [1, 1], [1, 1])
@@ -339,8 +351,9 @@ class TestSuperposition:
 
 class TestEvaluate:
     def test_identity_normalization(self, ctx16):
+        one = Operator(ctx16, np.eye(16), hermitian=True)
         for s in [eigenstate(ctx16, 1), superposition_state(ctx16, [0, 3], [1, 1j])]:
-            assert evaluate(s, identity(ctx16)) == pytest.approx(1.0)
+            assert evaluate(s, one) == pytest.approx(1.0)
 
     def test_energy_level_four(self, ctx16):
         assert evaluate(eigenstate(ctx16, 4), hamiltonian(ctx16)).real == pytest.approx(4.5)

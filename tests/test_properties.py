@@ -21,7 +21,6 @@ from moyalmetric import (
     distance_diagonal_lp,
     DiracCalculus,
     eigenstate,
-    leakage,
     mixed_state,
     superposition_state,
     uncertainty_product,
@@ -93,10 +92,10 @@ class TestStateInvariants:
         # state is a Poisson tail, strictly increasing in the mean.
         ctx = FockContext(16, 1.0, leakage_bound=1e-2)
         phase = complex(math.cos(p := data.draw(st.floats(0, 2 * math.pi))), math.sin(p))
-        tails = [leakage(displace(eigenstate(ctx, 0), r * phase)) for r in (1.0, 1.5, 2.0)]
+        tails = [displace(eigenstate(ctx, 0), r * phase).leakage() for r in (1.0, 1.5, 2.0)]
         assert tails[0] < tails[1] < tails[2]
         assert tails[0] == pytest.approx(
-            leakage(displace(eigenstate(ctx, 0), 1.0)), rel=1e-9
+            displace(eigenstate(ctx, 0), 1.0).leakage(), rel=1e-9
         )
 
 

@@ -23,7 +23,6 @@ from moyalmetric import (
     displacement_operator,
     eigenstate,
     evaluate,
-    identity,
     make_context,
     mixed_state,
     quadratures,
@@ -114,7 +113,8 @@ class TestDiracCalculus:
 class TestSeminorm:
     def test_identity_has_zero_seminorm(self, ctx32):
         calc = DiracCalculus(ctx32)
-        assert lipschitz_seminorm(calc, identity(ctx32)) == pytest.approx(0.0, abs=1e-14)
+        one = Operator(ctx32, np.eye(32), hermitian=True)
+        assert lipschitz_seminorm(calc, one) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("xi", [0.0, 0.7, math.pi / 3, -2.1])
     def test_translation_element_is_unit(self, ctx64, xi):
@@ -303,6 +303,11 @@ QUICK_SOLVER = SolverConfig(iterations=300)
 
 
 class TestSolver:
+    def test_non_integral_iterations_rejected(self):
+        # The loop counts its iterations in range(), which takes no 2.5.
+        with pytest.raises(ValueError, match="2.5"):
+            SolverConfig(iterations=2.5)
+
     def test_adjacent_eigenstates_lower_bound(self, ctx48):
         calc = DiracCalculus(ctx48)
         rep = distance_solver(calc, eigenstate(ctx48, 0), eigenstate(ctx48, 1), QUICK_SOLVER)
@@ -701,6 +706,15 @@ def dense_dzbar(calc, mat):
     return (a @ mat - mat @ a) / calc.ctx.theta
 
 
+def pad(calc, block):
+    """The N x N matrix that holds block on the corner, levels 0..m-1, and
+    zeros elsewhere: the adjoint of the crop under the Frobenius pairing."""
+    m = calc.ctx.interior_dim
+    out = np.zeros((calc.ctx.trunc_dim,) * 2, dtype=complex)
+    out[:m, :m] = block
+    return out
+
+
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 class TestDerivativeOracle:
@@ -711,7 +725,8 @@ class TestDerivativeOracle:
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for mat in (raw, random_hermitian(rng, n), raw.real.copy()):
             assert np.array_equal(calc._dz(mat), dense_dz(calc, mat))
-            assert np.array_equal(calc._dzbar(mat), dense_dzbar(calc, mat))
+            got = calc.dzbar(Operator(calc.ctx, mat)).mat
+            assert np.array_equal(got, dense_dzbar(calc, mat))
 
 
 def number_mixture(ctx, rng):
@@ -740,7 +755,7 @@ class TestExactLPSkip:
         y = np.zeros((m, m))
         y[k, k - 1] = theta * tails[k] / (math.sqrt(2.0) * ell)
         assert np.array_equal(_lp_dual(calc, drho), y)
-        img = -math.sqrt(2.0) * calc._dzbar(calc._pad(y))
+        img = -math.sqrt(2.0) * dense_dzbar(calc, pad(calc, y))
         assert np.abs(0.5 * (img + img.conj().T) - drho).max() <= 1e-14
         lp = distance_diagonal_lp(calc, s1, s2).value
         nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
@@ -857,7 +872,7 @@ class TestCorner:
         for k in range(2):
             want = math.sqrt(2.0) * calc._crop(calc._dz(x[k]))
             assert np.abs(got_x[k] - want).max() <= 1e-15 * np.abs(want).max()
-            want = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y[k])))
+            want = _hermitize(-math.sqrt(2.0) * dense_dzbar(calc, pad(calc, y[k])))
             assert np.abs(got_y[k] - want).max() <= 1e-15 * np.abs(want).max()
         if theta == 1.0:
             assert np.array_equal(got_x[0], math.sqrt(2.0) * calc._crop(calc._dz(x[0])))
@@ -1089,7 +1104,7 @@ class TestTranslationDual:
         u = displacement_operator(ctx, kappa).mat
         rho2 = u @ rho1 @ u.conj().T
         if max(np.linalg.norm(r[:, m:]) for r in (rho1, rho2)) < 1e-14:
-            img = _hermitize(-math.sqrt(2.0) * calc._dzbar(calc._pad(y)))
+            img = _hermitize(-math.sqrt(2.0) * dense_dzbar(calc, pad(calc, y)))
             assert np.abs(rho1 - rho2 - img).max() <= 1e-13
 
     @pytest.mark.parametrize("theta", THETAS)
