@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -29,6 +30,8 @@ import os
 import re
 import sys
 import zlib
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +87,20 @@ _PLAIN, _REAL, _IMAG = (re.compile(r"[A-Za-z0-9.]+"), re.compile(r"[0-9.]+"),
 _RANGE_MAX = 10_000  # most points of an 'a..b' shift range
 
 _FEAS_SLACK = 1e-8
-_REPORT_COLUMNS = ("label", "d_D", "d_L", "d_L2", "d_L_mod", "rel_gap", "feasibility")
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+
+
+class _Row(NamedTuple):
+    """One CSV row; the fields are the columns of docs/formats.md, in order,
+    and a command names only the cells it fills."""
+
+    label: str
+    d_D: float | None = None
+    d_L: float | None = None
+    d_L2: float | None = None
+    d_L_mod: float | None = None
+    rel_gap: float | None = None
+    feasibility: float | None = None
 
 
 class _UsageError(Exception):
@@ -132,31 +147,29 @@ def _slug(text: str) -> str:
 
 def _cell(value) -> str:
     """CSV cell: blanks for missing values, fixed float format otherwise."""
-    if value is None:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if isinstance(value, (int, float)):
-        return format_value(float(value) if isinstance(value, float) else value)
-    return str(value)
+    return format_value(value)
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
+def _write(cfg: RunConfig, name: str, text: str) -> str:
+    """Write one output file, UTF-8 with the line endings of ``text``, and
+    announce it."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
-
-
-def _write_csv(cfg: RunConfig, name: str, rows) -> str:
-    path = _out_path(cfg, name)
+    path = os.path.join(cfg.output_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in cfg.header_lines():
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(text)
     print(f"wrote {path}")
     return path
+
+
+def _write_csv(cfg: RunConfig, name: str, rows: list[_Row]) -> str:
+    """The header echo, the column row ``_Row._fields``, then one line per row."""
+    text = io.StringIO()
+    text.writelines(f"{line}\n" for line in cfg.header_lines())
+    csv.writer(text, lineterminator="\n").writerows(
+        [_Row._fields, *([_cell(v) for v in row] for row in rows)])
+    return _write(cfg, name, text.getvalue())
 
 
 def check_header(path: str, cfg: RunConfig) -> None:
@@ -187,14 +200,8 @@ def _quantize(obj):
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> str:
-    path = _out_path(cfg, name)
-    body = {"config": cfg.as_dict()}
-    body.update(payload)
-    text = json.dumps(_quantize(body), indent=2, ensure_ascii=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
-    print(f"wrote {path}")
-    return path
+    body = {"config": cfg.as_dict(), **payload}
+    return _write(cfg, name, json.dumps(_quantize(body), indent=2, ensure_ascii=False) + "\n")
 
 
 def _svg_plot(cfg: RunConfig, name: str, title: str, xlabel: str, ylabel: str, series) -> str:
@@ -289,11 +296,7 @@ def _svg_plot(cfg: RunConfig, name: str, title: str, xlabel: str, ylabel: str, s
         f"{ylabel}</text>"
     )
     out.append("</svg>")
-    path = _out_path(cfg, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(out) + "\n")
-    print(f"wrote {path}")
-    return path
+    return _write(cfg, name, "\n".join(out) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +319,25 @@ def _parse_kappa_list(text: str) -> list[complex]:
         steps = int(math.floor(hi - lo + 1e-9))
         if steps >= _RANGE_MAX:
             raise _UsageError(f"range {text!r} has more than {_RANGE_MAX} points")
-        return [complex(lo + i) for i in range(steps + 1)]
-    values = [_parse_complex(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise _UsageError(f"empty shift list {text!r}")
+        values = [complex(lo + i) for i in range(steps + 1)]
+    else:
+        values = [_parse_complex(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise _UsageError(f"empty shift list {text!r}")
+    _distinct([_label_complex(k) for k in values], "shifts")
     return values
 
 
+def _distinct(labels: list[str], what: str) -> None:
+    """Reject inputs that would print alike in the labels of one file."""
+    label, count = Counter(labels).most_common(1)[0]
+    if count > 1:
+        raise _UsageError(f"two {what} print alike as {label!r} at 12 significant digits")
+
+
 def _label_complex(z: complex) -> str:
-    if z.imag == 0:
-        return f"{z.real:g}"
-    return f"{z.real:g}{z.imag:+g}i"
+    """A shift as labels print it, at the 12 digits of every number cell."""
+    return format_value(z.real) + ("" if z.imag == 0 else f"{z.imag:+.12g}i")
 
 
 def _fmt(x: float) -> str:
@@ -350,21 +361,11 @@ def _report_stdout(rep: DistanceReport) -> str:
 
 
 def _report_payload(rep: DistanceReport, with_certificate: bool) -> dict:
-    payload = {
-        "method": rep.method,
-        "value": rep.value,
-        "feasibility": rep.feasibility,
-        "gap": rep.gap,
-        "upper": rep.upper,
-        "note": rep.note,
-        "increments": list(rep.increments) if rep.increments is not None else None,
-    }
+    payload = {key: getattr(rep, key) for key in
+               ("method", "value", "feasibility", "gap", "upper", "note", "increments")}
     if with_certificate and rep.certificate is not None:
         mat = rep.certificate.mat
-        payload["certificate"] = {
-            "real": mat.real.tolist(),
-            "imag": mat.imag.tolist(),
-        }
+        payload["certificate"] = {"real": mat.real.tolist(), "imag": mat.imag.tolist()}
     return payload
 
 
@@ -408,11 +409,10 @@ def cmd_distance(cfg: RunConfig, args) -> None:
         print(f"skipped {line}")
 
     route_gaps: dict[str, float] = {}
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            key = f"{reports[i].method} vs {reports[j].method}"
-            route_gaps[key] = abs(reports[i].value - reports[j].value)
-            print(f"route gap {key} = {_fmt(route_gaps[key])}")
+    for a, b in itertools.combinations(reports, 2):
+        key = f"{a.method} vs {b.method}"
+        route_gaps[key] = abs(a.value - b.value)
+        print(f"route gap {key} = {_fmt(route_gaps[key])}")
 
     anomaly = any(
         math.isfinite(rep.feasibility) and rep.feasibility > 1.0 + _FEAS_SLACK
@@ -452,9 +452,7 @@ def cmd_qlength(cfg: RunConfig, args) -> None:
     print(f"sqrt(d_L2) = {_fmt(math.sqrt(max(sq, 0.0)))}")
     print(f"d_L_mod    = {_fmt(mod)}")
 
-    rows: list[tuple] = [
-        (f"pair N={ctx.trunc_dim}", None, lin, sq, mod, None, None)
-    ]
+    rows = [_Row(f"pair N={ctx.trunc_dim}", d_L=lin, d_L2=sq, d_L_mod=mod)]
 
     anomaly = False
     f1, f2 = s1.family, s2.family
@@ -462,7 +460,7 @@ def cmd_qlength(cfg: RunConfig, args) -> None:
         closed_sq = _family_square_length(ctx.theta, f1[0], f2[0], abs(f1[1] - f2[1]))
         resid = abs(closed_sq - sq) / max(1.0, abs(closed_sq))
         print(f"family closed form d_L2 = {_fmt(closed_sq)} (relative residual {_fmt(resid)})")
-        rows.append(("family closed form", None, None, closed_sq, None, resid, None))
+        rows.append(_Row("family closed form", d_L2=closed_sq, rel_gap=resid))
         if resid > 1e-6:
             anomaly = True
 
@@ -475,7 +473,7 @@ def cmd_qlength(cfg: RunConfig, args) -> None:
         except ValueError as exc:  # both states build at N: N/2 leaks or lacks a level
             why = "leakage" if isinstance(exc, LeakageError) else "range"
             print(f"convergence in N: not testable at N={half} ({exc})")
-            rows.append((f"pair N={half} untestable ({why})", None, None, None, None, None, None))
+            rows.append(_Row(f"pair N={half} untestable ({why})"))
         else:
             hsq = d_L2(h1, h2)
             hlin = d_L(h1, h2)
@@ -486,7 +484,7 @@ def cmd_qlength(cfg: RunConfig, args) -> None:
                 abs(mod - hmod) / max(1.0, abs(mod)),
             )
             converged = drift <= 1e-6
-            rows.append((f"pair N={half}", None, hlin, hsq, hmod, drift, None))
+            rows.append(_Row(f"pair N={half}", d_L=hlin, d_L2=hsq, d_L_mod=hmod, rel_gap=drift))
             print(
                 f"convergence in N: N={ctx.trunc_dim} vs N={half}, max relative "
                 f"drift {_fmt(drift)} -> {'converged' if converged else 'NOT converged'}"
@@ -520,15 +518,7 @@ def cmd_suite(cfg: RunConfig, args) -> None:
 
     results = acceptance.run_all(cfg, quick=args.quick, progress=progress)
     rows = [
-        (
-            f"criterion {r.index}: {r.name}",
-            None,
-            None,
-            None,
-            None,
-            r.worst,
-            1.0 if r.passed else 0.0,
-        )
+        _Row(f"criterion {r.index}: {r.name}", rel_gap=r.worst, feasibility=float(r.passed))
         for r in results
     ]
     npass = sum(1 for r in results if r.passed)
@@ -548,7 +538,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
     ctx = cfg.context()
-    rows: list[tuple] = []
+    rows: list[_Row] = []
     spectra: dict[int, np.ndarray] = {}
     dims = [ctx.trunc_dim]
     if ctx.trunc_dim // 2 >= 8:
@@ -559,10 +549,9 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     for dim in dims:
         ref = spectra[dims[0]]
         for k, w in enumerate(spectra[dim]):
-            rel = None
-            if dim != dims[0] and k < len(ref):
-                rel = abs(float(w) - float(ref[k])) / max(1.0, abs(float(ref[k])))
-            rows.append((f"L2 eigenvalue k={k} N={dim}", None, None, float(w), None, rel, None))
+            rel = (abs(float(w) - float(ref[k])) / max(1.0, abs(float(ref[k])))
+                   if dim != dims[0] and k < len(ref) else None)
+            rows.append(_Row(f"L2 eigenvalue k={k} N={dim}", d_L2=float(w), rel_gap=rel))
 
     floor = 2.0 * ctx.theta
     resid = abs(float(spectra[dims[0]][0]) - floor)
@@ -591,24 +580,16 @@ def cmd_pythagoras(cfg: RunConfig, args) -> None:
     pairs = [(0, 0), *itertools.combinations(range(len(kappas)), 2)]
     print(f"family m={args.family}, internal rung d_I = {_fmt(dd.internal_distance)}")
 
-    rows: list[tuple] = []
+    rows: list[_Row] = []
     worst = 0.0
     for i, j in pairs:
         ka, kb = kappas[i], kappas[j]
         res = pythagoras_check(dd, states[i], states[j], cfg.solver())
         rel = abs(res.lhs - res.rhs_equal) / max(1.0, res.rhs_equal)
         worst = max(worst, rel)
-        rows.append(
-            (
-                f"family m={args.family} k1={_label_complex(ka)} k2={_label_complex(kb)}",
-                math.sqrt(res.lhs),
-                None,
-                None,
-                abs(kb - ka),
-                rel,
-                1.0,
-            )
-        )
+        label = f"family m={args.family} k1={_label_complex(ka)} k2={_label_complex(kb)}"
+        rows.append(_Row(label, d_D=math.sqrt(res.lhs), d_L_mod=abs(kb - ka), rel_gap=rel,
+                         feasibility=1.0))
         print(
             f"k1={_label_complex(ka):<8} k2={_label_complex(kb):<8} "
             f"lhs = {_fmt(res.lhs)}  rhs = {_fmt(res.rhs_equal)}  "
@@ -623,6 +604,7 @@ def cmd_pythagoras(cfg: RunConfig, args) -> None:
 def cmd_asymptotics(cfg: RunConfig, args) -> None:
     ctx = cfg.context()
     grid = _parse_kappa_list(args.kappa)
+    _distinct([_fmt(abs(k - grid[0])) for k in grid], "shifts' separations from the first")
     same, shift, level = identification_sweep(DiracCalculus(ctx), args.family, grid)
     m = args.family
 
@@ -630,23 +612,23 @@ def cmd_asymptotics(cfg: RunConfig, args) -> None:
         return " (closed)" if row.closed else ""
 
     rows = [
-        (f"same-family m={m} |dk|={r.separation:g}{tag(r)}",
-         r.distance, None, r.length, None, r.rel_gap, None)
+        _Row(f"same-family m={m} |dk|={_fmt(r.separation)}{tag(r)}",
+             d_D=r.distance, d_L2=r.length, rel_gap=r.rel_gap)
         for r in same
     ]
     rows += [
-        (f"cross-family-shift |dk|={r.separation:g} m={m} n={m + 1}{tag(r)}",
-         r.distance, None, None, r.length, r.rel_gap, 1.0)
+        _Row(f"cross-family-shift |dk|={_fmt(r.separation)} m={m} n={m + 1}{tag(r)}",
+             d_D=r.distance, d_L_mod=r.length, rel_gap=r.rel_gap, feasibility=1.0)
         for r in shift
     ]
     rows += [
-        (f"cross-family-level n={r.separation} m={m}",
-         r.distance, None, None, r.length, r.rel_gap, 1.0)
+        _Row(f"cross-family-level n={r.separation} m={m}",
+             d_D=r.distance, d_L_mod=r.length, rel_gap=r.rel_gap, feasibility=1.0)
         for r in level
     ]
     print(
-        f"shift sweep: rel gap {_fmt(shift[0].rel_gap)} at |dk|={shift[0].separation:g} -> "
-        f"{_fmt(shift[-1].rel_gap)} at |dk|={shift[-1].separation:g} (monotone from |dk|=1 on)"
+        f"shift sweep: rel gap {_fmt(shift[0].rel_gap)} at |dk|={_fmt(shift[0].separation)} -> "
+        f"{_fmt(shift[-1].rel_gap)} at |dk|={_fmt(shift[-1].separation)} (monotone from |dk|=1 on)"
     )
     print(
         f"level sweep: rel gap {_fmt(level[0].rel_gap)} at n={level[0].separation} -> "
@@ -673,9 +655,9 @@ def cmd_counterexample(cfg: RunConfig, args) -> None:
     res = counterexample_L2prime(ctx, *idx)
     tag = "-".join(str(i) for i in idx)
     rows = [
-        (f"indices {tag} lhs 3*dmod^2(triple vs single)", None, None, res.lhs, None, None, None),
-        (f"indices {tag} rhs pair/single combination", None, None, res.rhs, None, None, None),
-        (f"indices {tag} residual", None, None, res.residual, None, None, None),
+        _Row(f"indices {tag} lhs 3*dmod^2(triple vs single)", d_L2=res.lhs),
+        _Row(f"indices {tag} rhs pair/single combination", d_L2=res.rhs),
+        _Row(f"indices {tag} residual", d_L2=res.residual),
     ]
     print(f"lhs      = {_fmt(res.lhs)}")
     print(f"rhs      = {_fmt(res.rhs)}")
@@ -694,14 +676,13 @@ def cmd_riemann(cfg: RunConfig, args) -> None:
     top = args.upto if args.upto is not None else min(m + 20, ctx.interior_dim - 1)
     if top <= m:
         raise ValueError(f"--upto must exceed the family level {m}, got {top}")
-    rows: list[tuple] = []
+    rows: list[_Row] = []
     gaps: list[float] = []
     for n in range(m + 1, top + 1):
         disc = length_vs_optimal_discrepancy(calc, m, n)
         gaps.append(disc.rel_gap)
-        rows.append(
-            (f"pair m={m} n={n}", disc.d_D, None, None, disc.d_L_mod, disc.rel_gap, None)
-        )
+        rows.append(_Row(f"pair m={m} n={n}", d_D=disc.d_D, d_L_mod=disc.d_L_mod,
+                         rel_gap=disc.rel_gap))
     monotone = all(b < a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     print(f"rel gap: {_fmt(gaps[0])} at n={m + 1} -> {_fmt(gaps[-1])} at n={top}")
     print(f"monotone decreasing: {'yes' if monotone else 'NO'}")
@@ -715,6 +696,18 @@ def cmd_riemann(cfg: RunConfig, args) -> None:
 
 
 def cmd_oracle(cfg: RunConfig, args) -> None:
+    points: list[tuple[float, float]] = []
+    for part in args.points.split(";"):
+        xy = part.split(",")
+        if len(xy) != 2:
+            raise _UsageError(f"bad point {part!r}; expected x,y")
+        try:
+            points.append((float(xy[0]), float(xy[1])))
+        except ValueError:
+            raise _UsageError(f"bad point {part!r}; expected numbers") from None
+    labels = [f"vacuum pair at ({_fmt(x[0])} {_fmt(x[1])})" for x in points]
+    _distinct(labels, "points")
+
     theta = cfg.theta
     f0 = vacuum_symbol(theta, args.box, args.step)
 
@@ -725,30 +718,17 @@ def cmd_oracle(cfg: RunConfig, args) -> None:
     p0 = vacuum_projector(ctx)
     idem = float(np.abs(star_matrix(p0, p0).mat - p0.mat).max())
 
-    rows: list[tuple] = [
-        ("vacuum projector idempotent (matrix route)", None, None, None, None, idem, None)
-    ]
+    rows = [_Row("vacuum projector idempotent (matrix route)", rel_gap=idem)]
     anomaly = idem > 1e-12
-    points: list[tuple[float, float]] = []
-    for part in args.points.split(";"):
-        xy = part.split(",")
-        if len(xy) != 2:
-            raise _UsageError(f"bad point {part!r}; expected x,y")
-        try:
-            points.append((float(xy[0]), float(xy[1])))
-        except ValueError:
-            raise _UsageError(f"bad point {part!r}; expected numbers") from None
-
-    for x in points:
+    for x, label in zip(points, labels):
         val, bound = star_integral_report(f0, f0, x, theta=theta)
         want = 2.0 * math.exp(-(x[0] ** 2 + x[1] ** 2) / theta)
         quad_err = abs(val - want)
         ratio = quad_err / bound if bound > 0 else math.inf
         four = star_fourier(f0, f0, x, theta=theta)
         four_err = abs(four - val)
-        label = f"vacuum pair at ({x[0]:g} {x[1]:g})"
-        rows.append((f"{label} quadrature vs matrix", None, None, None, None, ratio, bound))
-        rows.append((f"{label} fourier vs quadrature", None, None, None, None, four_err, 1e-6))
+        rows.append(_Row(f"{label} quadrature vs matrix", rel_gap=ratio, feasibility=bound))
+        rows.append(_Row(f"{label} fourier vs quadrature", rel_gap=four_err, feasibility=1e-6))
         print(
             f"x=({x[0]:g},{x[1]:g})  quadrature = {_fmt(val.real)}  matrix = {_fmt(want)}  "
             f"|diff| = {_fmt(quad_err)} (bound {_fmt(bound)})  fourier drift = {_fmt(four_err)}"
@@ -777,10 +757,12 @@ def cmd_optimal_element(cfg: RunConfig, args) -> None:
     print(f"radial element gap (0,1) = {_fmt(disc.d_L_mod)}")
 
     rows = [
-        (f"translation element xi={args.xi:g}", None, None, None, None, abs(s_elt - 1.0), s_elt),
-        (f"ladder element upto={args.upto}", None, None, None, None, abs(s_chain - 1.0), s_chain),
-        ("ladder defect vs ground projector", None, None, None, None, defect_resid, None),
-        ("radial element pair m=0 n=1", disc.d_D, None, None, disc.d_L_mod, disc.rel_gap, None),
+        _Row(f"translation element xi={_fmt(args.xi)}", rel_gap=abs(s_elt - 1.0),
+             feasibility=s_elt),
+        _Row(f"ladder element upto={args.upto}", rel_gap=abs(s_chain - 1.0), feasibility=s_chain),
+        _Row("ladder defect vs ground projector", rel_gap=defect_resid),
+        _Row("radial element pair m=0 n=1", d_D=disc.d_D, d_L_mod=disc.d_L_mod,
+             rel_gap=disc.rel_gap),
     ]
     _write_csv(cfg, "optimal_element.csv", rows)
     if max(abs(s_elt - 1.0), abs(s_chain - 1.0)) > 1e-10:
@@ -809,79 +791,66 @@ def _overrides(args) -> dict[str, object]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="moyalmetric",
-        description="metric computations on the truncated quantum plane",
-    )
+    parser = _Parser(prog="moyalmetric",
+                     description="metric computations on the truncated quantum plane")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("distance", help="spectral distance between two states")
     p.add_argument("state1")
     p.add_argument("state2")
     p.add_argument("--method", choices=("closed", "lp", "solver", "all"), default="all")
-    p.add_argument(
-        "--with-certificate",
-        action="store_true",
-        help="embed the certificate matrix in the JSON report",
-    )
-    _add_common(p)
+    p.add_argument("--with-certificate", action="store_true",
+                   help="embed the certificate matrix in the JSON report")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("qlength", help="quantum length family between two states")
     p.add_argument("state1")
     p.add_argument("state2")
-    _add_common(p)
     p.set_defaults(func=cmd_qlength)
 
     p = sub.add_parser("suite", help="run the verification battery")
     p.add_argument("--quick", action="store_true", help="reduced sizes and budgets")
-    _add_common(p)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("spectrum", help="lowest square-length eigenvalues")
     p.add_argument("--count", type=int, default=8, help="how many eigenvalues")
     p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-    _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("pythagoras", help="doubled-sheet quadrature bracket")
     p.add_argument("--family", type=int, default=0, help="reference level m")
     p.add_argument("--kappa", default="0,1", help="shift list k1,k2,... (or a..b)")
-    _add_common(p)
     p.set_defaults(func=cmd_pythagoras)
 
     p = sub.add_parser("asymptotics", help="identification sweep of the two metrics")
     p.add_argument("--family", type=int, default=0, help="reference level m")
     p.add_argument("--kappa", default="0..10", help="shift grid a..b or k1,k2,...")
     p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-    _add_common(p)
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("counterexample", help="no-square-length-operator residual")
     p.add_argument("--indices", default="0,2,4,6", help="four levels i,j,k,l")
-    _add_common(p)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("riemann", help="partial-sum distance vs modified length")
     p.add_argument("--family", type=int, default=0, help="lower level m")
     p.add_argument("--upto", type=int, default=None, help="largest partner level")
     p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-    _add_common(p)
     p.set_defaults(func=cmd_riemann)
 
     p = sub.add_parser("oracle", help="star-product route agreement")
     p.add_argument("--box", type=float, default=8.0, help="half-width of the sample box")
     p.add_argument("--step", type=float, default=1.0 / 16.0, help="grid step")
     p.add_argument("--points", default="0,0;0.5,-0.25", help="evaluation points x,y;x,y;...")
-    _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("optimal-element", help="distance-attaining element identities")
     p.add_argument("--xi", type=float, default=0.0, help="translation phase")
     p.add_argument("--upto", type=int, default=6, help="largest ladder level")
-    _add_common(p)
     p.set_defaults(func=cmd_optimal_element)
 
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 

@@ -43,7 +43,9 @@ search runs; elsewhere the splitting loop brackets the pair.  There the
 core runs the loop before it asks for the seed, and the loop reads nothing
 from the single-sheet route, so that route runs beside it on the one worker
 of a ``concurrent.futures`` thread pool; numpy releases the GIL in its
-array and LAPACK calls, so the two finish in the time of the longer one.
+array and LAPACK calls, so the two finish in the time of the longer one,
+but only where the process's two CPUs run in parallel; where they do not,
+the two take the serial time.
 Importing the package pins OpenBLAS to one thread unless the environment
 sets a count or numpy is already loaded, so the two solver threads take one
 core each instead of oversubscribing them; where the BLAS count or the CPUs
@@ -124,6 +126,8 @@ class DoubledDirac:
     Lambda: complex
 
     def __post_init__(self) -> None:
+        if not math.isfinite(abs(self.Lambda)):
+            raise ValueError(f"the internal entry Lambda must be finite, got {self.Lambda!r}")
         if not abs(self.Lambda) >= _TINY:
             raise ValueError(f"the internal entry Lambda must be nonzero, got {self.Lambda!r}")
 

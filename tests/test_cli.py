@@ -9,6 +9,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -211,6 +212,12 @@ class TestExitCodes:
             ("distance", "translated:" * 1200 + "eigen:0" + ":0" * 1200, "eigen:0"),
             ("asymptotics", "--kappa", "0..100000"),
             ("pythagoras", "--kappa", "0..100000"),
+            # inputs that would give two rows one label: two shifts or points
+            # that print alike, or two shifts at one separation from the first
+            ("pythagoras", "--kappa", "0,0"),
+            ("pythagoras", "--kappa", "1e15..1000000000000002"),
+            ("oracle", "--points", "0,0;0,0"),
+            ("asymptotics", "--kappa", "0,1,-1"),
         ],
     )
     def test_usage_errors_give_64(self, tmp_path, argv, capsys):
@@ -379,29 +386,53 @@ class TestConfigLayering:
         capsys.readouterr()
 
 
+ASYMPTOTICS_LABELS = [
+    "same-family m=0 |dk|=0",
+    "same-family m=0 |dk|=1",
+    "same-family m=0 |dk|=2 (closed)",
+    "same-family m=0 |dk|=3 (closed)",
+    "cross-family-shift |dk|=0 m=0 n=1",
+    "cross-family-shift |dk|=1 m=0 n=1",
+    "cross-family-shift |dk|=2 m=0 n=1 (closed)",
+    "cross-family-shift |dk|=3 m=0 n=1 (closed)",
+] + [f"cross-family-level n={n} m=0" for n in range(1, 14)]
+
+
 class TestOutputContract:
-    def test_csv_header_echo_and_schema(self, tmp_path, capsys):
-        rc = run_cli(
-            "asymptotics", "--kappa", "0..3", "--trunc-dim", "16",
-            "--output-dir", str(tmp_path),
-        )
+    # Every command that writes a CSV; suite is covered by TestSuiteCommand.
+    @pytest.mark.parametrize("argv, labels", [
+        (("qlength", "eigen:0", "translated:eigen:0:1+0i"), None),
+        (("spectrum",), None),
+        (("pythagoras", "--kappa", "0,1", "--solver-iterations", "40"), None),
+        (("asymptotics", "--kappa", "0..3"), ASYMPTOTICS_LABELS),
+        # Shifts that agree to six digits still get one label each.
+        (("pythagoras", "--kappa", "0.1234561,0.1234562", "--solver-iterations", "40"),
+         ["family m=0 k1=0.1234561 k2=0.1234561", "family m=0 k1=0.1234561 k2=0.1234562"]),
+        (("asymptotics", "--kappa", "0,0.1234561,0.1234562"),
+         [f"same-family m=0 |dk|={dk}" for dk in ("0", "0.1234561", "0.1234562")]
+         + [f"cross-family-shift |dk|={dk} m=0 n=1" for dk in ("0", "0.1234561", "0.1234562")]
+         + [f"cross-family-level n={n} m=0" for n in range(1, 14)]),
+        (("counterexample",), None),
+        (("riemann",), None),
+        (("oracle",), None),
+        (("optimal-element",), None),
+    ], ids=("qlength", "spectrum", "pythagoras", "asymptotics", "pythagoras-close-shifts",
+            "asymptotics-close-shifts", "counterexample", "riemann", "oracle",
+            "optimal-element"))
+    def test_csv_header_echo_and_schema(self, tmp_path, capsys, argv, labels):
+        rc = run_cli(*argv, "--trunc-dim", "16", "--output-dir", str(tmp_path))
         capsys.readouterr()
         assert rc == 0
-        lines = (tmp_path / "asymptotics.csv").read_text(encoding="utf-8").splitlines()
+        [path] = tmp_path.glob("*.csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# trunc_dim = 16"
         assert all(lines[i].startswith("# ") for i in range(6))
+        assert lines[6] == ",".join(cli._Row._fields)
         assert lines[6] == "label,d_D,d_L,d_L2,d_L_mod,rel_gap,feasibility"
-        labels = [line.split(",")[0] for line in lines[7:]]
-        assert labels == [
-            "same-family m=0 |dk|=0",
-            "same-family m=0 |dk|=1",
-            "same-family m=0 |dk|=2 (closed)",
-            "same-family m=0 |dk|=3 (closed)",
-            "cross-family-shift |dk|=0 m=0 n=1",
-            "cross-family-shift |dk|=1 m=0 n=1",
-            "cross-family-shift |dk|=2 m=0 n=1 (closed)",
-            "cross-family-shift |dk|=3 m=0 n=1 (closed)",
-        ] + [f"cross-family-level n={n} m=0" for n in range(1, 14)]
+        got = [row[0] for row in csv.reader(lines[7:])]
+        assert len(set(got)) == len(got) > 0
+        if labels is not None:
+            assert got == labels
 
     @pytest.mark.parametrize(
         "argv, name",

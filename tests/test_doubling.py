@@ -121,6 +121,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DoubledDirac(calc32, 0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, complex(1.0, -math.inf)],
+                             ids=("inf", "nan", "complex-inf"))
+    def test_non_finite_entry_rejected(self, calc32, lam):
+        # An infinite entry would reach the pair solvers, where LAPACK's
+        # SVD fails to converge.
+        with pytest.raises(ValueError, match="Lambda must be finite"):
+            make_doubled(calc32, lam)
+
     def test_sheet_validation(self, ctx32):
         with pytest.raises(ValueError):
             SheetState(eigenstate(ctx32, 0), 3)
