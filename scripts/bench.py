@@ -20,13 +20,12 @@ once.  The opposite-sheet layer, on one general pair (a superposition of
 levels 0 and 2 against level 1, rung calibrated on level 1) at the light
 budget of the two-sheet gate: the one-sheet route alone
 (``spectral._single_route``), the doubled splitting loop alone, and the
-whole ``pythagoras_check``, which runs the two beside each other; the
-overlap efficiency is (route + loop) / check, about 1 when they run one
-after the other.  BLAS is held at one thread.  Each figure is the median
-and quartiles of ``ROUNDS`` timed rounds, per call.  ``generator_eighs``
-counts the dense ``eigh`` calls made in ``fock`` while a fresh context
-proves ``TRANSLATION_PAIRS`` translation pairs with ``distance_solver`` at
-the ``suite --quick`` budget.
+whole ``pythagoras_check``, which runs the two one after the other.  BLAS
+is held at one thread.  Each figure is the median and quartiles of
+``ROUNDS`` timed rounds, per call.  ``generator_eighs`` counts the dense
+``eigh`` calls made in ``fock`` while a fresh context proves
+``TRANSLATION_PAIRS`` translation pairs with ``distance_solver`` at the
+``suite --quick`` budget.
 
 Runs of different source trees go into one file under their labels, so
 a parent commit and a change can be recorded side by side:
@@ -72,7 +71,7 @@ def machine_info() -> dict:
     except importlib.metadata.PackageNotFoundError:
         scipy_version = None
     return {
-        # The CPUs this process may run on, as in doubling._two_solvers_fit.
+        # The CPUs this process may run on.
         "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count()),
         "machine": platform.machine(),
@@ -235,9 +234,6 @@ def main() -> int:
         os.environ[var] = "1"
     record = {"machine": machine_info(), "N": N, "theta": THETA,
               "generator_eighs": generator_eighs(), "timings": measure()}
-    median = {k: v["median_us"] for k, v in record["timings"].items()}
-    record["overlap_efficiency"] = (
-        (median["opposite_route"] + median["opposite_loop"]) / median["opposite_check"])
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
@@ -245,7 +241,6 @@ def main() -> int:
     for name, t in record["timings"].items():
         print(f"{name:32s} {t['median_us']:12.2f} us  (q1 {t['q1_us']:.2f}, q3 {t['q3_us']:.2f})")
     print(f"generator_eighs                  {record['generator_eighs']}")
-    print(f"overlap_efficiency               {record['overlap_efficiency']:.3f}")
     print(f"wrote {args.out}")
     return 0
 

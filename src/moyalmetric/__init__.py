@@ -16,10 +16,7 @@ the environment already sets it or numpy is already loaded.  A numpy loaded
 earlier keeps the count it started with, so the variable is left as it is
 rather than claiming a count that never took effect.  The solvers work on
 matrices of a few dozen rows, where a second BLAS thread costs more than it
-brings, and an opposite-sheet pair runs its one-sheet route on a worker
-thread beside the doubled splitting loop (``doubling``), so one BLAS thread
-per solver thread keeps each on its own core.  Where the variable is unset,
-the pair runs its two solves one after the other.
+brings.
 """
 
 import os

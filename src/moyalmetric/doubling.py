@@ -39,19 +39,9 @@ only format that record.  Equal states and translates by kappa sit at
 hypot(|kappa|, 1/|Lambda|) by translation covariance, and an explicit dual
 of K (``_doubled_dual``: the single-sheet path mean split along the path,
 with the rung spread evenly over it) usually proves the seed optimal, so no
-search runs; elsewhere the splitting loop brackets the pair.  There the
-core runs the loop before it asks for the seed, and the loop reads nothing
-from the single-sheet route, so that route runs beside it on the one worker
-of a ``concurrent.futures`` thread pool; numpy releases the GIL in its
-array and LAPACK calls, so the two finish in the time of the longer one,
-but only where the process's two CPUs run in parallel; where they do not,
-the two take the serial time.
-Importing the package pins OpenBLAS to one thread unless the environment
-sets a count or numpy is already loaded, so the two solver threads take one
-core each instead of oversubscribing them; where the BLAS count or the CPUs
-the process may use leave no room for two (``_two_solvers_fit``), the route
-runs when the seed is asked for, after the loop, with the same values bit
-for bit.
+search runs; elsewhere the splitting loop brackets the pair.  The seed
+lifts the single-sheet route's certificate, so the route runs first and
+the doubled solve after it.
 
 Single-sheet work (the closed form, LP or solver route) comes from
 ``spectral``; this module only adds what the second sheet brings: the
@@ -60,9 +50,8 @@ rung, the hypotenuse mix and the pair solver.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -337,21 +326,6 @@ def _lifted_seed(dd: DoubledDirac, drho: np.ndarray, single: DistanceReport) -> 
     return np.stack([lifted, lifted - d_i**2 / h * np.eye(dd.ctx.trunc_dim)])
 
 
-def _two_solvers_fit() -> bool:
-    """Whether two solver threads, each with the BLAS threads that
-    OPENBLAS_NUM_THREADS sets (1 unless the user set a count or loaded numpy
-    first; see the package docstring), fit the CPUs this process may run on.
-    Past that, the threads oversubscribe the cores, and one solve after the
-    other is faster."""
-    try:
-        blas = int(os.environ.get("OPENBLAS_NUM_THREADS", ""))
-    except ValueError:
-        return False
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return 1 <= blas and 2 * blas <= cores
-
-
 def _opposite_sheets(
     dd: DoubledDirac, s1: QState, s2: QState, cfg: SolverConfig
 ) -> _OppositeSheets:
@@ -372,33 +346,14 @@ def _opposite_sheets(
     seed optimal and no search runs; elsewhere the splitting loop runs.
     ``solve.upper`` is the proven bound, over corner pairs modulo the joint
     kernel of K, or None where the leakage exceeds ctx.tol.
-
-    Without kappa the core runs the doubled loop before it asks for the
-    seed.  Where two solver threads fit the cores (``_two_solvers_fit``),
-    the single route runs meanwhile on the pool's worker, whose future
-    returns its report or raises its exception on the calling thread, else
-    when the seed is asked for; every value is the same, bit for bit.
-    Leaving the pool joins the worker, so no thread outlives the call, and an
-    exception of the loop propagates once the route has returned; no thread
-    starts without a submit.
     """
-    # Imported here, as concurrent.futures loads logging, which `import moyalmetric` skips.
-    from concurrent.futures import ThreadPoolExecutor
-
     drho = s1.rho - s2.rho
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
     sheet, tol = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho]))), dd.ctx.tol
     duals = [] if kappa is None else [_doubled_dual(dd, s1.rho, kappa)]
-    route = partial(_single_route, dd.calc, s1, s2, cfg)
-    # The loop, the longer of the two, stays on the calling thread: run on
-    # the worker, its arrays came from another malloc arena, and the proven
-    # pairs that followed it ran about 5% slower.
-    overlap = kappa is None and _two_solvers_fit()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        single = pool.submit(route).result if overlap else cache(route)
-        solve = _prove_or_search(
-            sheet, lambda: [_lifted_seed(dd, drho, single())], duals, cfg, tol)
-        return _OppositeSheets(single(), kappa, solve)
+    single = _single_route(dd.calc, s1, s2, cfg)
+    solve = _prove_or_search(sheet, [_lifted_seed(dd, drho, single)], duals, cfg, tol)
+    return _OppositeSheets(single, kappa, solve)
 
 
 def doubled_distance(

@@ -40,15 +40,14 @@ tol of the value.  On one sheet the duals are the tail dual of a state
 difference that is exactly diagonal with no weight at the guarded levels
 (``_lp_dual``) and the path mean of a translation (``_translation_dual``).
 Elsewhere one deterministic splitting loop, scaled ADMM on the dual problem
-(``_splitting_loop``), brackets the distance; with no dual to try, it runs
-before the seeds are asked for.  Both return one record, ``_Solve``, and
-read a sheet as its map (``_Sheet``): the map K, here A, its adjoint Herm
-K*, the pseudo-inverse N^+ of its normal operator and the rung between
-stacked sheets, 0 on one, from which the projection onto the dual
-constraint, the least-squares element, the search seminorm and ratio and
-the dual bound are written once; ``doubling`` supplies the two-sheet map and
-its rung 1/|Lambda|.  SVDs are left to the dual bound's nuclear norm and the
-final-certificate check ``lipschitz_seminorm``.
+(``_splitting_loop``), brackets the distance.  Both return one record,
+``_Solve``, and read a sheet as its map (``_Sheet``): the map K, here A,
+its adjoint Herm K*, the pseudo-inverse N^+ of its normal operator and the
+rung between stacked sheets, 0 on one, from which the projection onto the
+dual constraint, the least-squares element, the search seminorm and ratio
+and the dual bound are written once; ``doubling`` supplies the two-sheet
+map and its rung 1/|Lambda|.  SVDs are left to the dual bound's nuclear
+norm and the final-certificate check ``lipschitz_seminorm``.
 
 Seminorms are evaluated on the interior block (rows and columns below the
 edge guard): commutators of a with a generic element are corrupted in the
@@ -679,27 +678,23 @@ def _best_candidate(sheet: _Sheet, candidates, best: _Solve = _Solve()) -> _Solv
 
 def _prove_or_search(sheet: _Sheet, seeds, duals, cfg: SolverConfig, tol: float) -> _Solve:
     """The one prove-or-search core of both sheets' solvers: the solve of
-    the best seeded candidate, from ``seeds()``, and the splitting loop.
+    the best of the seeded candidates ``seeds`` and the splitting loop.
 
     No search runs where an explicit dual, as given or else projected,
     proves the best seeded candidate optimal: leakage at most tol and its
     bound within tol max(1, value) of the value.  The projection repairs a
     dual that meets the constraint only approximately, such as a path mean
-    whose path states reach past the crop.  With no duals the loop runs
-    before ``seeds`` is called, so a caller may compute the seeds meanwhile.
-    The loop's element wins unless a seeded candidate beats it.  A bound
-    below a feasible value is roundoff, so every upper is raised to the value.
+    whose path states reach past the crop.  The loop's element wins unless
+    a seeded candidate beats it.  A bound below a feasible value is
+    roundoff, so every upper is raised to the value.
     """
-    if duals:
-        best = _best_candidate(sheet, seeds())
-        for y in duals:
-            for projected in (False, True):
-                upper, leakage = sheet.upper(sheet.project(y) if projected else y)
-                if leakage <= tol and upper - best.value <= tol * max(1.0, best.value):
-                    return _Solve(best.value, best.element, max(upper, best.value))
+    best = _best_candidate(sheet, seeds)
+    for y in duals:
+        for projected in (False, True):
+            upper, leakage = sheet.upper(sheet.project(y) if projected else y)
+            if leakage <= tol and upper - best.value <= tol * max(1.0, best.value):
+                return _Solve(best.value, best.element, max(upper, best.value))
     found = _splitting_loop(sheet, cfg, tol)
-    if not duals:
-        best = _best_candidate(sheet, seeds())
     if found.element is not None and found.value >= best.value:
         best = found
     upper = None if found.upper is None else max(found.upper, best.value)
@@ -963,7 +958,7 @@ def distance_solver(
         duals.append(y)
     if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
-    best = _prove_or_search(_one_sheet(calc, drho), lambda: seeded, duals, cfg, calc.ctx.tol)
+    best = _prove_or_search(_one_sheet(calc, drho), seeded, duals, cfg, calc.ctx.tol)
     if best.element is None:
         return zero
     cert = Operator(calc.ctx, _hermitize(best.element), hermitian=True)

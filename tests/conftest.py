@@ -54,8 +54,7 @@ def _count_calls(monkeypatch, name):
 @pytest.fixture
 def loop_calls(monkeypatch):
     """Record each call of the splitting loop, ``spectral._splitting_loop``:
-    one per searched solve on either sheet, none for a proven one, on the
-    calling thread or on the worker of an opposite-sheet pair.  A call's
+    one per searched solve on either sheet, none for a proven one.  A call's
     first argument is the sheet, whose pairing ``g`` is a stacked pair on
     two sheets."""
     return _count_calls(monkeypatch, "_splitting_loop")

@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -728,22 +727,6 @@ def general_pair(ctx, route, rng):
     return superposition_state(ctx, [levels[0], 7], [1.0, rng.uniform(0.2, 1.0) * phase]), other
 
 
-@pytest.mark.parametrize(("blas", "cores", "fit"), [
-    ("1", 2, True), ("1", 1, False), ("2", 2, False), ("2", 4, True),
-    ("0", 8, False), ("many", 8, False), (None, 8, False),
-])
-def test_two_solvers_fit(monkeypatch, blas, cores, fit):
-    from moyalmetric import doubling
-
-    if blas is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-    monkeypatch.setattr(doubling.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                        raising=False)
-    assert doubling._two_solvers_fit() is fit
-
-
 def run_fresh(code, **env):
     """Run code in a fresh interpreter that imports this package's source,
     in the environment changed by env, where None unsets a variable."""
@@ -761,26 +744,13 @@ def run_fresh(code, **env):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_two_solvers_fit_counts_the_allowed_cpus():
-    run_fresh(
-        "import os\n"
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from moyalmetric import doubling\n"
-        "assert not doubling._two_solvers_fit()\n",
-        OPENBLAS_NUM_THREADS="1")
-
-
 @pytest.mark.parametrize(("first", "pinned"), [("numpy", None), ("moyalmetric", "1")])
 def test_blas_pin_only_before_numpy(first, pinned):
     # A numpy loaded first keeps its start-up BLAS count, so the variable
-    # stays unset and the pair's two solves run one after the other.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    fit = pinned is not None and cpus >= 2
+    # stays unset rather than claim a count that never took effect.
     run_fresh(
         f"import os\nimport {first}\nfrom moyalmetric import doubling\n"
-        f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {pinned!r}\n"
-        f"assert doubling._two_solvers_fit() is {fit}\n",
+        f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {pinned!r}\n",
         OPENBLAS_NUM_THREADS=None)
 
 
@@ -792,53 +762,21 @@ def test_package_import_loads_no_pool_logging_or_scipy():
         "assert not late, late\n")
 
 
-def thread_calls(monkeypatch, module, name):
-    """Record the calling thread and the arguments of each call of
-    ``module.<name>``."""
-    calls = []
-    real = getattr(module, name)
-
-    def recorded(*args):
-        calls.append((threading.current_thread(), args))
-        return real(*args)
-
-    monkeypatch.setattr(module, name, recorded)
-    return calls
-
-
-@pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "serial"])
-def test_solver_threads(dd32, ctx32, monkeypatch, overlap):
-    # The doubled loop runs on the calling thread either way; the single
-    # route runs on one other thread under overlap, and every thread it
-    # started is gone when the call returns.
-    from moyalmetric import doubling, spectral
-
-    monkeypatch.setattr(doubling, "_two_solvers_fit", lambda: overlap)
-    loops = thread_calls(monkeypatch, spectral, "_splitting_loop")
-    routes = thread_calls(monkeypatch, doubling, "_single_route")
-    here, before = threading.current_thread(), threading.active_count()
-    pythagoras_check(dd32, *same_sheet_pair(ctx32, "convex-solver"), LIGHT)
-    assert threading.active_count() == before
-    assert [thread for thread, args in loops if args[0].g.ndim == 3] == [here]
-    (route_thread, _), = routes
-    assert (route_thread is not here) is overlap
-    assert [thread for thread, args in loops if args[0].g.ndim == 2] == [route_thread]
-
-
-def test_no_room_for_two_solvers_runs_serially(dd32, ctx32, monkeypatch):
-    from moyalmetric import doubling
-
-    s1, s2 = same_sheet_pair(ctx32, "convex-solver")
-    want = _opposite_sheets(dd32, s1, s2, LIGHT)
-
-    def no_worker(*args):
-        raise AssertionError("no worker thread may start")
-
-    monkeypatch.setattr(doubling, "_two_solvers_fit", lambda: False)
-    monkeypatch.setattr(threading.Thread, "start", no_worker)
-    got = _opposite_sheets(dd32, s1, s2, LIGHT)
-    assert (got.solve.value, got.solve.element.tobytes(), got.solve.upper) == (
-        want.solve.value, want.solve.element.tobytes(), want.solve.upper)
+def test_opposite_sheets_start_no_thread():
+    # The single route and the doubled loop both run on the calling thread,
+    # and no thread pool is loaded for them.
+    run_fresh(
+        "import sys, threading\n"
+        "from moyalmetric import DiracCalculus, SolverConfig, eigenstate, make_context\n"
+        "from moyalmetric import superposition_state\n"
+        "from moyalmetric.doubling import make_doubled, pythagoras_check, reference_lambda\n"
+        "calc = DiracCalculus(make_context(16, 1.0, 1e-10))\n"
+        "dd = make_doubled(calc, reference_lambda(calc, 0))\n"
+        "pythagoras_check(dd, superposition_state(calc.ctx, [0, 2], [1.0, 1j]),\n"
+        "                 eigenstate(calc.ctx, 1), SolverConfig(iterations=20))\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert 'concurrent.futures' not in sys.modules\n",
+        OPENBLAS_NUM_THREADS="1")
 
 
 def test_full_svd_runs_only_for_a_reported_feasibility(dd32, ctx32, doubled_seminorm_calls):
@@ -856,24 +794,15 @@ def test_full_svd_runs_only_for_a_reported_feasibility(dd32, ctx32, doubled_semi
 
 class TestOverlap:
     """Without a translation amplitude, ``_opposite_sheets`` runs the
-    single route on a worker thread beside the doubled splitting loop; its
-    record is the serial composition's on every field, bit for bit.  The
-    class runs the overlap whatever the cores and BLAS threads."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def overlapping(self):
-        from moyalmetric import doubling
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(doubling, "_two_solvers_fit", lambda: True)
-            yield
+    single route and then the doubled splitting loop; its record is the
+    serial composition's on every field, bit for bit."""
 
     @staticmethod
     def serial(dd, s1, s2, cfg):
         single = _single_route(dd.calc, s1, s2, cfg)
         g = _hermitize(np.stack([s1.rho, -s2.rho]))
         value, best, upper = _prove_or_search(
-            _two_sheets(dd, g), lambda: [_lifted_seed(dd, s1.rho - s2.rho, single)], [], cfg,
+            _two_sheets(dd, g), [_lifted_seed(dd, s1.rho - s2.rho, single)], [], cfg,
             dd.ctx.tol)
         return single, value, _doubled_seminorm(dd, best[0], best[1]), upper
 
@@ -900,37 +829,34 @@ class TestOverlap:
         assert route != "leaking" or upper is None
 
     def test_both_loops_are_recorded(self, dd32, ctx32, loop_calls):
-        # The doubled loop, and the single route's loop on the worker.
+        # The single route's loop, and the doubled loop.
         s1, s2 = same_sheet_pair(ctx32, "convex-solver")
         pythagoras_check(dd32, s1, s2, LIGHT)
         assert len(doubled_loops(loop_calls)) == 1
         assert len(loop_calls) == 2
 
-    def test_raising_route_joins_the_worker(self, dd32, ctx32, monkeypatch, loop_calls):
+    def test_raising_route_propagates(self, dd32, ctx32, monkeypatch, loop_calls):
+        # The route runs first, so no doubled loop runs after it raises.
         from moyalmetric import doubling
 
         def fail(*args):
             raise RuntimeError("single route failed")
 
         monkeypatch.setattr(doubling, "_single_route", fail)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="single route failed"):
             pythagoras_check(dd32, *same_sheet_pair(ctx32, "convex-solver"), LIGHT)
-        assert threading.active_count() == before
-        assert len(doubled_loops(loop_calls)) == len(loop_calls) == 1
+        assert loop_calls == []
 
-    def test_raising_loop_joins_the_worker(self, dd32, ctx32, monkeypatch):
+    def test_raising_loop_propagates(self, dd32, ctx32, monkeypatch):
         from moyalmetric import spectral
 
         def fail(*args):
             raise RuntimeError("doubled loop failed")
 
         monkeypatch.setattr(spectral, "_splitting_loop", fail)
-        before = threading.active_count()
         s1, s2 = same_sheet_pair(ctx32, "diagonal-lp")
         with pytest.raises(RuntimeError, match="doubled loop failed"):
             pythagoras_check(dd32, s1, s2, LIGHT)
-        assert threading.active_count() == before
 
 
 class TestIdentificationSweep:

@@ -543,31 +543,19 @@ def translate_on(ctx, sheet):
 
 @pytest.mark.parametrize("sheet", ["one-sheet", "two-sheet"])
 class TestProveOrSearch:
-    """The core's contract: with duals, the seeds first, then the proof, and
-    the loop only if no dual proves; without, the loop, then the seeds."""
+    """The core's contract: the seeds are scored first, then the duals tried,
+    and the loop runs only if no dual proves."""
 
     def test_loop_runs_before_the_seeds(self, ctx16, sheet, loop_calls):
         ops, seed, _ = translate_on(ctx16, sheet)
-        asked = []
-
-        def seeds():
-            asked.append(len(loop_calls))
-            return [seed]
-
-        solve = _prove_or_search(ops, seeds, [], SolverConfig(iterations=30), ctx16.tol)
-        assert asked == [1] and len(loop_calls) == 1
+        solve = _prove_or_search(ops, [seed], [], SolverConfig(iterations=30), ctx16.tol)
+        assert len(loop_calls) == 1
         assert solve.value >= ops.ratio(seed)[0]
 
     def test_proven_dual_runs_no_loop(self, ctx16, sheet, loop_calls):
         ops, seed, dual = translate_on(ctx16, sheet)
-        asked = []
-
-        def seeds():
-            asked.append(len(loop_calls))
-            return [seed]
-
-        solve = _prove_or_search(ops, seeds, [dual], SolverConfig(iterations=30), ctx16.tol)
-        assert asked == [0] and loop_calls == []
+        solve = _prove_or_search(ops, [seed], [dual], SolverConfig(iterations=30), ctx16.tol)
+        assert loop_calls == []
         assert solve.value == ops.ratio(seed)[0]
         assert 0 <= solve.upper - solve.value <= ctx16.tol * max(1.0, solve.value)
 
@@ -582,7 +570,7 @@ class TestProveOrSearch:
             element = unit.copy()
             monkeypatch.setattr(spectral, "_splitting_loop",
                                 lambda *args: _Solve(found, element, 2.0 * value))
-            solve = _prove_or_search(ops, lambda: [seed], [], SolverConfig(), ctx16.tol)
+            solve = _prove_or_search(ops, [seed], [], SolverConfig(), ctx16.tol)
             assert (solve.element is element) == wins
             assert solve.value == (found if wins else value)
             assert solve.upper == 2.0 * value
