@@ -5,8 +5,10 @@ machine in a JSON file.
 Micro-timings at N=48, theta=1 of the layers that ``perfbench --trace 1``
 does not report: one ``DiracCalculus._dz``; one splitting-loop iteration on
 one sheet and on two (``spectral._splitting_step``: the sheet's projection,
-the singular value thresholding and the multiplier update, the step the
-loop runs), and each sheet's projection alone
+the singular value thresholding and the multiplier update) from random
+duals with the full Gram eigh, and the same step, warm on its Ritz basis
+and with the full eigh, from the loop's own state after 40 steps on the
+general pair below, at sides 42 and 84; each sheet's projection alone
 (``project`` of ``spectral._one_sheet`` and ``doubling._two_sheets``); and,
 over the square-length grid (levels 0..6 displaced over a 5x5 lattice of
 amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
@@ -46,6 +48,7 @@ import os
 import platform
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -171,10 +174,19 @@ def measure() -> dict:
     one, two = _one_sheet(calc, herm[0]), _two_sheets(dd, herm)
 
     def loop_iteration(sheet):
-        """One splitting-loop step from the dual pair (z, u)."""
+        """One splitting-loop step from the dual pair (z, u), full eigh."""
         size = sheet.size
         z, u = duals[0, :size, :size], duals[1, :size, :size]
         return lambda: _splitting_step(sheet, z, u)
+
+    def loop_state(sheet, steps=40):
+        """(z, u, Ritz basis) after ``steps`` loop steps from zero, as the
+        loop holds them between two bracket checks."""
+        z = u = np.zeros((sheet.size,) * 2, dtype=complex)
+        basis = None
+        for _ in range(steps):
+            _, z, u, basis = _splitting_step(sheet, z, u, basis)
+        return z, u, basis
 
     shifts = np.linspace(-math.sqrt(2.0), math.sqrt(2.0), 5)
     grid = [displace(eigenstate(ctx, m), complex(x, y))
@@ -202,6 +214,11 @@ def measure() -> dict:
     general = superposition_state(ctx, [0, 2], [1.0, 1.0j]), level_one
     rung = make_doubled(calc, reference_lambda(calc, 1))
     doubled = _two_sheets(rung, _hermitize(np.stack([general[0].rho, -general[1].rho])))
+    steps = {}
+    for sheet in (_one_sheet(calc, _hermitize(general[0].rho - general[1].rho)), doubled):
+        z, u, basis = loop_state(sheet)
+        steps[f"warm_step_{sheet.size}"] = partial(_splitting_step, sheet, z, u, basis)
+        steps[f"full_step_{sheet.size}"] = partial(_splitting_step, sheet, z, u)
 
     return {
         "opposite_route": timed(lambda: _single_route(calc, *general, light), 1),
@@ -214,6 +231,7 @@ def measure() -> dict:
         "dz": timed(lambda: calc._dz(herm[0]), 200),
         "loop_iteration": timed(loop_iteration(one), 20),
         "doubled_loop_iteration": timed(loop_iteration(two), 5),
+        **{name: timed(step, 20) for name, step in steps.items()},
         "project": timed(lambda: one.project(duals[0, :m, :m]), 20),
         "doubled_project": timed(lambda: two.project(duals[0]), 20),
         "d_L2": timed(sweep(d_L2), 1, per=pairs),

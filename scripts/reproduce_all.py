@@ -3,10 +3,10 @@
 
 Drives the batch CLI in-process so the whole pipeline shares one operator
 cache, then finishes with the verification battery.  Full settings took
-29.7 s on a shared 2-vCPU x86_64 machine with one BLAS thread, most of it
+20.8 s on a shared 2-vCPU x86_64 machine with one BLAS thread, most of it
 the battery's doubled splitting loops on the pairs no explicit dual
 covers; --quick drops truncations and solver budgets for a pass of a few
-seconds (3.4 s there) over the same commands.
+seconds (3.2 s there) over the same commands.
 
     python3 scripts/reproduce_all.py
     python3 scripts/reproduce_all.py --quick --output-dir out-quick

@@ -39,9 +39,9 @@ only format that record.  Equal states and translates by kappa sit at
 hypot(|kappa|, 1/|Lambda|) by translation covariance, and an explicit dual
 of K (``_doubled_dual``: the single-sheet path mean split along the path,
 with the rung spread evenly over it) usually proves the seed optimal, so no
-search runs; elsewhere the splitting loop brackets the pair.  The seed
-lifts the single-sheet route's certificate, so the route runs first and
-the doubled solve after it.
+search runs; elsewhere the splitting loop, started from the seed, brackets
+the pair.  The seed lifts the single-sheet route's certificate, so the
+route runs first and the doubled solve after it.
 
 Single-sheet work (the closed form, LP or solver route) comes from
 ``spectral``; this module only adds what the second sheet brings: the
@@ -343,16 +343,18 @@ def _opposite_sheets(
     single-sheet seed, and hypot is monotone in the gap, so the lift of its
     certificate dominates theirs and no value falls below it.  Where kappa
     is known, the doubled path-mean dual (``_doubled_dual``) may prove the
-    seed optimal and no search runs; elsewhere the splitting loop runs.
-    ``solve.upper`` is the proven bound, over corner pairs modulo the joint
-    kernel of K, or None where the leakage exceeds ctx.tol.
+    seed optimal and no search runs; elsewhere the splitting loop runs,
+    started from the seed's multiplier K(seed)/rho.  ``solve.upper`` is
+    the proven bound, over corner pairs modulo the joint kernel of K, or
+    None where the leakage exceeds ctx.tol.
     """
     drho = s1.rho - s2.rho
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
     sheet, tol = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho]))), dd.ctx.tol
     duals = [] if kappa is None else [_doubled_dual(dd, s1.rho, kappa)]
     single = _single_route(dd.calc, s1, s2, cfg)
-    solve = _prove_or_search(sheet, [_lifted_seed(dd, drho, single)], duals, cfg, tol)
+    seed = _lifted_seed(dd, drho, single)
+    solve = _prove_or_search(sheet, [seed], duals, cfg, tol, seed)
     return _OppositeSheets(single, kappa, solve)
 
 

@@ -39,9 +39,14 @@ seeded candidate optimal, with leakage at most tol and the bound within
 tol of the value.  On one sheet the duals are the tail dual of a state
 difference that is exactly diagonal with no weight at the guarded levels
 (``_lp_dual``) and the path mean of a translation (``_translation_dual``).
-Elsewhere one deterministic splitting loop, scaled ADMM on the dual problem
-(``_splitting_loop``), brackets the distance.  Both return one record,
-``_Solve``, and read a sheet as its map (``_Sheet``): the map K, here A,
+Elsewhere one deterministic splitting loop, over-relaxed scaled ADMM on the
+dual problem (``_splitting_loop``), brackets the distance.  Its thresholding
+step is one Gram product and a small eigh on the previous step's Ritz
+vectors (``_shrink``), with the full Gram eigh at the first step, at every
+bracket check and wherever the Ritz block may miss a kept singular value;
+it starts cold on one sheet and, on two, from the multiplier of the lifted
+seed that ``doubling`` passes.  Both return one record, ``_Solve``, and
+read a sheet as its map (``_Sheet``): the map K, here A,
 its adjoint Herm K*, the pseudo-inverse N^+ of its normal operator and the
 rung between stacked sheets, 0 on one, from which the projection onto the
 dual constraint, the least-squares element, the search seminorm and ratio
@@ -676,9 +681,12 @@ def _best_candidate(sheet: _Sheet, candidates, best: _Solve = _Solve()) -> _Solv
     return best
 
 
-def _prove_or_search(sheet: _Sheet, seeds, duals, cfg: SolverConfig, tol: float) -> _Solve:
+def _prove_or_search(
+    sheet: _Sheet, seeds, duals, cfg: SolverConfig, tol: float, start: np.ndarray | None = None
+) -> _Solve:
     """The one prove-or-search core of both sheets' solvers: the solve of
-    the best of the seeded candidates ``seeds`` and the splitting loop.
+    the best of the seeded candidates ``seeds`` and the splitting loop,
+    started from ``start`` if one is given.
 
     No search runs where an explicit dual, as given or else projected,
     proves the best seeded candidate optimal: leakage at most tol and its
@@ -694,7 +702,7 @@ def _prove_or_search(sheet: _Sheet, seeds, duals, cfg: SolverConfig, tol: float)
             upper, leakage = sheet.upper(sheet.project(y) if projected else y)
             if leakage <= tol and upper - best.value <= tol * max(1.0, best.value):
                 return _Solve(best.value, best.element, max(upper, best.value))
-    found = _splitting_loop(sheet, cfg, tol)
+    found = _splitting_loop(sheet, cfg, tol, start)
     if found.element is not None and found.value >= best.value:
         best = found
     upper = None if found.upper is None else max(found.upper, best.value)
@@ -831,50 +839,95 @@ def _corner_split(
 
 
 _PENALTY = 2.0  # the fixed ADMM penalty of ``_splitting_loop``
+_RELAX = 1.6  # the over-relaxation alpha of ``_splitting_step``
 _CHECK_EVERY = 25  # iterations between two bracket checks
+_RITZ_MARGIN = 16  # Ritz vectors kept beyond the thresholded rank
 
 
-def _shrink(w: np.ndarray, tau: float) -> np.ndarray:
+def _shrink(
+    w: np.ndarray, tau: float, basis: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Singular value thresholding, sum_k max(s_k - tau, 0) u_k v_k*, from
-    one eigh of the Gram matrix w* w: w v_k = s_k u_k, so each kept term is
-    (1 - tau / s_k) w v_k v_k*."""
-    lam, v = np.linalg.eigh(w.conj().T @ w)
+    eigenpairs (s_k^2, v_k) of the Gram matrix G = w* w: w v_k = s_k u_k, so
+    each kept term is (1 - tau / s_k) w v_k v_k*.
+
+    Without a basis the eigenpairs are G's full eigh.  With a basis V, the
+    previous step's Ritz vectors, they are the Ritz pairs of G on Q = qr(G
+    V): one small eigh of Q* G Q (Cai, Candes & Shen 2010).  The Ritz
+    values lie below G's top eigenvalues, so when the smallest is still
+    above tau^2 the block may miss a kept singular value, and the full eigh
+    is taken instead, bit for bit the step without a basis.  Returns the
+    thresholded matrix and the top r + 16 eigen- or Ritz vectors for the
+    next step, r the kept rank, or None where those would fill the side of
+    G.
+    """
+    gram = w.conj().T @ w
+    if basis is not None:
+        q = np.linalg.qr(gram @ basis)[0]
+        lam, y = np.linalg.eigh(q.conj().T @ gram @ q)
+        if lam[0] <= tau**2:
+            v = q @ y
+        else:
+            basis = None
+    if basis is None:
+        lam, v = np.linalg.eigh(gram)
     s = np.sqrt(np.maximum(lam, 0.0))
     keep = s > tau
+    width = int(np.count_nonzero(keep)) + _RITZ_MARGIN
+    ritz = v[:, -width:] if width < gram.shape[0] else None
     v = v[:, keep]
-    return ((w @ v) * (1.0 - tau / s[keep])) @ v.conj().T
+    return ((w @ v) * (1.0 - tau / s[keep])) @ v.conj().T, ritz
 
 
-def _splitting_step(sheet: _Sheet, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One step of ``_splitting_loop`` from (z, u); returns the new (w, z, u)."""
+def _splitting_step(
+    sheet: _Sheet, z: np.ndarray, u: np.ndarray, basis: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """One step of ``_splitting_loop`` from (z, u), thresholding on the Ritz
+    basis if one is given (``_shrink``); returns the new (w, z, u) and the
+    Ritz basis for the next step."""
     w = sheet.project(z - u)
-    v = w + u
-    z = _shrink(v, 1.0 / _PENALTY)
-    return w, z, v - z
+    v = _RELAX * w + (1.0 - _RELAX) * z + u
+    z, basis = _shrink(v, 1.0 / _PENALTY, basis)
+    return w, z, v - z, basis
 
 
-def _splitting_loop(sheet: _Sheet, cfg: SolverConfig, tol: float) -> _Solve:
+def _splitting_loop(
+    sheet: _Sheet, cfg: SolverConfig, tol: float, start: np.ndarray | None = None
+) -> _Solve:
     """Scaled ADMM on the dual problem min ||W||_* subject to Herm K* W = b,
     with K the sheet's map and b the corner of its pairing g off the kernel.
 
     Each of the cfg.iterations steps (``_splitting_step``) is the exact
-    projection W = Pi(Z - U), the thresholding Z = shrink(W + U, 1 / rho) at
-    the fixed penalty rho = 2, and U += W - Z.  rho U tends to a subgradient
-    of the nuclear norm at Z in the range of K, so x = K^+ U tends to an
-    optimal element, and its ratio |<g, x>| / p(x) is a lower bound at every
-    step.  Every 25 iterations and at the last one the loop takes that lower
-    bound and the upper bound of W, keeps the best of each (``_Solve``), and
-    stops once upper - lower <= tol max(1, lower); upper is None when the
-    leakage exceeds tol.
+    projection W = Pi(Z - U), the over-relaxed thresholding Z = shrink(V,
+    1 / rho) of V = alpha W + (1 - alpha) Z + U at alpha = 1.6 and the fixed
+    penalty rho = 2, and U = V - Z (Boyd et al. 2011, sec. 3.4.3).  The loop
+    starts from Z = 0 and U = 0, or from U = K(start) / rho for an element
+    ``start`` of seminorm one, whose multiplier then already reads that
+    element.  The thresholding runs on the previous step's Ritz basis
+    (``_shrink``), held here and nowhere else, so no state outlives a call;
+    the full Gram eigh runs at the first step, at every bracket check and
+    wherever the Ritz block may miss a kept singular value.  rho U tends to
+    a subgradient of the nuclear norm at Z in the range of K, so x = K^+ U
+    tends to an optimal element, and its ratio |<g, x>| / p(x) is a lower
+    bound at every step.  Every 25 iterations and at the last one the loop takes that lower
+    bound and the upper bound of Pi(W), W projected once more, keeps the
+    best of each (``_Solve``), and stops once upper - lower <= tol max(1,
+    lower); upper is None when the leakage exceeds tol.  Both sides read
+    the iterates themselves, W projected and the full seminorm of K^+ U, so
+    an inexact Ritz step costs iterations, never soundness (Eckstein &
+    Bertsekas 1992).
     """
     z = np.zeros((sheet.size,) * 2, dtype=complex)
-    u = np.zeros((sheet.size,) * 2, dtype=complex)
-    best, upper = _Solve(), math.inf
+    u = z.copy() if start is None else sheet.map(start) / _PENALTY
+    best, upper, basis = _Solve(), math.inf, None
     for k in range(1, cfg.iterations + 1):
-        w, z, u = _splitting_step(sheet, z, u)
-        if k % _CHECK_EVERY and k < cfg.iterations:
+        check = k % _CHECK_EVERY == 0 or k == cfg.iterations
+        w, z, u, basis = _splitting_step(sheet, z, u, None if check else basis)
+        if not check:
             continue
-        bound, leakage = sheet.upper(w)
+        # Projected once more: W's residual grows like cond(B_d)^2, past
+        # 1e-13 ||b|| at N >= 32, and one refinement brings it to roundoff.
+        bound, leakage = sheet.upper(sheet.project(w))
         upper = min(upper, bound)
         best = _best_candidate(sheet, [sheet.least_squares(u)], best)
         if upper - best.value <= tol * max(1.0, best.value):

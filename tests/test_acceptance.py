@@ -6,9 +6,9 @@ criterion.  A criterion failing here means a certified quantity of the
 library is off at its stated tolerance; the ratio printed is worst observed
 residual over tolerance, so anything above 1 is a real miss, not noise.
 
-The battery takes about 30 s on two shared cores (the whole Tier-1 suite
-of 678 tests 68 to 73 s), dominated by the 200 random bracket checks of
-criterion 5 (27 to 31 s, 40.8 s seen on a loaded machine), whose doubled
+The battery takes about 20 s on two shared cores with one BLAS thread
+(the whole Tier-1 suite of 691 tests about 45 s), dominated by the 200
+random bracket checks of criterion 5 (13.6 to 14.2 s), whose doubled
 splitting loops bracket every pair that no explicit dual proves.
 Criterion 2 is no longer a long pole: an explicit dual proves the
 translation element optimal on all nine of its pairs, the ninth, whose path

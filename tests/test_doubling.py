@@ -708,6 +708,30 @@ class TestBrackets:
         assert pair.solve.value <= pair.solve.upper
         assert _doubled_seminorm(dd, *pair.solve.element) <= 1 + 1e-8
 
+    def test_repeated_check_is_bit_identical(self, ctx16, monkeypatch):
+        # The loop's Ritz basis lives in one call: a pair checked again after
+        # another pair gives the same bits on every field.  Both pairs run
+        # warm thresholding steps.
+        from moyalmetric import spectral
+
+        real, warm = spectral._shrink, []
+
+        def counted(w, tau, basis=None):
+            warm.append(basis is not None)
+            return real(w, tau, basis)
+
+        monkeypatch.setattr(spectral, "_shrink", counted)
+        dd = make_doubled(DiracCalculus(ctx16), reference_lambda(DiracCalculus(ctx16), 0))
+        pair, other = (general_pair(ctx16, "convex-solver", np.random.default_rng(seed))
+                       for seed in (4, 7))
+        first = pythagoras_check(dd, *pair, LIGHT)
+        runs = sum(warm)
+        pythagoras_check(dd, *other, LIGHT)
+        assert runs > 0 and sum(warm) > runs
+        again = pythagoras_check(dd, *pair, LIGHT)
+        assert first.upper is not None
+        assert [x.hex() for x in again] == [x.hex() for x in first]
+
 
 def general_pair(ctx, route, rng):
     """A random opposite-sheet pair with no translation amplitude whose
@@ -794,16 +818,17 @@ def test_full_svd_runs_only_for_a_reported_feasibility(dd32, ctx32, doubled_semi
 
 class TestOverlap:
     """Without a translation amplitude, ``_opposite_sheets`` runs the
-    single route and then the doubled splitting loop; its record is the
-    serial composition's on every field, bit for bit."""
+    single route and then the doubled splitting loop, started from the
+    lifted seed; its record is the serial composition's on every field, bit
+    for bit."""
 
     @staticmethod
     def serial(dd, s1, s2, cfg):
         single = _single_route(dd.calc, s1, s2, cfg)
         g = _hermitize(np.stack([s1.rho, -s2.rho]))
-        value, best, upper = _prove_or_search(
-            _two_sheets(dd, g), [_lifted_seed(dd, s1.rho - s2.rho, single)], [], cfg,
-            dd.ctx.tol)
+        seed = _lifted_seed(dd, s1.rho - s2.rho, single)
+        value, best, upper = _prove_or_search(_two_sheets(dd, g), [seed], [], cfg, dd.ctx.tol,
+                                              seed)
         return single, value, _doubled_seminorm(dd, best[0], best[1]), upper
 
     @given(route=st.sampled_from(("closed-form", "diagonal-lp", "convex-solver", "leaking")),

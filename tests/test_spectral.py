@@ -48,7 +48,10 @@ from moyalmetric.spectral import (
     _objective,
     _one_sheet,
     _path_moments,
+    _PENALTY,
     _prove_or_search,
+    _RITZ_MARGIN,
+    _shrink,
     _single_route,
     _Solve,
     _splitting_loop,
@@ -679,6 +682,57 @@ class TestSplittingCore:
         assert np.abs(got - x).max() <= 1e-11 * max(1.0, float(np.abs(x).max()))
 
 
+def unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+class TestRitzThreshold:
+    """The warm thresholding step, ``_shrink`` on a Ritz basis, against the
+    full Gram eigh at the loop's threshold tau = 1/rho."""
+
+    TAU = 1.0 / _PENALTY
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_spanning_basis_matches_the_full_eigh(self, n, seed, data):
+        # W = U diag(s) V* with r singular values in [1.5 tau, 4 tau] and the
+        # rest below tau/2: any basis of the span of the top r + 16 right
+        # singular vectors (capped at n) gives the full-eigh threshold, and
+        # the top r + 16 Ritz vectors come back, None where they fill n.
+        rng = np.random.default_rng(seed)
+        r = data.draw(st.integers(0, n - 1))
+        tau = self.TAU
+        s = np.concatenate([rng.uniform(1.5 * tau, 4.0 * tau, r),
+                            rng.uniform(0.0, 0.5 * tau, n - r)])
+        v = unitary(rng, n)
+        w = (unitary(rng, n) * s) @ v.conj().T
+        width = min(r + _RITZ_MARGIN, n)
+        want, _ = _shrink(w, tau)
+        got, ritz = _shrink(w, tau, v[:, :width] @ unitary(rng, width))
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        if r + _RITZ_MARGIN >= n:
+            assert ritz is None
+        else:
+            assert ritz.shape == (n, r + _RITZ_MARGIN)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_basis_missing_the_top_vector_falls_back(self, n, seed, data):
+        # Every singular value of W above tau, and a basis orthogonal to the
+        # top right singular vector, whose Ritz pairs would drop the top
+        # term: every Ritz value is a Rayleigh quotient of W* W above tau^2,
+        # so the step takes the full eigh instead, bit for bit.
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n - 1))
+        tau = self.TAU
+        s = np.sort(rng.uniform(1.5 * tau, 4.0 * tau, n))[::-1]
+        v = unitary(rng, n)
+        w = (unitary(rng, n) * s) @ v.conj().T
+        want, _ = _shrink(w, tau)
+        got, ritz = _shrink(w, tau, v[:, 1 : k + 1] @ unitary(rng, k))
+        assert np.array_equal(got, want)
+        assert ritz is None
+
+
 THETAS = (1.0, 0.7, 2.3)
 
 
@@ -996,6 +1050,11 @@ class TestOffsetSolves:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@functools.lru_cache(maxsize=None)
+def corner_calculus(n, theta):
+    return DiracCalculus(make_context(n, theta, 1e-10))
+
+
 def superposed(ctx, rng):
     """A pure superposition of two or three levels below 6, with random
     complex amplitudes."""
@@ -1050,6 +1109,24 @@ class TestSplittingLoop:
             uppers.append(nuclear + residuals[-1] * math.sqrt(m) / s_min)
         assert lower <= min(uppers) * (1 + 1e-12)
         assert min(residuals) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("n", (32, 48))
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bound_checks_meet_the_constraint(self, n, theta, seed):
+        # One projection leaves a residual Herm A* Pi(Y) - b, b the
+        # kernel-free corner of the pairing (``_corner_split``), that grows
+        # like cond(B_d)^2 and passes 1e-13 ||b|| above N=24.  The bound
+        # checks read the loop's W projected once more, Pi(Pi(Y)), which
+        # meets the constraint to that bound.
+        calc = corner_calculus(n, theta)
+        rng = np.random.default_rng(seed)
+        m = calc.ctx.interior_dim
+        sheet = _one_sheet(calc, random_hermitian(rng, n))
+        y = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        refined = sheet.project(sheet.project(y))
+        b = _corner_split(calc, sheet.g, np.zeros_like(sheet.g))[2]
+        assert _corner_split(calc, sheet.g, sheet.adjoint(refined))[2] <= 1e-13 * b
 
     def test_bracket_inside_the_chambolle_pock_bracket(self, ctx48):
         # (e0 + i e2)/sqrt(2) against eigen:2 at N=48 and the default budget:
