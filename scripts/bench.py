@@ -222,7 +222,7 @@ def measure() -> dict:
 
     return {
         "opposite_route": timed(lambda: _single_route(calc, *general, light), 1),
-        "opposite_loop": timed(lambda: _splitting_loop(doubled, light, ctx.tol), 1),
+        "opposite_loop": timed(lambda: _splitting_loop(doubled, light), 1),
         "opposite_check": timed(lambda: pythagoras_check(rung, *general, light), 1),
         "displacement_eigh": timed(lambda: _displacement_eigh(ctx, kappa), 200),
         "displace_pure": timed(lambda: displace(level_one, kappa), 50),

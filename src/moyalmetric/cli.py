@@ -349,9 +349,8 @@ def _fmt(x: float) -> str:
 
 
 def _report_stdout(rep: DistanceReport) -> str:
-    parts = [f"{rep.method:<13s} d_D = {_fmt(rep.value)}"]
-    if math.isfinite(rep.feasibility):
-        parts.append(f"feasibility = {_fmt(rep.feasibility)}")
+    parts = [f"{rep.method:<13s} d_D = {_fmt(rep.value)}",
+             f"feasibility = {_fmt(rep.feasibility)}"]
     if rep.gap is not None:
         parts.append(f"gap = {_fmt(rep.gap)}")
     line = "   ".join(parts)
@@ -414,10 +413,7 @@ def cmd_distance(cfg: RunConfig, args) -> None:
         route_gaps[key] = abs(a.value - b.value)
         print(f"route gap {key} = {_fmt(route_gaps[key])}")
 
-    anomaly = any(
-        math.isfinite(rep.feasibility) and rep.feasibility > 1.0 + _FEAS_SLACK
-        for rep in reports
-    )
+    anomaly = any(rep.feasibility > 1.0 + _FEAS_SLACK for rep in reports)
     payload = {
         "command": "distance",
         "states": [format_state_expr(tag1), format_state_expr(tag2)],

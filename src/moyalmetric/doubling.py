@@ -350,11 +350,11 @@ def _opposite_sheets(
     """
     drho = s1.rho - s2.rho
     kappa = 0.0 if float(np.abs(drho).max()) < 1e-12 else _translation_amplitude(s1, s2)
-    sheet, tol = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho]))), dd.ctx.tol
+    sheet = _two_sheets(dd, _hermitize(np.stack([s1.rho, -s2.rho])))
     duals = [] if kappa is None else [_doubled_dual(dd, s1.rho, kappa)]
     single = _single_route(dd.calc, s1, s2, cfg)
     seed = _lifted_seed(dd, drho, single)
-    solve = _prove_or_search(sheet, [seed], duals, cfg, tol, seed)
+    solve = _prove_or_search(sheet, [seed], duals, cfg, seed)
     return _OppositeSheets(single, kappa, solve)
 
 

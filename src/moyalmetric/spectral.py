@@ -35,17 +35,17 @@ at sqrt(m) / s_min (``_Sheet.upper``).
 
 One prove-or-search core, ``_prove_or_search``, serves both sheets: no
 search runs where an explicit dual, as given or projected, proves the best
-seeded candidate optimal, with leakage at most tol and the bound within
-tol of the value.  On one sheet the duals are the tail dual of a state
+seeded candidate optimal, with leakage at most ctx.tol and the bound within
+ctx.tol of the value.  On one sheet the duals are the tail dual of a state
 difference that is exactly diagonal with no weight at the guarded levels
 (``_lp_dual``) and the path mean of a translation (``_translation_dual``).
 Elsewhere one deterministic splitting loop, over-relaxed scaled ADMM on the
 dual problem (``_splitting_loop``), brackets the distance.  Its thresholding
 step is one Gram product and a small eigh on the previous step's Ritz
-vectors (``_shrink``), with the full Gram eigh at the first step, at every
-bracket check and wherever the Ritz block may miss a kept singular value;
-it starts cold on one sheet and, on two, from the multiplier of the lifted
-seed that ``doubling`` passes.  Both return one record, ``_Solve``, and
+vectors (``_shrink``), exact on the span of the Gram matrix times those
+vectors, with the full Gram eigh at the first step and at every bracket
+check; it starts cold on one sheet and, on two, from the multiplier of the
+lifted seed that ``doubling`` passes.  Both return one record, ``_Solve``, and
 read a sheet as its map (``_Sheet``): the map K, here A,
 its adjoint Herm K*, the pseudo-inverse N^+ of its normal operator and the
 rung between stacked sheets, 0 on one, from which the projection onto the
@@ -481,6 +481,7 @@ def closed_form_for(calc: DiracCalculus, s1: QState, s2: QState) -> DistanceRepo
     translation: U(mu) L U(mu)*, which pairs with the translated states as
     L does with the untranslated ones.
     """
+    _require_same_ctx(calc.ctx, s1.ctx)
     _require_same_ctx(s1.ctx, s2.ctx)
     value = _closed_value(s1, s2)
     if value is None:
@@ -682,27 +683,29 @@ def _best_candidate(sheet: _Sheet, candidates, best: _Solve = _Solve()) -> _Solv
 
 
 def _prove_or_search(
-    sheet: _Sheet, seeds, duals, cfg: SolverConfig, tol: float, start: np.ndarray | None = None
+    sheet: _Sheet, seeds, duals, cfg: SolverConfig, start: np.ndarray | None = None
 ) -> _Solve:
     """The one prove-or-search core of both sheets' solvers: the solve of
     the best of the seeded candidates ``seeds`` and the splitting loop,
     started from ``start`` if one is given.
 
     No search runs where an explicit dual, as given or else projected,
-    proves the best seeded candidate optimal: leakage at most tol and its
-    bound within tol max(1, value) of the value.  The projection repairs a
-    dual that meets the constraint only approximately, such as a path mean
-    whose path states reach past the crop.  The loop's element wins unless
-    a seeded candidate beats it.  A bound below a feasible value is
-    roundoff, so every upper is raised to the value.
+    proves the best seeded candidate optimal: leakage at most tol, the
+    sheet's ctx.tol, and its bound within tol max(1, value) of the value.
+    The projection repairs a dual that meets the constraint only
+    approximately, such as a path mean whose path states reach past the
+    crop.  The loop's element wins unless a seeded candidate beats it.  A
+    bound below a feasible value is roundoff, so every upper is raised to
+    the value.
     """
+    tol = sheet.calc.ctx.tol
     best = _best_candidate(sheet, seeds)
     for y in duals:
         for projected in (False, True):
             upper, leakage = sheet.upper(sheet.project(y) if projected else y)
             if leakage <= tol and upper - best.value <= tol * max(1.0, best.value):
                 return _Solve(best.value, best.element, max(upper, best.value))
-    found = _splitting_loop(sheet, cfg, tol, start)
+    found = _splitting_loop(sheet, cfg, start)
     if found.element is not None and found.value >= best.value:
         best = found
     upper = None if found.upper is None else max(found.upper, best.value)
@@ -853,24 +856,20 @@ def _shrink(
 
     Without a basis the eigenpairs are G's full eigh.  With a basis V, the
     previous step's Ritz vectors, they are the Ritz pairs of G on Q = qr(G
-    V): one small eigh of Q* G Q (Cai, Candes & Shen 2010).  The Ritz
-    values lie below G's top eigenvalues, so when the smallest is still
-    above tau^2 the block may miss a kept singular value, and the full eigh
-    is taken instead, bit for bit the step without a basis.  Returns the
+    V): one small eigh of Q* G Q (Cai, Candes & Shen 2010).  That step is
+    exact on span(G V): it is the full step on w Q Q*, and it drops any
+    kept singular direction of w outside that span.  Returns the
     thresholded matrix and the top r + 16 eigen- or Ritz vectors for the
     next step, r the kept rank, or None where those would fill the side of
     G.
     """
     gram = w.conj().T @ w
-    if basis is not None:
-        q = np.linalg.qr(gram @ basis)[0]
-        lam, y = np.linalg.eigh(q.conj().T @ gram @ q)
-        if lam[0] <= tau**2:
-            v = q @ y
-        else:
-            basis = None
     if basis is None:
         lam, v = np.linalg.eigh(gram)
+    else:
+        q = np.linalg.qr(gram @ basis)[0]
+        lam, y = np.linalg.eigh(q.conj().T @ gram @ q)
+        v = q @ y
     s = np.sqrt(np.maximum(lam, 0.0))
     keep = s > tau
     width = int(np.count_nonzero(keep)) + _RITZ_MARGIN
@@ -892,7 +891,7 @@ def _splitting_step(
 
 
 def _splitting_loop(
-    sheet: _Sheet, cfg: SolverConfig, tol: float, start: np.ndarray | None = None
+    sheet: _Sheet, cfg: SolverConfig, start: np.ndarray | None = None
 ) -> _Solve:
     """Scaled ADMM on the dual problem min ||W||_* subject to Herm K* W = b,
     with K the sheet's map and b the corner of its pairing g off the kernel.
@@ -905,18 +904,19 @@ def _splitting_loop(
     ``start`` of seminorm one, whose multiplier then already reads that
     element.  The thresholding runs on the previous step's Ritz basis
     (``_shrink``), held here and nowhere else, so no state outlives a call;
-    the full Gram eigh runs at the first step, at every bracket check and
-    wherever the Ritz block may miss a kept singular value.  rho U tends to
-    a subgradient of the nuclear norm at Z in the range of K, so x = K^+ U
-    tends to an optimal element, and its ratio |<g, x>| / p(x) is a lower
-    bound at every step.  Every 25 iterations and at the last one the loop takes that lower
-    bound and the upper bound of Pi(W), W projected once more, keeps the
-    best of each (``_Solve``), and stops once upper - lower <= tol max(1,
-    lower); upper is None when the leakage exceeds tol.  Both sides read
-    the iterates themselves, W projected and the full seminorm of K^+ U, so
-    an inexact Ritz step costs iterations, never soundness (Eckstein &
-    Bertsekas 1992).
+    that step is exact on span(G V) only, so the full Gram eigh runs at the
+    first step and at every bracket check.  rho U tends to a subgradient of
+    the nuclear norm at Z in the range of K, so x = K^+ U tends to an
+    optimal element, and its ratio |<g, x>| / p(x) is a lower bound at
+    every step.  Every 25 iterations and at the last one the loop takes that
+    lower bound and the upper bound of Pi(W), W projected once more, keeps
+    the best of each (``_Solve``), and stops once upper - lower <= tol
+    max(1, lower), tol the sheet's ctx.tol; upper is None when the leakage
+    exceeds tol.  Both sides read the iterates themselves, W projected and
+    the full seminorm of K^+ U, so an inexact Ritz step costs iterations,
+    never soundness (Eckstein & Bertsekas 1992).
     """
+    tol = sheet.calc.ctx.tol
     z = np.zeros((sheet.size,) * 2, dtype=complex)
     u = z.copy() if start is None else sheet.map(start) / _PENALTY
     best, upper, basis = _Solve(), math.inf, None
@@ -1011,7 +1011,7 @@ def distance_solver(
         duals.append(y)
     if (kappa := _translation_amplitude(s1, s2)) is not None:
         duals.append(_translation_dual(calc, s1.rho, kappa))
-    best = _prove_or_search(_one_sheet(calc, drho), seeded, duals, cfg, calc.ctx.tol)
+    best = _prove_or_search(_one_sheet(calc, drho), seeded, duals, cfg)
     if best.element is None:
         return zero
     cert = Operator(calc.ctx, _hermitize(best.element), hermitian=True)

@@ -351,8 +351,7 @@ class TestOneSheet:
         assert exact.method == pair
         drho = _hermitize(s1.rho - s2.rho)
         g = np.stack([drho, np.zeros_like(drho)])
-        value, best, upper = _splitting_loop(_two_sheets(dd, g), SolverConfig(iterations=300),
-                                             ctx16.tol)
+        value, best, upper = _splitting_loop(_two_sheets(dd, g), SolverConfig(iterations=300))
         assert 0.9 * exact.value < value <= exact.value + 1e-9
         assert exact.value - 1e-9 <= upper <= 1.1 * exact.value
         assert _doubled_seminorm(dd, best[0], best[1]) <= 1 + 1e-8
@@ -441,7 +440,7 @@ class TestDoubledDual:
                 assert leakage <= ctx48.tol
                 assert 0 <= upper - want <= ctx48.tol
 
-    def test_no_doubled_ascent_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls):
+    def test_no_doubled_loop_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls):
         from moyalmetric import spectral
 
         calc = DiracCalculus(ctx48)
@@ -533,7 +532,7 @@ class TestDoubledDual:
         monkeypatch.setattr(doubling, "_doubled_dual", lambda *args: want)
         assert doubled_distance(dd32, SheetState(s, 1), SheetState(s, 2), LIGHT) == rep
 
-    def test_equal_states_skip_the_ascent(self, dd32, ctx32, loop_calls):
+    def test_equal_states_skip_the_loop(self, dd32, ctx32, loop_calls):
         s = superposition_state(ctx32, [0, 2], [1.0, 1.0j])
         res = pythagoras_check(dd32, s, s, LIGHT)
         assert loop_calls == []
@@ -816,7 +815,7 @@ def test_full_svd_runs_only_for_a_reported_feasibility(dd32, ctx32, doubled_semi
         doubled_seminorm_calls.clear()
 
 
-class TestOverlap:
+class TestOppositeSheets:
     """Without a translation amplitude, ``_opposite_sheets`` runs the
     single route and then the doubled splitting loop, started from the
     lifted seed; its record is the serial composition's on every field, bit
@@ -827,13 +826,12 @@ class TestOverlap:
         single = _single_route(dd.calc, s1, s2, cfg)
         g = _hermitize(np.stack([s1.rho, -s2.rho]))
         seed = _lifted_seed(dd, s1.rho - s2.rho, single)
-        value, best, upper = _prove_or_search(_two_sheets(dd, g), [seed], [], cfg, dd.ctx.tol,
-                                              seed)
+        value, best, upper = _prove_or_search(_two_sheets(dd, g), [seed], [], cfg, seed)
         return single, value, _doubled_seminorm(dd, best[0], best[1]), upper
 
     @given(route=st.sampled_from(("closed-form", "diagonal-lp", "convex-solver", "leaking")),
            seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
-    def test_overlap_is_the_serial_composition(self, ctx16, route, seed, lam):
+    def test_record_is_the_serial_composition(self, ctx16, route, seed, lam):
         dd = make_doubled(DiracCalculus(ctx16), lam)
         s1, s2 = general_pair(ctx16, route, np.random.default_rng(seed))
         pair = _opposite_sheets(dd, s1, s2, LIGHT)

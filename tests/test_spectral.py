@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from moyalmetric import (
+    ContextMismatchError,
     LeakageError,
     Operator,
     QState,
@@ -191,6 +192,14 @@ class TestClosedForm:
     def test_equal_indices_zero(self, ctx32):
         calc = DiracCalculus(ctx32)
         assert closed_form_for(calc, eigenstate(ctx32, 2), eigenstate(ctx32, 2)).value == 0.0
+
+    @pytest.mark.parametrize("route", (closed_form_for, distance_diagonal_lp, distance_solver))
+    def test_calculus_of_another_context_rejected(self, ctx32, route):
+        # A theta = 4 calculus against theta = 1 states: every route refuses
+        # the pair rather than certify a theta = 1 value in the wrong context.
+        calc = DiracCalculus(make_context(32, 4.0, 1e-10))
+        with pytest.raises(ContextMismatchError):
+            route(calc, eigenstate(ctx32, 0), eigenstate(ctx32, 3))
 
     def test_certificate_pairing_matches_value(self, ctx32):
         calc = DiracCalculus(ctx32)
@@ -551,13 +560,13 @@ class TestProveOrSearch:
 
     def test_loop_runs_before_the_seeds(self, ctx16, sheet, loop_calls):
         ops, seed, _ = translate_on(ctx16, sheet)
-        solve = _prove_or_search(ops, [seed], [], SolverConfig(iterations=30), ctx16.tol)
+        solve = _prove_or_search(ops, [seed], [], SolverConfig(iterations=30))
         assert len(loop_calls) == 1
         assert solve.value >= ops.ratio(seed)[0]
 
     def test_proven_dual_runs_no_loop(self, ctx16, sheet, loop_calls):
         ops, seed, dual = translate_on(ctx16, sheet)
-        solve = _prove_or_search(ops, [seed], [dual], SolverConfig(iterations=30), ctx16.tol)
+        solve = _prove_or_search(ops, [seed], [dual], SolverConfig(iterations=30))
         assert loop_calls == []
         assert solve.value == ops.ratio(seed)[0]
         assert 0 <= solve.upper - solve.value <= ctx16.tol * max(1.0, solve.value)
@@ -573,7 +582,7 @@ class TestProveOrSearch:
             element = unit.copy()
             monkeypatch.setattr(spectral, "_splitting_loop",
                                 lambda *args: _Solve(found, element, 2.0 * value))
-            solve = _prove_or_search(ops, [seed], [], SolverConfig(), ctx16.tol)
+            solve = _prove_or_search(ops, [seed], [], SolverConfig())
             assert (solve.element is element) == wins
             assert solve.value == (found if wins else value)
             assert solve.upper == 2.0 * value
@@ -614,8 +623,7 @@ class TestSplittingCore:
                 bounds.append(super().upper(w))
                 return bounds[-1]
 
-        value, best, bound = _splitting_loop(
-            Recorded(*ops), SolverConfig(iterations=60), ctx16.tol)
+        value, best, bound = _splitting_loop(Recorded(*ops), SolverConfig(iterations=60))
         assert len(elements) == len(bounds) == 3  # at 25, 50 and 60
         ratios = [abs(_objective(ops.g, x)) / ops.seminorm(x) for x in elements]
         assert value == max(ratios)
@@ -628,7 +636,7 @@ class TestSplittingCore:
         # With nothing to separate, every iterate stays zero: no element,
         # value 0 and a proven upper bound of 0.
         ops = sheets(ctx16, weight=0.0)[sheet]
-        assert _splitting_loop(ops, SolverConfig(iterations=30), ctx16.tol) == (0.0, None, 0.0)
+        assert _splitting_loop(ops, SolverConfig(iterations=30)) == (0.0, None, 0.0)
 
     @given(seed=st.integers(0, 2**32 - 1), lam=LAMBDAS)
     def test_adjoint_identity(self, sheet, seed, lam):
@@ -688,8 +696,10 @@ def unitary(rng, n):
 
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 class TestRitzThreshold:
-    """The warm thresholding step, ``_shrink`` on a Ritz basis, against the
-    full Gram eigh at the loop's threshold tau = 1/rho."""
+    """The warm thresholding step, ``_shrink`` on a Ritz basis V, against the
+    full Gram eigh at the loop's threshold tau = 1/rho.  The warm step is
+    exact on span(G V), G = W* W, and on nothing outside it; the loop takes
+    the full step at iteration 1 and at each bracket check."""
 
     TAU = 1.0 / _PENALTY
 
@@ -716,21 +726,25 @@ class TestRitzThreshold:
             assert ritz.shape == (n, r + _RITZ_MARGIN)
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_basis_missing_the_top_vector_falls_back(self, n, seed, data):
-        # Every singular value of W above tau, and a basis orthogonal to the
-        # top right singular vector, whose Ritz pairs would drop the top
-        # term: every Ritz value is a Rayleigh quotient of W* W above tau^2,
-        # so the step takes the full eigh instead, bit for bit.
+    def test_warm_step_is_the_full_step_on_the_block(self, n, seed, data):
+        # With Q = qr(G V), G = W* W, the warm step is the full step on
+        # W Q Q*, for any basis V: a random one, or one orthogonal to W's
+        # top right singular vector, whose block then misses a kept term.
         rng = np.random.default_rng(seed)
-        k = data.draw(st.integers(1, n - 1))
+        r, k = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
         tau = self.TAU
-        s = np.sort(rng.uniform(1.5 * tau, 4.0 * tau, n))[::-1]
+        s = np.sort(np.concatenate([rng.uniform(1.5 * tau, 4.0 * tau, r),
+                                    rng.uniform(0.0, 0.8 * tau, n - r)]))[::-1]
         v = unitary(rng, n)
         w = (unitary(rng, n) * s) @ v.conj().T
-        want, _ = _shrink(w, tau)
-        got, ritz = _shrink(w, tau, v[:, 1 : k + 1] @ unitary(rng, k))
-        assert np.array_equal(got, want)
-        assert ritz is None
+        if data.draw(st.booleans()):
+            basis = v[:, 1 : k + 1] @ unitary(rng, k)
+        else:
+            basis = unitary(rng, n)[:, :k]
+        q = np.linalg.qr(w.conj().T @ w @ basis)[0]
+        want, _ = _shrink(w @ q @ q.conj().T, tau)
+        got, _ = _shrink(w, tau, basis)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 THETAS = (1.0, 0.7, 2.3)
@@ -803,7 +817,7 @@ class TestExactLPSkip:
         nuclear = float(np.linalg.svd(y, compute_uv=False).sum())
         assert abs(nuclear - lp) <= 1e-12 * lp
 
-    def test_no_ascent_on_exactly_diagonal_pairs(self, ctx32, loop_calls):
+    def test_no_loop_on_exactly_diagonal_pairs(self, ctx32, loop_calls):
         calc = DiracCalculus(ctx32)
         e = [eigenstate(ctx32, k) for k in range(4)]
         pairs = [
@@ -822,7 +836,7 @@ class TestExactLPSkip:
             assert 0 <= rep.upper - rep.value <= ctx32.tol * max(1.0, rep.value)
         assert loop_calls == []
 
-    def test_ascent_runs_unless_exactly_diagonal(self, ctx32, loop_calls):
+    def test_loop_runs_unless_exactly_diagonal(self, ctx32, loop_calls):
         # Both states pass the LP's tol-diagonal test, so the LP is still
         # seeded, but the skip needs the exact property; the splitting loop
         # runs instead, and its own bracket carries the upper bound, since
@@ -1254,7 +1268,7 @@ class TestTranslationDual:
         assert rep.value == pytest.approx(abs(kappa), abs=1e-12)
 
     @pytest.mark.parametrize("swap", (False, True))
-    def test_no_ascent_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls, swap):
+    def test_no_loop_on_a_proven_translation(self, ctx48, monkeypatch, loop_calls, swap):
         from moyalmetric import spectral
 
         calc = DiracCalculus(ctx48)
