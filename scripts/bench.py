@@ -8,8 +8,10 @@ one sheet and on two (``spectral._splitting_step``: the sheet's projection,
 the singular value thresholding and the multiplier update) from random
 duals with the full Gram eigh, and the same step, warm on its Ritz basis
 and with the full eigh, from the loop's own state after 40 steps on the
-general pair below, at sides 42 and 84; each sheet's projection alone
-(``project`` of ``spectral._one_sheet`` and ``doubling._two_sheets``); and,
+general pair below, at sides 42 and 84, with the width of that Ritz
+basis and the rank the state's last step kept (``ritz_blocks``); each
+sheet's projection alone (``project`` of ``spectral._one_sheet`` and
+``doubling._two_sheets``); and,
 over the square-length grid (levels 0..6 displaced over a 5x5 lattice of
 amplitude sqrt(2)), one ``d_L2`` and one ``modified_length`` call with
 the state moments already cached, and the first touch of both moments
@@ -214,13 +216,17 @@ def measure() -> dict:
     general = superposition_state(ctx, [0, 2], [1.0, 1.0j]), level_one
     rung = make_doubled(calc, reference_lambda(calc, 1))
     doubled = _two_sheets(rung, _hermitize(np.stack([general[0].rho, -general[1].rho])))
-    steps = {}
+    steps, blocks = {}, {}
     for sheet in (_one_sheet(calc, _hermitize(general[0].rho - general[1].rho)), doubled):
         z, u, basis = loop_state(sheet)
         steps[f"warm_step_{sheet.size}"] = partial(_splitting_step, sheet, z, u, basis)
         steps[f"full_step_{sheet.size}"] = partial(_splitting_step, sheet, z, u)
+        blocks[f"warm_step_{sheet.size}"] = {
+            "ritz_width": None if basis is None else basis.shape[1],
+            "kept_rank": int(np.linalg.matrix_rank(z)),
+        }
 
-    return {
+    timings = {
         "opposite_route": timed(lambda: _single_route(calc, *general, light), 1),
         "opposite_loop": timed(lambda: _splitting_loop(doubled, light), 1),
         "opposite_check": timed(lambda: pythagoras_check(rung, *general, light), 1),
@@ -238,6 +244,7 @@ def measure() -> dict:
         "modified_length": timed(sweep(modified_length), 1, per=pairs),
         "moments_first_touch": timed(touch_moments, 1, per=len(grid), reset=forget_moments),
     }
+    return {"timings": timings, "ritz_blocks": blocks}
 
 
 def main() -> int:
@@ -251,7 +258,7 @@ def main() -> int:
     for var in BLAS_ENV:
         os.environ[var] = "1"
     record = {"machine": machine_info(), "N": N, "theta": THETA,
-              "generator_eighs": generator_eighs(), "timings": measure()}
+              "generator_eighs": generator_eighs(), **measure()}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
@@ -259,6 +266,8 @@ def main() -> int:
     for name, t in record["timings"].items():
         print(f"{name:32s} {t['median_us']:12.2f} us  (q1 {t['q1_us']:.2f}, q3 {t['q3_us']:.2f})")
     print(f"generator_eighs                  {record['generator_eighs']}")
+    for name, block in record["ritz_blocks"].items():
+        print(f"{name + ' block':32s} {block}")
     print(f"wrote {args.out}")
     return 0
 

@@ -349,8 +349,10 @@ def _fmt(x: float) -> str:
 
 
 def _report_stdout(rep: DistanceReport) -> str:
-    parts = [f"{rep.method:<13s} d_D = {_fmt(rep.value)}",
-             f"feasibility = {_fmt(rep.feasibility)}"]
+    parts = [f"{rep.method:<13s} d_D = {_fmt(rep.value)}"]
+    if rep.upper is not None:
+        parts.append(f"upper = {_fmt(rep.upper)}")
+    parts.append(f"feasibility = {_fmt(rep.feasibility)}")
     if rep.gap is not None:
         parts.append(f"gap = {_fmt(rep.gap)}")
     line = "   ".join(parts)

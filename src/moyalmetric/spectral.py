@@ -41,11 +41,12 @@ difference that is exactly diagonal with no weight at the guarded levels
 (``_lp_dual``) and the path mean of a translation (``_translation_dual``).
 Elsewhere one deterministic splitting loop, over-relaxed scaled ADMM on the
 dual problem (``_splitting_loop``), brackets the distance.  Its thresholding
-step is one Gram product and a small eigh on the previous step's Ritz
-vectors (``_shrink``), exact on the span of the Gram matrix times those
-vectors, with the full Gram eigh at the first step and at every bracket
-check; it starts cold on one sheet and, on two, from the multiplier of the
-lifted seed that ``doubling`` passes.  Both return one record, ``_Solve``, and
+step never forms the Gram matrix W* W: it takes products of W with the
+previous step's r + 8 Ritz vectors, r the kept rank, and one small eigh
+(``_shrink``), exact on the span of the Gram matrix times those vectors,
+with the full Gram eigh at the first step and at every bracket check; it
+starts cold on one sheet and, on two, from the multiplier of the lifted
+seed that ``doubling`` passes.  Both return one record, ``_Solve``, and
 read a sheet as its map (``_Sheet``): the map K, here A,
 its adjoint Herm K*, the pseudo-inverse N^+ of its normal operator and the
 rung between stacked sheets, 0 on one, from which the projection onto the
@@ -844,38 +845,37 @@ def _corner_split(
 _PENALTY = 2.0  # the fixed ADMM penalty of ``_splitting_loop``
 _RELAX = 1.6  # the over-relaxation alpha of ``_splitting_step``
 _CHECK_EVERY = 25  # iterations between two bracket checks
-_RITZ_MARGIN = 16  # Ritz vectors kept beyond the thresholded rank
+_RITZ_MARGIN = 8  # Ritz vectors kept beyond the thresholded rank
 
 
 def _shrink(
     w: np.ndarray, tau: float, basis: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Singular value thresholding, sum_k max(s_k - tau, 0) u_k v_k*, from
-    eigenpairs (s_k^2, v_k) of the Gram matrix G = w* w: w v_k = s_k u_k, so
-    each kept term is (1 - tau / s_k) w v_k v_k*.
+    the Ritz pairs (s_k^2, Q y_k) of the Gram matrix G = w* w on an
+    orthonormal block Q, without forming G: (s_k^2, y_k) are the eigenpairs
+    of (w Q)* (w Q), and each kept term is (w Q y_k) (1 - tau / s_k) (Q
+    y_k)*.
 
-    Without a basis the eigenpairs are G's full eigh.  With a basis V, the
-    previous step's Ritz vectors, they are the Ritz pairs of G on Q = qr(G
-    V): one small eigh of Q* G Q (Cai, Candes & Shen 2010).  That step is
-    exact on span(G V): it is the full step on w Q Q*, and it drops any
-    kept singular direction of w outside that span.  Returns the
-    thresholded matrix and the top r + 16 eigen- or Ritz vectors for the
-    next step, r the kept rank, or None where those would fill the side of
-    G.
+    Without a basis Q is the identity and w Q = w: the full step, one eigh
+    of G.  With a basis V, the previous step's Ritz vectors, Q = qr(G V),
+    G V taken as w* (w V): one small eigh (Cai, Candes & Shen 2010).  That
+    step is exact on span(G V): it is the full step on w Q Q*, and it drops
+    any kept singular direction of w outside that span.  Returns the
+    thresholded matrix and the top r + 8 Ritz vectors Q y_k for the next
+    step, r the kept rank, or None where those would fill the side of w.
+    A warm step never widens its block: it returns at most as many vectors
+    as V holds, so the margin erodes as r grows, until the next full step.
     """
-    gram = w.conj().T @ w
-    if basis is None:
-        lam, v = np.linalg.eigh(gram)
-    else:
-        q = np.linalg.qr(gram @ basis)[0]
-        lam, y = np.linalg.eigh(q.conj().T @ gram @ q)
-        v = q @ y
+    q = None if basis is None else np.linalg.qr(w.conj().T @ (w @ basis))[0]
+    wq = w if q is None else w @ q
+    lam, y = np.linalg.eigh(wq.conj().T @ wq)
+    v = y if q is None else q @ y
     s = np.sqrt(np.maximum(lam, 0.0))
     keep = s > tau
     width = int(np.count_nonzero(keep)) + _RITZ_MARGIN
-    ritz = v[:, -width:] if width < gram.shape[0] else None
-    v = v[:, keep]
-    return ((w @ v) * (1.0 - tau / s[keep])) @ v.conj().T, ritz
+    ritz = v[:, -width:] if width < w.shape[1] else None
+    return ((wq @ y[:, keep]) * (1.0 - tau / s[keep])) @ v[:, keep].conj().T, ritz
 
 
 def _splitting_step(
@@ -902,17 +902,17 @@ def _splitting_loop(
     penalty rho = 2, and U = V - Z (Boyd et al. 2011, sec. 3.4.3).  The loop
     starts from Z = 0 and U = 0, or from U = K(start) / rho for an element
     ``start`` of seminorm one, whose multiplier then already reads that
-    element.  The thresholding runs on the previous step's Ritz basis
-    (``_shrink``), held here and nowhere else, so no state outlives a call;
-    that step is exact on span(G V) only, so the full Gram eigh runs at the
-    first step and at every bracket check.  rho U tends to a subgradient of
-    the nuclear norm at Z in the range of K, so x = K^+ U tends to an
-    optimal element, and its ratio |<g, x>| / p(x) is a lower bound at
-    every step.  Every 25 iterations and at the last one the loop takes that
-    lower bound and the upper bound of Pi(W), W projected once more, keeps
-    the best of each (``_Solve``), and stops once upper - lower <= tol
-    max(1, lower), tol the sheet's ctx.tol; upper is None when the leakage
-    exceeds tol.  Both sides read the iterates themselves, W projected and
+    element.  The thresholding runs on the previous step's r + 8 Ritz
+    vectors (``_shrink``), held here and nowhere else, so no state outlives
+    a call; that step is exact on span(G V) only, G = W* W never formed, so
+    the full Gram eigh runs at the first step and at every bracket check.
+    rho U tends to a subgradient of the nuclear norm at Z in the range of
+    K, so x = K^+ U tends to an optimal element, and its ratio |<g, x>| /
+    p(x) is a lower bound at every step.  Every 25 iterations and at the
+    last one the loop takes that lower bound and the upper bound of Pi(W),
+    W projected once more, keeps the best of each (``_Solve``), and stops
+    once upper - lower <= tol max(1, lower), tol the sheet's ctx.tol; upper
+    is None when the leakage exceeds tol.  Both sides read the iterates themselves, W projected and
     the full seminorm of K^+ U, so an inexact Ritz step costs iterations,
     never soundness (Eckstein & Bertsekas 1992).
     """

@@ -6,10 +6,11 @@ criterion.  A criterion failing here means a certified quantity of the
 library is off at its stated tolerance; the ratio printed is worst observed
 residual over tolerance, so anything above 1 is a real miss, not noise.
 
-The battery takes about 20 s on two shared cores with one BLAS thread
-(the whole Tier-1 suite of 694 tests 45 to 59 s), dominated by the 200
-random bracket checks of criterion 5 (13.6 to 14.2 s), whose doubled
-splitting loops bracket every pair that no explicit dual proves.
+The battery took 27.8 s on two shared cores with one BLAS thread (the
+whole Tier-1 suite of 700 tests 66 s), dominated by the 200 random bracket
+checks of criterion 5 (19 to 23 s over six runs as the machine's load
+varied), whose doubled splitting loops bracket every pair that no explicit
+dual proves.
 Criterion 2 is no longer a long pole: an explicit dual proves the
 translation element optimal on all nine of its pairs, the ninth, whose path
 states leak past the seminorm's corner, through its exact projection, so

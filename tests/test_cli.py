@@ -84,6 +84,28 @@ class TestWorkedExamples:
         assert len(payload["skipped"]) == 2
         assert [r["method"] for r in payload["reports"]] == ["convex-solver"]
 
+    def test_distance_prints_the_upper_bound(self, tmp_path, capsys):
+        # A report that carries an upper bound prints it beside d_D, as the
+        # JSON records it; one without prints none.
+        rc = run_cli("distance", "eigen:0", "eigen:1", "--method", "all",
+                     "--trunc-dim", "16", "--output-dir", str(tmp_path))
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        payload = read_json(tmp_path / "distance_eigen-0_eigen-1_all.json")
+        for rep in payload["reports"]:
+            (line,) = [x for x in lines if x.startswith(f"{rep['method']:<13s} d_D = ")]
+            if rep["upper"] is None:
+                assert "upper = " not in line
+            else:
+                assert f"upper = {cli._fmt(rep['upper'])}" in line
+        assert [r["upper"] is None for r in payload["reports"]] == [True, True, False]
+        rc = run_cli(*GENERAL_PAIR, "--method", "solver", "--output-dir", str(tmp_path))
+        assert rc == 0
+        (rep,) = read_json(
+            tmp_path / "distance_super-0-2-1-1--3a2c3a2c_eigen-1_solver.json")["reports"]
+        assert rep["upper"] > rep["value"]
+        assert f"upper = {cli._fmt(rep['upper'])}" in capsys.readouterr().out
+
     def test_distance_identical_states_vanishes(self, tmp_path):
         rc = run_cli(
             "distance", "eigen:0", "eigen:0", "--method", "all",

@@ -632,6 +632,40 @@ class TestSplittingCore:
         assert bound == min(b for b, _ in bounds)
         assert 0 < value <= bound
 
+    def test_only_the_checks_pay_the_full_eigh(self, sheet, monkeypatch):
+        # Over 80 iterations at N=24 the side x side eigh runs at iteration 1
+        # (the full step) and at each bracket check (the full step and the
+        # ratio), and nowhere else; every other eigh is a warm step's, at
+        # most r + margin wide with r the rank that the step before it kept.
+        from moyalmetric import spectral
+
+        ops = sheets(make_context(24, 1.0, 1e-10))[sheet]
+        step, calls = [0], []
+        real_eigh, real_step = np.linalg.eigh, spectral._splitting_step
+
+        def eigh(a, *args, **kwargs):
+            lam, vec = real_eigh(a, *args, **kwargs)
+            calls.append((step[0], a.shape[0], lam))
+            return lam, vec
+
+        def counted(*args):
+            step[0] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(spectral, "_splitting_step", counted)
+        _splitting_loop(ops, SolverConfig(iterations=80))
+        checks = (25, 50, 75, 80)
+        assert [k for k, width, _ in calls if width == ops.size] == [
+            1, *(k for k in checks for _ in range(2))]
+        kept = {}  # the rank each step's thresholding, its first eigh, kept
+        for k, _, lam in calls:
+            kept.setdefault(k, np.count_nonzero(np.sqrt(np.maximum(lam, 0.0)) > 1 / _PENALTY))
+        warm = [(k, width) for k, width, _ in calls if width < ops.size]
+        assert [k for k, _ in warm] == [k for k in range(2, 81) if k not in checks]
+        for k, width in warm:
+            assert width <= kept[k - 1] + _RITZ_MARGIN
+
     def test_zero_pairing_finds_no_element(self, ctx16, sheet):
         # With nothing to separate, every iterate stays zero: no element,
         # value 0 and a proven upper bound of 0.
@@ -696,19 +730,40 @@ def unitary(rng, n):
 
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 class TestRitzThreshold:
-    """The warm thresholding step, ``_shrink`` on a Ritz basis V, against the
-    full Gram eigh at the loop's threshold tau = 1/rho.  The warm step is
-    exact on span(G V), G = W* W, and on nothing outside it; the loop takes
-    the full step at iteration 1 and at each bracket check."""
+    """The thresholding step ``_shrink`` at the loop's threshold tau = 1/rho,
+    full and warm on a Ritz basis V, against the SVD of W and against the
+    full step.  The warm step is exact on span(G V), G = W* W, and on
+    nothing outside it; the loop takes the full step at iteration 1 and at
+    each bracket check."""
 
     TAU = 1.0 / _PENALTY
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_threshold_matches_the_svd(self, n, seed, data):
+        # W = U diag(s) V* with r singular values in [1.5 tau, 4 tau] and the
+        # rest below tau/2, against U diag((s - tau)_+) V* from the SVD of W:
+        # the full step, and the warm step on any basis of the span of the
+        # top r + margin right singular vectors (capped at n).
+        rng = np.random.default_rng(seed)
+        r = data.draw(st.integers(0, n - 1))
+        tau = self.TAU
+        s = np.concatenate([rng.uniform(1.5 * tau, 4.0 * tau, r),
+                            rng.uniform(0.0, 0.5 * tau, n - r)])
+        w = (unitary(rng, n) * s) @ unitary(rng, n).conj().T
+        u, sv, vh = np.linalg.svd(w)
+        want = (u * np.maximum(sv - tau, 0.0)) @ vh
+        width = min(r + _RITZ_MARGIN, n)
+        full, _ = _shrink(w, tau)
+        warm, _ = _shrink(w, tau, vh[:width].conj().T @ unitary(rng, width))
+        for got in (full, warm):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_spanning_basis_matches_the_full_eigh(self, n, seed, data):
         # W = U diag(s) V* with r singular values in [1.5 tau, 4 tau] and the
-        # rest below tau/2: any basis of the span of the top r + 16 right
+        # rest below tau/2: any basis of the span of the top r + margin right
         # singular vectors (capped at n) gives the full-eigh threshold, and
-        # the top r + 16 Ritz vectors come back, None where they fill n.
+        # the top r + margin Ritz vectors come back, None where they fill n.
         rng = np.random.default_rng(seed)
         r = data.draw(st.integers(0, n - 1))
         tau = self.TAU
